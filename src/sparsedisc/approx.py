@@ -120,24 +120,15 @@ def epsilon_approximation(s: SetSystem, eps: Fraction) -> ApproximationReport:
         weighted_sum = candidate
         current = kept
     claimed = Fraction(2 * weighted_sum, n)
-    measured = _measured_error(s, current)
+    _, _, measured = verify_approximation(s, current, eps)
     return ApproximationReport(current, claimed, measured, tuple(levels), adjoined)
-
-
-def _measured_error(s: SetSystem, sample: tuple[int, ...]) -> Fraction:
-    inside = set(sample)
-    worst = Fraction(0)
-    for st in s.sets:
-        hit = sum(1 for v in st if v in inside)
-        err = abs(Fraction(hit, len(sample)) - Fraction(len(st), s.ground_size))
-        worst = max(worst, err)
-    return worst
 
 
 def verify_approximation(
     s: SetSystem, sample: Iterable[int], eps: Fraction
 ) -> tuple[bool, Optional[int], Fraction]:
-    """Exact per-set check of ||A cap S|/|A| - |S|/|U|| <= eps."""
+    """Exact per-set check of ||A cap S|/|S| - |A|/|U|| <= eps for every
+    set A and the sample S, with the first worst set and the worst error."""
     sam = sorted(set(sample))
     if not sam:
         raise ValueError("sample must be non-empty")

@@ -66,6 +66,20 @@ def _read_system(args: argparse.Namespace) -> setsystems.SetSystem:
     raise ParseError(f"unknown system transform {kind!r}")
 
 
+def _read_order(path: str, n: int) -> orderings.LinearOrder:
+    """An order file: every vertex of the n-vertex graph exactly once,
+    earliest first, separated by whitespace."""
+    with open(path) as fh:
+        tokens = fh.read().split()
+    try:
+        seq = [int(tok) for tok in tokens]
+    except ValueError:
+        raise ParseError("order file must hold vertex indices") from None
+    if sorted(seq) != list(range(n)):
+        raise ParseError(f"order file must list each of the {n} vertices exactly once")
+    return orderings.LinearOrder.from_sequence(seq)
+
+
 def _write_output(text: str, path: Optional[str]) -> None:
     if path:
         with open(path, "w") as fh:
@@ -167,12 +181,7 @@ def cmd_color(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.kind == "power":
         g = _read_graph(args.input)
-        order = None
-        if args.order:
-            with open(args.order) as fh:
-                order = orderings.LinearOrder.from_sequence(
-                    [int(tok) for tok in fh.read().split()]
-                )
+        order = _read_order(args.order, g.n) if args.order else None
         chi, cert = power_coloring.power_coloring(g, args.d, order)
         _maybe_write_coloring(chi, args.output)
         sys.stdout.write(cert.to_json() + "\n")

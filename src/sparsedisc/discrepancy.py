@@ -6,8 +6,10 @@ active-set constraint matrix, and freeze variables as they hit +-1.  A set
 is active while it has more than t unfrozen elements (t = system degree),
 so every set's color sum is exactly zero while it is active and can drift
 by less than 2 per unfrozen element afterwards: the final discrepancy is
-at most 2t - 1.  All arithmetic is over exact rationals; floating point
-would break the strictness of that argument.
+at most 2t - 1.  The null vector comes from fraction-free integer
+elimination and the iterates are exact rationals, so the arithmetic is
+exact throughout; floating point would break the strictness of that
+argument.
 """
 from __future__ import annotations
 
@@ -54,33 +56,51 @@ def eval_discrepancy(s: SetSystem, chi: Coloring) -> tuple[int, Optional[int]]:
     return best, witness
 
 
-def _null_vector(rows: list[list[int]], ncols: int) -> list[Fraction]:
-    """Canonical null vector of a wide 0/1 matrix: Gauss-Jordan over exact
-    rationals, columns processed left to right; the first pivotless column
-    yields its canonical basis vector."""
-    work = [[Fraction(e) for e in row] for row in rows]
+def _null_vector(rows: list[list[int]], ncols: int) -> list[int]:
+    """Integer null vector of a wide 0/1 matrix: a positive multiple of the
+    canonical one (Gauss-Jordan, columns left to right, the first unused
+    row with a nonzero entry as pivot; the first pivotless column j gives
+    coefficient 1 at j and 0 on the other free columns).
+
+    The elimination is fraction-free (Bareiss): after each step the work
+    matrix is the latest pivot D (1 before the first) times the rational
+    Gauss-Jordan matrix, every entry is a minor of the input, and every
+    division is exact.  The vector is |D| at j and -sign(D) * work[i][j] at
+    each pivot (i, pc).  Each row keeps only the columns from the current
+    one on: every column left of the first free one is a pivot column,
+    whose entries the vector never reads.
+    """
+    work = [list(row) for row in rows]
     used = [False] * len(work)
     pivots: list[tuple[int, int]] = []
+    prev = 1
     for j in range(ncols):
         sel = None
-        for i in range(len(work)):
-            if not used[i] and work[i][j]:
+        for i, row in enumerate(work):
+            if not used[i] and row[0]:
                 sel = i
                 break
         if sel is None:
-            nu = [Fraction(0)] * ncols
-            nu[j] = Fraction(1)
+            sign = 1 if prev > 0 else -1
+            nu = [0] * ncols
+            nu[j] = abs(prev)
             for i, pc in pivots:
-                nu[pc] = -work[i][j]
+                nu[pc] = -sign * work[i][0]
             return nu
-        piv = work[sel][j]
-        if piv != 1:
-            work[sel] = [e / piv for e in work[sel]]
         srow = work[sel]
-        for i in range(len(work)):
-            if i != sel and work[i][j]:
-                f = work[i][j]
-                work[i] = [a - f * b for a, b in zip(work[i], srow)]
+        piv = srow[0]
+        stail = srow[1:]
+        for i, row in enumerate(work):
+            f = row[0]
+            if i == sel:
+                work[i] = stail
+            elif f:
+                work[i] = [(piv * a - f * b) // prev for a, b in zip(row[1:], stail)]
+            elif piv == prev:
+                work[i] = row[1:]
+            else:
+                work[i] = [piv * a // prev for a in row[1:]]
+        prev = piv
         used[sel] = True
         pivots.append((sel, j))
     raise AssertionError("wide matrix must have a free column")
@@ -93,10 +113,7 @@ def beck_fiala_with_stats(
     of solver rounds performed."""
     n = s.ground_size
     t = degree(s)
-    member: list[list[int]] = [[] for _ in range(n)]
-    for i, st in enumerate(s.sets):
-        for v in st:
-            member[v].append(i)
+    member = s.membership()
     elems = [list(st) for st in s.sets]
     x = [Fraction(0)] * n
     frozen = [False] * n
@@ -186,12 +203,10 @@ def exact_discrepancy(
     if not s.sets:
         return 0, Coloring((1,) * n)
     m = len(s.sets)
-    member: list[list[int]] = [[] for _ in range(n)]
+    member = s.membership()
     completing: list[list[int]] = [[] for _ in range(n)]
     for i, st in enumerate(s.sets):
         completing[st[-1]].append(i)
-        for v in st:
-            member[v].append(i)
     sums = [0] * m
     chi = [1] * n
     best = n + 1

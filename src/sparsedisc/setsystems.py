@@ -14,7 +14,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable
 
-from .errors import ResourceLimitError
+from .errors import ParseError, ResourceLimitError
 from .graphs import Graph
 from .orderings import degeneracy_order
 from .rng import SplitMix64
@@ -76,7 +76,16 @@ class SetSystem:
     @classmethod
     def from_json(cls, text: str) -> "SetSystem":
         data = json.loads(text)
-        return cls.from_sets(data["ground_size"], data["sets"])
+        if not isinstance(data, dict):
+            raise ParseError("set system JSON must be an object")
+        n, sets = data.get("ground_size"), data.get("sets")
+        if type(n) is not int or n < 0:
+            raise ParseError("ground_size must be a non-negative integer")
+        if not isinstance(sets, list) or not all(
+            isinstance(st, list) and all(type(v) is int for v in st) for st in sets
+        ):
+            raise ParseError("sets must be a list of lists of integers")
+        return cls.from_sets(n, sets)
 
     def membership(self) -> list[list[int]]:
         """For each ground element, the indices of the sets containing it."""

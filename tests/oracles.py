@@ -1,7 +1,9 @@
 """Independent brute-force oracles used by the tests.
 
 These deliberately share no algorithmic code with the package: exhaustive
-enumeration only.  They are the second route of every dual-route check.
+enumeration, plus the plain rational Gauss-Jordan elimination that the
+solver's fraction-free null vector must agree with up to a positive
+scale.  They are the second route of every dual-route check.
 """
 from __future__ import annotations
 
@@ -123,3 +125,31 @@ def approx_error_brute(s: SetSystem, sample: set[int]) -> Fraction:
         hit = sum(1 for v in st if v in sample)
         worst = max(worst, abs(Fraction(hit, len(sample)) - Fraction(len(st), s.ground_size)))
     return worst
+
+
+def null_vector_reference(rows: list[list[int]], ncols: int) -> list[Fraction]:
+    """Canonical null vector of a wide 0/1 matrix: Gauss-Jordan over exact
+    rationals, columns left to right, the first unused row with a nonzero
+    entry as pivot; the first pivotless column yields its canonical basis
+    vector (coefficient 1 there, 0 on the other free columns)."""
+    work = [[Fraction(e) for e in row] for row in rows]
+    used = [False] * len(work)
+    pivots: list[tuple[int, int]] = []
+    for j in range(ncols):
+        sel = next((i for i in range(len(work)) if not used[i] and work[i][j]), None)
+        if sel is None:
+            nu = [Fraction(0)] * ncols
+            nu[j] = Fraction(1)
+            for i, pc in pivots:
+                nu[pc] = -work[i][j]
+            return nu
+        piv = work[sel][j]
+        work[sel] = [e / piv for e in work[sel]]
+        srow = work[sel]
+        for i in range(len(work)):
+            if i != sel and work[i][j]:
+                f = work[i][j]
+                work[i] = [a - f * b for a, b in zip(work[i], srow)]
+        used[sel] = True
+        pivots.append((sel, j))
+    raise AssertionError("wide matrix must have a free column")

@@ -231,3 +231,41 @@ class TestOrderFileRoundTrip:
         assert code == 0
         cert = json.loads(out)
         assert cert["order"] == [int(t) for t in order_file.read_text().split()]
+
+
+class TestMalformedInputExit2:
+    """Malformed inputs end with exit code 2 and a one-line message."""
+
+    @pytest.fixture()
+    def c5(self, tmp_path, capsys):
+        path = tmp_path / "c5.edges"
+        run(capsys, "gen", "cycle", "5", "-o", str(path))
+        return path
+
+    def _power_with_order(self, c5, tmp_path, capsys, text):
+        order_file = tmp_path / "order.txt"
+        order_file.write_text(text)
+        return run(
+            capsys, "color", "power", "-i", str(c5), "--d", "2", "--order", str(order_file)
+        )
+
+    def test_order_vertex_out_of_range(self, c5, tmp_path, capsys):
+        code, out, err = self._power_with_order(c5, tmp_path, capsys, "0 1 2 3 9\n")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "order file" in err
+
+    def test_short_order_file(self, c5, tmp_path, capsys):
+        code, out, err = self._power_with_order(c5, tmp_path, capsys, "0 1 2\n")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "order file" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[1,2]", '{"ground_size": 3, "sets": 3}', '{"ground_size": "3", "sets": [[0]]}'],
+    )
+    def test_system_json_of_wrong_shape(self, tmp_path, capsys, text):
+        path = tmp_path / "s.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "color", "beck-fiala", "-i", str(path))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")

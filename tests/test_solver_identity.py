@@ -1,0 +1,121 @@
+"""The exact solver's null vector and its outputs, pinned.
+
+The null vector must be a positive multiple of the canonical rational one
+(the oracle), so every step length and every iterate of the rounding is
+the same rational as with plain Gauss-Jordan elimination; the frozen
+digest pins the colorings and round counts themselves.
+"""
+import hashlib
+from fractions import Fraction
+
+import pytest
+
+from oracles import null_vector_reference
+from sparsedisc.discrepancy import _null_vector, beck_fiala_with_stats
+from sparsedisc.graphs import random_degenerate_graph
+from sparsedisc.orderings import degeneracy_order
+from sparsedisc.power_coloring import wreach_star_system
+from sparsedisc.rng import SplitMix64
+from sparsedisc.setsystems import SetSystem, random_system
+
+
+def _wide_matrix(rng: SplitMix64) -> tuple[list[list[int]], int]:
+    """A random 0/1 matrix with more columns than rows, salted with
+    duplicate rows, sums of disjoint rows, zero rows and zero columns."""
+    r = 1 + rng.randrange(12)
+    ncols = r + 1 + rng.randrange(3)
+    density = 2 + rng.randrange(2)
+    rows = [[1 if rng.bernoulli(density, 5) else 0 for _ in range(ncols)] for _ in range(r)]
+    for i in range(r):
+        kind = rng.randrange(8)
+        if kind == 0:
+            rows[i] = list(rows[rng.randrange(r)])
+        elif kind == 1:
+            a, b = rows[rng.randrange(r)], rows[rng.randrange(r)]
+            if not any(x and y for x, y in zip(a, b)):
+                rows[i] = [x + y for x, y in zip(a, b)]
+        elif kind == 2:
+            rows[i] = [0] * ncols
+    for _ in range(rng.randrange(3)):
+        j = rng.randrange(ncols)
+        for row in rows:
+            row[j] = 0
+    return rows, ncols
+
+
+class TestNullVector:
+    def test_positive_multiple_of_reference(self):
+        rng = SplitMix64(2024)
+        for _ in range(600):
+            rows, ncols = _wide_matrix(rng)
+            got = _null_vector(rows, ncols)
+            ref = null_vector_reference(rows, ncols)
+            assert all(type(e) is int for e in got)
+            assert len(got) == ncols
+            assert all(sum(a * b for a, b in zip(row, got)) == 0 for row in rows)
+            j = next(k for k, e in enumerate(ref) if e)
+            scale = Fraction(got[j]) / ref[j]
+            assert scale > 0
+            assert [Fraction(e) for e in got] == [scale * e for e in ref]
+
+    def test_pivots_beyond_unit_determinants(self):
+        # pivots 1, 1, 2, -3: exact divisions by 2, and the sign of the
+        # last pivot folded into the vector
+        rows = [
+            [1, 1, 0, 1, 0],
+            [0, 1, 1, 1, 0],
+            [1, 0, 1, 1, 0],
+            [1, 1, 1, 0, 1],
+        ]
+        assert _null_vector(rows, 5) == [-1, -1, -1, 2, 3]
+        assert null_vector_reference(rows, 5) == [Fraction(k, 3) for k in (-1, -1, -1, 2, 3)]
+
+    def test_zero_entry_rows_rescaled_by_a_fraction(self):
+        # pivots 1, -1, -2, 1, 1: at the fourth step the last row has a 0
+        # in the pivot column and is rescaled by 1/-2, not by 1 // -2
+        rows = [
+            [1, 1, 0, 0, 1, 0],
+            [1, 0, 1, 1, 0, 1],
+            [0, 1, 1, 0, 1, 0],
+            [0, 0, 1, 0, 1, 1],
+            [0, 0, 0, 0, 1, 0],
+        ]
+        assert _null_vector(rows, 6) == [-1, 1, -1, 1, 0, 1]
+        assert null_vector_reference(rows, 6) == [-1, 1, -1, 1, 0, 1]
+
+    def test_square_rejected(self):
+        with pytest.raises(AssertionError):
+            _null_vector([[1, 0], [0, 1]], 2)
+
+
+def _large_degree4(n: int, rng: SplitMix64) -> SetSystem:
+    """Sets of size 20, four disjoint covers of the ground: degree 4, m = n/5."""
+    sets = []
+    for _ in range(4):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        sets.extend(perm[i:i + 20] for i in range(0, n, 20))
+    return SetSystem.from_sets(n, sets)
+
+
+def _corpus() -> list[tuple[str, SetSystem]]:
+    rng = SplitMix64(31337)
+    out = [(f"random {k}", random_system(rng, max_ground=200)) for k in range(24)]
+    out += [(f"size-20 degree-4 n={n}", _large_degree4(n, rng)) for n in (60, 60, 100)]
+    g = random_degenerate_graph(120, 4, seed=5)
+    order, _ = degeneracy_order(g)
+    out.append(("wreach stars n=120 p=4 d=2", wreach_star_system(g, order, 2)))
+    return out
+
+
+# sha256 of the corpus outputs of the Gauss-Jordan solver over Fractions
+FROZEN_DIGEST = "a97ee8fd7cb14d88fda9a0be035c1dd73fb2bb55f576b972b93630d0a3c7501b"
+
+
+def test_colorings_and_rounds_frozen():
+    h = hashlib.sha256()
+    for label, s in _corpus():
+        chi, rounds = beck_fiala_with_stats(s)
+        signs = "".join("+" if v == 1 else "-" for v in chi.values)
+        h.update(f"{label}|{signs}|{rounds}\n".encode())
+    assert h.hexdigest() == FROZEN_DIGEST
