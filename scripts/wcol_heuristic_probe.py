@@ -16,10 +16,9 @@ from sparsedisc.discrepancy import eval_discrepancy
 from sparsedisc.graphs import generate_family, graph_power
 from sparsedisc.orderings import (
     LinearOrder,
+    degeneracy_order,
     wcol_exact,
     wcol_from_order,
-    wcol_heuristic_order,
-    weak_reach,
 )
 from sparsedisc.power_coloring import power_coloring
 from sparsedisc.setsystems import neighborhood_system
@@ -48,7 +47,7 @@ def main() -> None:
     print("== smallest-last vs exact weak coloring number ==")
     print(f"{'graph':<9} d  heuristic  exact  ratio")
     for name, g in corpus(args.max_n):
-        heur = wcol_heuristic_order(g)
+        heur, _ = degeneracy_order(g)
         for d in range(1, args.max_d + 1):
             hval = wcol_from_order(g, heur, d)
             xval = wcol_exact(g, d)
@@ -65,7 +64,7 @@ def main() -> None:
             power_sys = neighborhood_system(graph_power(g, d))
             for perm in permutations(range(g.n)):
                 order = LinearOrder.from_sequence(list(perm))
-                if max(len(weak_reach(g, order, d, v)) for v in range(g.n)) != target:
+                if wcol_from_order(g, order, d) != target:
                     continue
                 chi, c2 = power_coloring(g, d, order)
                 achieved, _ = eval_discrepancy(power_sys, chi)

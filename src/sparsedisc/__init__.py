@@ -32,7 +32,6 @@ from .orderings import (
     orient_along,
     wcol_exact,
     wcol_from_order,
-    wcol_heuristic_order,
     weak_reach,
 )
 from .setsystems import (
@@ -80,7 +79,6 @@ __all__ = [
     "vc_dimension",
     "wcol_exact",
     "wcol_from_order",
-    "wcol_heuristic_order",
     "weak_reach",
     "write_edge_list",
 ]

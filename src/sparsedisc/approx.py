@@ -132,6 +132,8 @@ def verify_approximation(
     sam = sorted(set(sample))
     if not sam:
         raise ValueError("sample must be non-empty")
+    if sam[0] < 0 or sam[-1] >= s.ground_size:
+        raise ValueError("sample vertex outside the ground set")
     inside = set(sam)
     eps = Fraction(eps)
     worst: Fraction = Fraction(0)

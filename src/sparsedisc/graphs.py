@@ -323,40 +323,3 @@ def random_degenerate_graph(n: int, d: int, seed: int = 0) -> Graph:
             edges.append((u, v))
     return Graph.from_edges(n, edges)
 
-
-def is_bipartite(g: Graph) -> bool:
-    color = [-1] * g.n
-    for s in range(g.n):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in g.adjacency[u]:
-                    if color[w] == -1:
-                        color[w] = 1 - color[u]
-                        nxt.append(w)
-                    elif color[w] == color[u]:
-                        return False
-            frontier = nxt
-    return True
-
-
-def all_pairs_distances(g: Graph) -> list[dict[int, int]]:
-    """Plain BFS from every vertex; used as an oracle for graph powers."""
-    out = []
-    for s in range(g.n):
-        dist = {s: 0}
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in g.adjacency[u]:
-                    if w not in dist:
-                        dist[w] = dist[u] + 1
-                        nxt.append(w)
-            frontier = nxt
-        out.append(dist)
-    return out

@@ -21,7 +21,7 @@ from itertools import product
 from typing import Iterable, Optional, Union
 
 from .discrepancy import Coloring, beck_fiala
-from .errors import ResourceLimitError
+from .errors import ParseError, ResourceLimitError
 from .formulas import And, Eq, Node, Not, Or, Pred, QFFormula, Term, parse_formula
 from .graphs import Graph
 from .orderings import degeneracy_order, orient_along
@@ -66,10 +66,22 @@ class PointerStructure:
     @classmethod
     def from_json(cls, text: str) -> "PointerStructure":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ParseError("pointer structure JSON must be an object")
+        n = data.get("n")
+        if type(n) is not int or n < 0:
+            raise ParseError("n must be a non-negative integer")
+        functions, predicates = data.get("functions", {}), data.get("predicates", {})
+        for field, table in (("functions", functions), ("predicates", predicates)):
+            if not isinstance(table, dict) or not all(
+                isinstance(vals, list) and all(type(v) is int for v in vals)
+                for vals in table.values()
+            ):
+                raise ParseError(f"{field} must map names to lists of integers")
         return cls(
-            data["n"],
-            {k: tuple(v) for k, v in data.get("functions", {}).items()},
-            {k: frozenset(v) for k, v in data.get("predicates", {}).items()},
+            n,
+            {k: tuple(v) for k, v in functions.items()},
+            {k: frozenset(v) for k, v in predicates.items()},
         )
 
     def apply_word(self, word: Word, value: int) -> int:
@@ -79,21 +91,6 @@ class PointerStructure:
                 raise KeyError(f"unknown function {name!r}")
             value = fn[value]
         return value
-
-
-def weakly_induced(m: PointerStructure, subset: Iterable[int]) -> PointerStructure:
-    """Substructure on the subset: predicates restrict, and a function
-    value escaping the subset becomes a fixed point."""
-    sub = sorted(set(subset))
-    pos = {v: i for i, v in enumerate(sub)}
-    functions = {
-        name: tuple(pos.get(f[v], i) for i, v in enumerate(sub))
-        for name, f in m.functions.items()
-    }
-    predicates = {
-        name: frozenset(pos[v] for v in p if v in pos) for name, p in m.predicates.items()
-    }
-    return PointerStructure(len(sub), functions, predicates)
 
 
 def _eval_term(m: PointerStructure, t: Term, a: tuple, b: tuple, c: tuple) -> int:

@@ -24,7 +24,6 @@ from .orderings import (
     degeneracy_order,
     orient_along,
     weak_reach,
-    wcol_heuristic_order,
 )
 from .setsystems import SetSystem, degree, neighborhood_system
 
@@ -62,20 +61,25 @@ def wreach_star_system(g: Graph, order: LinearOrder, d: int) -> SetSystem:
     if d < 1:
         raise ValueError("radius must be at least 1")
     stars: list[set[int]] = [set() for _ in range(g.n * d)]
-    for u in range(g.n):
-        for i in range(1, d + 1):
-            for z in weak_reach(g, order, i, u):
+    for u, row in enumerate(weak_reach(g, order, d)):
+        for z, r in row.items():
+            for i in range(max(r, 1), d + 1):
                 stars[(i - 1) * g.n + z].add(u)
     return SetSystem.from_sets(g.n, stars)
 
 
 def reach_profile(g: Graph, order: LinearOrder, d: int) -> tuple[int, ...]:
     """M_i = max_v |WReach_i| for i = 0..d (M_0 is always 1)."""
-    profile = [1]
-    for i in range(1, d + 1):
-        profile.append(
-            max((len(weak_reach(g, order, i, v)) for v in range(g.n)), default=1)
-        )
+    profile = [1] * (d + 1)
+    for row in weak_reach(g, order, d):
+        counts = [0] * (d + 1)
+        for r in row.values():
+            counts[r] += 1
+        size = 0
+        for i in range(d + 1):
+            size += counts[i]
+            if size > profile[i]:
+                profile[i] = size
     return tuple(profile)
 
 
@@ -87,7 +91,7 @@ def power_coloring(
     if d < 1:
         raise ValueError("power radius must be at least 1")
     if order is None:
-        order = wcol_heuristic_order(g)
+        order, _ = degeneracy_order(g)
     profile = reach_profile(g, order, d)
     chi = beck_fiala(wreach_star_system(g, order, d))
     bound = (2 * d * profile[d - 1] + 1) * profile[d]

@@ -6,6 +6,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from sparsedisc.graphs import Graph, generate_family
+from sparsedisc.orderings import LinearOrder
+from sparsedisc.rng import SplitMix64
 
 
 def petersen() -> Graph:
@@ -15,6 +17,13 @@ def petersen() -> Graph:
         edges.append((i, i + 5))
         edges.append((i + 5, (i + 2) % 5 + 5))
     return Graph.from_edges(10, edges)
+
+
+def shuffled_order(n: int, seed: int) -> LinearOrder:
+    """A seeded uniformly shuffled order of 0..n-1."""
+    seq = list(range(n))
+    SplitMix64(seed).shuffle(seq)
+    return LinearOrder.from_sequence(seq)
 
 
 @pytest.fixture(scope="session")

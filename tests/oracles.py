@@ -1,16 +1,20 @@
 """Independent brute-force oracles used by the tests.
 
 These deliberately share no algorithmic code with the package: exhaustive
-enumeration, plus the plain rational Gauss-Jordan elimination that the
-solver's fraction-free null vector must agree with up to a positive
-scale.  They are the second route of every dual-route check.
+enumeration, plain BFS, and the plain rational Gauss-Jordan elimination
+that the solver's fraction-free null vector must agree with up to a
+positive scale.  They are the second route of every dual-route check.
+Small constructions that only the tests need (bipartiteness, weakly
+induced substructures) live here too, not in the library.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from typing import Iterable
 
 from sparsedisc.graphs import Graph
+from sparsedisc.pointer import PointerStructure
 from sparsedisc.setsystems import SetSystem
 
 
@@ -55,6 +59,26 @@ def bfs_distances(g: Graph, source: int) -> dict[int, int]:
                     nxt.append(w)
         frontier = nxt
     return dist
+
+
+def is_bipartite(g: Graph) -> bool:
+    color = [-1] * g.n
+    for s in range(g.n):
+        if color[s] != -1:
+            continue
+        color[s] = 0
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for w in g.adjacency[u]:
+                    if color[w] == -1:
+                        color[w] = 1 - color[u]
+                        nxt.append(w)
+                    elif color[w] == color[u]:
+                        return False
+            frontier = nxt
+    return True
 
 
 def girth(g: Graph) -> int | None:
@@ -117,6 +141,21 @@ def degeneracy_brute(g: Graph) -> int:
             ss = set(sub)
             best = max(best, min(sum(1 for w in g.adjacency[v] if w in ss) for v in sub))
     return best
+
+
+def weakly_induced(m: PointerStructure, subset: Iterable[int]) -> PointerStructure:
+    """Substructure on the subset: predicates restrict, and a function
+    value escaping the subset becomes a fixed point."""
+    sub = sorted(set(subset))
+    pos = {v: i for i, v in enumerate(sub)}
+    functions = {
+        name: tuple(pos.get(f[v], i) for i, v in enumerate(sub))
+        for name, f in m.functions.items()
+    }
+    predicates = {
+        name: frozenset(pos[v] for v in p if v in pos) for name, p in m.predicates.items()
+    }
+    return PointerStructure(len(sub), functions, predicates)
 
 
 def approx_error_brute(s: SetSystem, sample: set[int]) -> Fraction:

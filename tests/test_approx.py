@@ -142,6 +142,12 @@ class TestVerifyApproximation:
         with pytest.raises(ValueError):
             verify_approximation(SetSystem.from_sets(2, [[0]]), [], Fraction(1, 2))
 
+    @pytest.mark.parametrize("sample", [[0, 1, 77], [0, -1], [5]])
+    def test_sample_outside_ground_rejected(self, sample):
+        s = neighborhood_system(generate_family("cycle", [5]))
+        with pytest.raises(ValueError):
+            verify_approximation(s, sample, Fraction(1, 2))
+
 
 class TestVerifyNet:
     def test_full_ground_set_hit(self):

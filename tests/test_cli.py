@@ -269,3 +269,34 @@ class TestMalformedInputExit2:
         code, out, err = run(capsys, "color", "beck-fiala", "-i", str(path))
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1,2]",
+            '{"functions": {}}',
+            '{"n": "3"}',
+            '{"n": 3, "functions": [1, 2]}',
+            '{"n": 3, "functions": {"f": 3}}',
+            '{"n": 3, "predicates": {"A": [0, "1"]}}',
+        ],
+    )
+    def test_structure_json_of_wrong_shape(self, tmp_path, capsys, text):
+        path = tmp_path / "s.json"
+        path.write_text(text)
+        formula = tmp_path / "phi.txt"
+        formula.write_text("f(x1)=y1")
+        code, out, err = run(capsys, "color", "qf", "-i", str(path), "--formula", str(formula))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("sample", ["0 1 77", "0 -1"])
+    def test_approx_sample_outside_ground_set(self, c5, tmp_path, capsys, sample):
+        sample_file = tmp_path / "sample.txt"
+        sample_file.write_text(sample)
+        code, out, err = run(
+            capsys, "approx", "verify", "-i", str(c5), "--system", "neighborhood",
+            "--eps", "1/2", "--sample", str(sample_file),
+        )
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "ground set" in err

@@ -4,18 +4,28 @@ from hypothesis import strategies as st
 
 from oracles import degeneracy_brute, wcol_brute, wreach_brute
 from sparsedisc.errors import ResourceLimitError
-from sparsedisc.graphs import Graph, generate_family
+from sparsedisc.graphs import Graph, generate_family, random_degenerate_graph
 from sparsedisc.orderings import (
     LinearOrder,
     degeneracy_order,
     orient_along,
     wcol_exact,
     wcol_from_order,
-    wcol_heuristic_order,
     weak_reach,
 )
 
+from conftest import shuffled_order
+
 natural = lambda n: LinearOrder.from_sequence(list(range(n)))
+
+
+def random_instance(family: str, seed: int) -> tuple[Graph, LinearOrder]:
+    """A seeded gnp or degenerate graph under a seeded random order."""
+    if family == "gnp":
+        g = generate_family("gnp", [11, 1, 4], seed=seed)
+    else:
+        g = random_degenerate_graph(13, 3, seed)
+    return g, shuffled_order(g.n, seed)
 
 
 class TestDegeneracy:
@@ -92,20 +102,20 @@ class TestOrientAlong:
 class TestWeakReach:
     def test_depth_zero(self):
         g = generate_family("cycle", [5])
-        assert weak_reach(g, natural(5), 0, 3) == {3}
+        assert set(weak_reach(g, natural(5), 0)[3]) == {3}
 
     def test_path_example(self):
         g = generate_family("path", [4])
-        assert weak_reach(g, natural(4), 2, 3) == {1, 2, 3}
+        assert set(weak_reach(g, natural(4), 2)[3]) == {1, 2, 3}
 
     def test_complete_last_vertex(self):
         g = generate_family("complete", [4])
-        assert weak_reach(g, natural(4), 1, 3) == {0, 1, 2, 3}
+        assert set(weak_reach(g, natural(4), 1)[3]) == {0, 1, 2, 3}
 
     def test_contains_self(self):
         g = generate_family("gnp", [12, 1, 3], seed=4)
         for v in range(12):
-            assert v in weak_reach(g, natural(12), 3, v)
+            assert v in set(weak_reach(g, natural(12), 3)[v])
 
     def test_matches_path_enumeration_oracle(self):
         for seed in range(5):
@@ -113,17 +123,44 @@ class TestWeakReach:
             order = natural(8)
             for d in range(4):
                 for v in range(8):
-                    assert weak_reach(g, order, d, v) == wreach_brute(
+                    assert set(weak_reach(g, order, d)[v]) == wreach_brute(
                         g, order.position, d, v
                     )
+
+    @given(st.sampled_from(["gnp", "degenerate"]), st.integers(0, 2**32), st.integers(0, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_random_orders_match_oracle(self, family, seed, d):
+        g, order = random_instance(family, seed)
+        rows = weak_reach(g, order, d)
+        assert len(rows) == g.n
+        for v in range(g.n):
+            assert set(rows[v]) == wreach_brute(g, order.position, d, v)
+
+    @given(st.sampled_from(["gnp", "degenerate"]), st.integers(0, 2**32))
+    @settings(max_examples=25, deadline=None)
+    def test_radius_is_least(self, family, seed):
+        g, order = random_instance(family, seed)
+        rows = weak_reach(g, order, 4)
+        for v in range(g.n):
+            brute = [wreach_brute(g, order.position, i, v) for i in range(5)]
+            assert rows[v][v] == 0
+            for z, r in rows[v].items():
+                assert r == min(i for i in range(5) if z in brute[i])
+
+    def test_rejects_bad_arguments(self):
+        g = generate_family("path", [3])
+        with pytest.raises(ValueError):
+            weak_reach(g, natural(3), -1)
+        with pytest.raises(ValueError):
+            weak_reach(g, natural(4), 2)
 
     @given(st.integers(0, 2**32), st.integers(0, 4))
     @settings(max_examples=30, deadline=None)
     def test_monotone_in_d(self, seed, d):
         g = generate_family("gnp", [15, 1, 4], seed=seed)
         for v in range(g.n):
-            small = weak_reach(g, natural(15), d, v)
-            big = weak_reach(g, natural(15), d + 1, v)
+            small = set(weak_reach(g, natural(15), d)[v])
+            big = set(weak_reach(g, natural(15), d + 1)[v])
             assert small <= big
 
 
@@ -148,7 +185,7 @@ class TestWcolFromOrder:
             for d in (1, 2):
                 exact = wcol_exact(g, d)
                 assert wcol_from_order(g, natural(g.n), d) >= exact
-                heur = wcol_heuristic_order(g)
+                heur = degeneracy_order(g)[0]
                 assert wcol_from_order(g, heur, d) >= exact
 
 
@@ -184,23 +221,23 @@ class TestHeuristicOrder:
         for name, g in small_corpus:
             if g.n > 7:
                 continue
-            heur = wcol_heuristic_order(g)
+            heur = degeneracy_order(g)[0]
             assert wcol_from_order(g, heur, 1) == wcol_exact(g, 1), name
 
     def test_optimal_for_depth_one_n8(self):
         g = generate_family("gnp", [8, 1, 2], seed=3)
-        heur = wcol_heuristic_order(g)
+        heur = degeneracy_order(g)[0]
         assert wcol_from_order(g, heur, 1) == wcol_exact(g, 1)
 
     def test_empty_graph(self):
         g = Graph(4, ((), (), (), ()))
-        heur = wcol_heuristic_order(g)
+        heur = degeneracy_order(g)[0]
         for d in (0, 1, 3):
             assert wcol_from_order(g, heur, d) == 1
 
     def test_grid_4x4_depth2_ceiling(self):
         g = generate_family("grid", [4, 4])
-        assert wcol_from_order(g, wcol_heuristic_order(g), 2) <= 8
+        assert wcol_from_order(g, degeneracy_order(g)[0], 2) <= 8
 
 
 class TestLinearOrder:

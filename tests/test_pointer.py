@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from oracles import weakly_induced
 from sparsedisc.discrepancy import beck_fiala, eval_discrepancy
 from sparsedisc.errors import ResourceLimitError
 from sparsedisc.formulas import parse_formula
@@ -15,7 +16,6 @@ from sparsedisc.pointer import (
     psi_system_sets,
     qf_color,
     qf_decompose,
-    weakly_induced,
 )
 from sparsedisc.rng import SplitMix64
 from sparsedisc.setsystems import SetSystem, intersection_closure, neighborhood_system, trace

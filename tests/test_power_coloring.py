@@ -1,12 +1,14 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import wreach_brute
 from sparsedisc.discrepancy import beck_fiala, eval_discrepancy
-from sparsedisc.graphs import Graph, generate_family, graph_power
+from sparsedisc.graphs import Graph, generate_family, graph_power, random_degenerate_graph
 from sparsedisc.orderings import (
     LinearOrder,
     degeneracy_order,
     wcol_from_order,
-    wcol_heuristic_order,
 )
 from sparsedisc.power_coloring import (
     in_neighborhood_system,
@@ -16,9 +18,38 @@ from sparsedisc.power_coloring import (
     wreach_star_system,
 )
 from sparsedisc.rng import SplitMix64
-from sparsedisc.setsystems import degree, neighborhood_system, trace
+from sparsedisc.setsystems import SetSystem, degree, neighborhood_system, trace
+
+from conftest import shuffled_order
 
 natural = lambda n: LinearOrder.from_sequence(list(range(n)))
+
+
+class TestViewsMatchOracle:
+    """reach_profile and wreach_star_system against path enumeration."""
+
+    @given(st.integers(0, 2**32), st.integers(1, 4))
+    @settings(max_examples=25, deadline=None)
+    def test_reach_profile(self, seed, d):
+        g = random_degenerate_graph(12, 3, seed)
+        order = shuffled_order(g.n, seed)
+        expected = tuple(
+            max(len(wreach_brute(g, order.position, i, v)) for v in range(g.n))
+            for i in range(d + 1)
+        )
+        assert reach_profile(g, order, d) == expected
+
+    @given(st.integers(0, 2**32), st.integers(1, 3))
+    @settings(max_examples=25, deadline=None)
+    def test_star_system(self, seed, d):
+        g = generate_family("gnp", [10, 1, 4], seed=seed)
+        order = shuffled_order(g.n, seed)
+        stars = [
+            {u for u in range(g.n) if z in wreach_brute(g, order.position, i, u)}
+            for i in range(1, d + 1)
+            for z in range(g.n)
+        ]
+        assert wreach_star_system(g, order, d) == SetSystem.from_sets(g.n, stars)
 
 
 class TestWreachStarSystem:
@@ -31,7 +62,7 @@ class TestWreachStarSystem:
         rng = SplitMix64(3)
         for seed in range(8):
             g = generate_family("gnp", [15, 1, 4], seed=seed)
-            order = wcol_heuristic_order(g)
+            order = degeneracy_order(g)[0]
             for d in (1, 2, 3):
                 s = wreach_star_system(g, order, d)
                 assert degree(s) <= d * wcol_from_order(g, order, d)
@@ -57,7 +88,7 @@ class TestPowerColoring:
     def test_grid_4x4_depth2(self):
         g = generate_family("grid", [4, 4])
         chi, cert = power_coloring(g, 2)
-        profile = reach_profile(g, wcol_heuristic_order(g), 2)
+        profile = reach_profile(g, degeneracy_order(g)[0], 2)
         assert cert.reach_profile == profile
         assert cert.claimed_bound == (4 * profile[1] + 1) * profile[2]
         assert cert.achieved < cert.claimed_bound
@@ -87,7 +118,7 @@ class TestPowerColoring:
         # traced star system and evaluate on the traced power neighborhoods
         rng = SplitMix64(6)
         g = generate_family("gnp", [25, 1, 6], seed=2)
-        order = wcol_heuristic_order(g)
+        order = degeneracy_order(g)[0]
         for d in (1, 2):
             stars = wreach_star_system(g, order, d)
             power_sys = neighborhood_system(graph_power(g, d))
