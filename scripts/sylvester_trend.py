@@ -15,6 +15,7 @@ from sparsedisc.discrepancy import (
     exact_discrepancy,
     spectral_lower_bound,
 )
+from sparsedisc.errors import ResourceLimitError
 from sparsedisc.graphs import sylvester_graph
 from sparsedisc.setsystems import degree, neighborhood_system
 
@@ -32,12 +33,15 @@ def main() -> None:
         exact = "-"
         if n <= args.exact_cap:
             exact = str(exact_discrepancy(s, max_ground=args.exact_cap)[0])
-        spectral = float(spectral_lower_bound(s))
+        try:
+            spectral = f"{float(spectral_lower_bound(s)):8.4f}"
+        except ResourceLimitError:  # ground over the exact certificate's cap
+            spectral = f"{'-':>8}"
         chi = beck_fiala(s)
         achieved, _ = eval_discrepancy(s, chi)
         t = degree(s)
         print(
-            f"{p}  {n:<4} {math.sqrt(n):7.2f}  {exact:>5}  {spectral:8.4f}"
+            f"{p}  {n:<4} {math.sqrt(n):7.2f}  {exact:>5}  {spectral}"
             f"   {achieved:>11}  {2 * t - 1}"
         )
 

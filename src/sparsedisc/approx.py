@@ -50,8 +50,8 @@ class ApproximationReport:
         return json.dumps(
             {
                 "sample": list(self.sample),
-                "epsilon_claimed": _frac_str(self.epsilon_claimed),
-                "epsilon_measured": _frac_str(self.epsilon_measured),
+                "epsilon_claimed": frac_str(self.epsilon_claimed),
+                "epsilon_measured": frac_str(self.epsilon_measured),
                 "levels": [rec.to_dict() for rec in self.levels],
                 "ground_adjoined": self.ground_adjoined,
             },
@@ -59,7 +59,7 @@ class ApproximationReport:
         )
 
 
-def _frac_str(x: Fraction) -> str:
+def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 

@@ -16,7 +16,7 @@ from . import approx as approx_mod
 from . import discrepancy as disc_mod
 from . import graphs, orderings, pointer, power_coloring, setsystems
 from .errors import ParseError, ResourceLimitError
-from .formulas import parse_formula
+from .formulas import QFFormula, parse_formula
 from .rng import SplitMix64
 
 EXIT_OK = 0
@@ -35,10 +35,6 @@ def _log(msg: str) -> None:
     sys.stderr.write(msg + "\n")
 
 
-def _frac(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
 def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -51,19 +47,58 @@ def _read_graph(path: str) -> graphs.Graph:
         return graphs.read_edge_list(fh)
 
 
-def _read_system(args: argparse.Namespace) -> setsystems.SetSystem:
-    """Input system: a SetSystem JSON file, or an edge list transformed
-    per --system."""
-    kind = getattr(args, "system", "json") or "json"
+def _read_structure(path: str) -> pointer.PointerStructure:
+    with open(path) as fh:
+        return pointer.PointerStructure.from_json(fh.read())
+
+
+def _read_formula(path: str) -> QFFormula:
+    with open(path) as fh:
+        return parse_formula(fh.read())
+
+
+def _read_gamma(path: str) -> dict[tuple[int, int], int]:
+    gamma = {}
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != 3:
+                raise ParseError(f"malformed color line {lineno}")
+            u, v, c = (int(p) for p in parts)
+            gamma[(min(u, v), max(u, v))] = c
+    return gamma
+
+
+def _required(args: argparse.Namespace, option: str) -> str:
+    """The value of an option that the chosen kind needs."""
+    value = getattr(args, option)
+    if value is None:
+        raise ParseError(f"{args.verb} {args.kind} needs --{option}")
+    return value
+
+
+def _build_system(kind: str, args: argparse.Namespace) -> setsystems.SetSystem:
+    """The set system of the given kind read from --input: SetSystem JSON,
+    an edge list (neighborhood, power, edge-color), or a pointer structure
+    with the --formula it defines (defined)."""
     if kind == "json":
         with open(args.input) as fh:
             return setsystems.SetSystem.from_json(fh.read())
+    if kind == "defined":
+        phi = _read_formula(_required(args, "formula"))
+        return pointer.defined_system(_read_structure(args.input), phi)
+    if kind == "edge-color":
+        gamma = _read_gamma(_required(args, "colors"))
+        return setsystems.edge_color_system(_read_graph(args.input), gamma)
     g = _read_graph(args.input)
     if kind == "neighborhood":
         return setsystems.neighborhood_system(g)
     if kind == "power":
         return setsystems.neighborhood_system(graphs.graph_power(g, args.d))
-    raise ParseError(f"unknown system transform {kind!r}")
+    raise ParseError(f"unknown system kind {kind!r}")
 
 
 def _read_order(path: str, n: int) -> orderings.LinearOrder:
@@ -80,14 +115,6 @@ def _read_order(path: str, n: int) -> orderings.LinearOrder:
     return orderings.LinearOrder.from_sequence(seq)
 
 
-def _write_output(text: str, path: Optional[str]) -> None:
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 # ---------- verbs ----------
 
 
@@ -98,15 +125,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
         g = graphs.sylvester_graph(args.params[0])
     else:
         g = graphs.generate_family(args.family, args.params, seed=args.seed)
-    import io
-
-    buf = io.StringIO()
-    graphs.write_edge_list(g, buf)
     if args.output:
-        _write_output(buf.getvalue(), args.output)
+        with open(args.output, "w") as fh:
+            graphs.write_edge_list(g, fh)
         _emit({"written": args.output, "n": g.n, "edges": g.edge_count()})
     else:
-        sys.stdout.write(buf.getvalue())
+        graphs.write_edge_list(g, sys.stdout)
     return EXIT_OK
 
 
@@ -127,52 +151,20 @@ def cmd_order(args: argparse.Namespace) -> int:
             g, args.exact_d, max_n=args.cap_orderings
         )
     if args.output:
-        _write_output(order.serialize() + "\n", args.output)
+        with open(args.output, "w") as fh:
+            fh.write(order.serialize() + "\n")
     _emit(report)
     return EXIT_OK
 
 
 def cmd_system(args: argparse.Namespace) -> int:
-    if args.kind == "neighborhood":
-        s = setsystems.neighborhood_system(_read_graph(args.input))
-    elif args.kind == "power":
-        s = setsystems.neighborhood_system(
-            graphs.graph_power(_read_graph(args.input), args.d)
-        )
-    elif args.kind == "edge-color":
-        g = _read_graph(args.input)
-        gamma = _read_gamma(args.colors)
-        s = setsystems.edge_color_system(g, gamma)
-    elif args.kind == "defined":
-        with open(args.input) as fh:
-            m = pointer.PointerStructure.from_json(fh.read())
-        with open(args.formula) as fh:
-            phi = parse_formula(fh.read())
-        s = pointer.defined_system(m, phi)
-    else:
-        raise ParseError(f"unknown system kind {args.kind!r}")
-    sys.stdout.write(s.to_json() + "\n")
+    sys.stdout.write(_build_system(args.kind, args).to_json() + "\n")
     return EXIT_OK
-
-
-def _read_gamma(path: str) -> dict[tuple[int, int], int]:
-    gamma = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ParseError(f"malformed color line {lineno}")
-            u, v, c = (int(p) for p in parts)
-            gamma[(min(u, v), max(u, v))] = c
-    return gamma
 
 
 def cmd_color(args: argparse.Namespace) -> int:
     if args.kind == "beck-fiala":
-        s = _read_system(args)
+        s = _build_system(args.system, args)
         chi, rounds = disc_mod.beck_fiala_with_stats(s)
         t = setsystems.degree(s)
         d, _ = disc_mod.eval_discrepancy(s, chi)
@@ -187,18 +179,13 @@ def cmd_color(args: argparse.Namespace) -> int:
         sys.stdout.write(cert.to_json() + "\n")
         return EXIT_OK
     if args.kind == "qf":
-        with open(args.input) as fh:
-            m = pointer.PointerStructure.from_json(fh.read())
-        phis = []
-        for path in args.formula:
-            with open(path) as fh:
-                phis.append(parse_formula(fh.read()))
+        m = _read_structure(args.input)
+        phis = [_read_formula(path) for path in args.formula]
         chi, bound = pointer.qf_color(m, phis)
         _maybe_write_coloring(chi, args.output)
-        achieved = []
-        for phi in phis:
-            s = pointer.defined_system(m, phi)
-            achieved.append(disc_mod.eval_discrepancy(s, chi)[0])
+        achieved = [
+            disc_mod.eval_discrepancy(pointer.defined_system(m, phi), chi)[0] for phi in phis
+        ]
         _emit({"bound": bound, "achieved": achieved})
         return EXIT_OK
     raise ParseError(f"unknown coloring kind {args.kind!r}")
@@ -211,9 +198,9 @@ def _maybe_write_coloring(chi: disc_mod.Coloring, path: Optional[str]) -> None:
 
 
 def cmd_disc(args: argparse.Namespace) -> int:
-    s = _read_system(args)
+    s = _build_system(args.system, args)
     if args.kind == "eval":
-        with open(args.coloring) as fh:
+        with open(_required(args, "coloring")) as fh:
             chi = disc_mod.read_coloring(fh, s.ground_size)
         d, witness = disc_mod.eval_discrepancy(s, chi)
         _emit({"disc": d, "witness": witness})
@@ -229,24 +216,24 @@ def cmd_disc(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.kind == "spectral":
         val = disc_mod.spectral_lower_bound(s)
-        _emit({"bound": _frac(val)})
+        _emit({"bound": approx_mod.frac_str(val)})
         return EXIT_OK
     raise ParseError(f"unknown disc kind {args.kind!r}")
 
 
 def cmd_approx(args: argparse.Namespace) -> int:
-    s = _read_system(args)
+    s = _build_system(args.system, args)
     eps = _parse_fraction(args.eps)
     if args.kind == "build":
         report = approx_mod.epsilon_approximation(s, eps)
         sys.stdout.write(report.to_json() + "\n")
         return EXIT_OK
     if args.kind == "verify":
-        with open(args.sample) as fh:
+        with open(_required(args, "sample")) as fh:
             sample = [int(tok) for tok in fh.read().split()]
         ok, worst, measured = approx_mod.verify_approximation(s, sample, eps)
         net = approx_mod.verify_net(s, sample, eps)
-        _emit({"ok": ok, "worst_set": worst, "measured": _frac(measured), "net": net})
+        _emit({"ok": ok, "worst_set": worst, "measured": approx_mod.frac_str(measured), "net": net})
         return EXIT_OK
     raise ParseError(f"unknown approx kind {args.kind!r}")
 
@@ -320,11 +307,14 @@ def _suite_approx(trials: int, seed: int) -> dict:
 def _suite_spectral(trials: int, seed: int) -> dict:
     rng = SplitMix64(seed)
     for _ in range(trials):
-        s = setsystems.random_system(rng, max_ground=10, max_degree=4, max_sets=12)
-        lower = disc_mod.spectral_lower_bound(s)
-        exact, _ = disc_mod.exact_discrepancy(s)
-        if lower > exact:
-            return {"ok": False, "lower": _frac(lower), "exact": exact}
+        for s in (
+            setsystems.random_system(rng, max_ground=10, max_degree=4, max_sets=12),
+            setsystems.random_even_system(rng),
+        ):
+            lower = disc_mod.spectral_lower_bound(s)
+            exact, _ = disc_mod.exact_discrepancy(s)
+            if lower > exact:
+                return {"ok": False, "lower": approx_mod.frac_str(lower), "exact": exact}
     return {"ok": True}
 
 
@@ -424,7 +414,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ResourceLimitError as exc:
+    except (ResourceLimitError, RecursionError) as exc:  # recursion: deep nesting
         _log(f"resource limit: {exc}")
         return EXIT_RESOURCE
     except (ParseError, ValueError, KeyError, OSError) as exc:

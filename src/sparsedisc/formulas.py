@@ -93,10 +93,6 @@ class QFFormula:
     y_arity: int
     root: Node
 
-    @property
-    def z_arity(self) -> int:
-        return _max_index(self.root, "z") + 1
-
 
 def _max_index(node: Node, side: str) -> int:
     if isinstance(node, (Pred, Eq)):

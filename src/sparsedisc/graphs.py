@@ -4,6 +4,7 @@ bipartite graphs that exhibit sqrt(n) neighborhood discrepancy).
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -50,7 +51,9 @@ class Graph:
                     raise ValueError(f"neighbor {u} of {v} out of range")
                 if u == v:
                     raise ValueError(f"self-loop at vertex {v}")
-                if v not in self.adjacency[u]:
+                back = self.adjacency[u]
+                i = bisect_left(back, v)
+                if i == len(back) or back[i] != v:
                     raise ValueError(f"edge {{{v},{u}}} not symmetric")
 
     @classmethod
@@ -70,9 +73,6 @@ class Graph:
 
     def edge_count(self) -> int:
         return sum(len(a) for a in self.adjacency) // 2
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])

@@ -188,10 +188,6 @@ class PsiDecomposition:
     psis: tuple[tuple[tuple[Word, int], ...], ...]
     assembly: tuple[ConjunctPlan, ...]
 
-    @property
-    def conjunct_count(self) -> int:
-        return len(self.assembly)
-
 
 def _count_atoms(node: Node, seen: set) -> None:
     if isinstance(node, (Pred, Eq)):

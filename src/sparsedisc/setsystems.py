@@ -272,3 +272,15 @@ def random_system(
             capacity[v] -= 1
         sets.append(chosen)
     return SetSystem.from_sets(n, sets)
+
+
+def random_even_system(rng: SplitMix64, max_ground: int = 9) -> SetSystem:
+    """Random system on 3..max_ground elements, at least as many sets as
+    elements, all of even size: A^T A is often singular or nearly so."""
+    n = 3 + rng.randrange(max_ground - 2)
+    target = min(n + rng.randrange(n), 2 ** (n - 1) - 1)
+    sets: set[tuple[int, ...]] = set()
+    while len(sets) < target:
+        size = 2 * (1 + rng.randrange(n // 2))
+        sets.add(tuple(sorted(rng.sample(list(range(n)), size))))
+    return SetSystem.from_sets(n, sets)

@@ -3,7 +3,7 @@
 These deliberately share no algorithmic code with the package: exhaustive
 enumeration, plain BFS, and the plain rational Gauss-Jordan elimination
 that the solver's fraction-free null vector must agree with up to a
-positive scale.  They are the second route of every dual-route check.
+positive scale, and positive semidefiniteness by principal minors.  They are the second route of every dual-route check.
 Small constructions that only the tests need (bipartiteness, weakly
 induced substructures) live here too, not in the library.
 """
@@ -192,3 +192,32 @@ def null_vector_reference(rows: list[list[int]], ncols: int) -> list[Fraction]:
         used[sel] = True
         pivots.append((sel, j))
     raise AssertionError("wide matrix must have a free column")
+
+
+def _det(a: list[list[Fraction]]) -> Fraction:
+    """Determinant by rational Gaussian elimination with row swaps."""
+    a = [list(row) for row in a]
+    det = Fraction(1)
+    for j in range(len(a)):
+        sel = next((i for i in range(j, len(a)) if a[i][j]), None)
+        if sel is None:
+            return Fraction(0)
+        if sel != j:
+            a[j], a[sel] = a[sel], a[j]
+            det = -det
+        det *= a[j][j]
+        for i in range(j + 1, len(a)):
+            f = a[i][j] / a[j][j]
+            a[i] = [x - f * y for x, y in zip(a[i], a[j])]
+    return det
+
+
+def psd_brute(matrix: list[list[int]]) -> bool:
+    """A symmetric matrix is positive semidefinite iff every principal
+    minor, not only every leading one, is non-negative."""
+    n = len(matrix)
+    return all(
+        _det([[Fraction(matrix[i][j]) for j in idx] for i in idx]) >= 0
+        for r in range(1, n + 1)
+        for idx in combinations(range(n), r)
+    )

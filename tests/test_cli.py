@@ -83,6 +83,14 @@ class TestDisc:
         num, den = json.loads(out)["bound"].split("/")
         assert 0 < int(num) / int(den) < 2
 
+    def test_spectral_ground_cap_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "big.edges"
+        run(capsys, "gen", "grid", "12", "12", "-o", str(path))
+        code, out, err = run(
+            capsys, "disc", "spectral", "-i", str(path), "--system", "neighborhood"
+        )
+        assert code == 3 and out == "" and "ground <= 128" in err
+
     def test_exact_cap_exit_3(self, tmp_path, capsys):
         path = tmp_path / "big.edges"
         run(capsys, "gen", "grid", "5", "5", "-o", str(path))
@@ -126,6 +134,17 @@ class TestColor:
         assert code == 0
         report = json.loads(out)
         assert report["achieved"][0] <= report["bound"]
+
+    def test_qf_deep_nesting_exit_3(self, tmp_path, capsys):
+        struct = tmp_path / "m.json"
+        struct.write_text(json.dumps({"n": 2, "functions": {}, "predicates": {}}))
+        formula = tmp_path / "phi.txt"
+        formula.write_text("(" * 3000 + "x1=y1" + ")" * 3000)
+        code, out, err = run(
+            capsys, "color", "qf", "-i", str(struct), "--formula", str(formula)
+        )
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and err.startswith("resource limit: ")
 
 
 class TestSystemAndApprox:
@@ -185,6 +204,13 @@ class TestVerifySuites:
     )
     def test_suite_passes(self, suite, capsys):
         code, out, _ = run(capsys, "verify", suite, "--trials", "5")
+        assert code == 0
+        assert json.loads(out)["ok"] is True
+
+    def test_spectral_even_set_draws(self, capsys):
+        # with the former power-iteration bound this run reported
+        # 421557/1000000 against an exact discrepancy of 0 and exited 4
+        code, out, _ = run(capsys, "verify", "spectral", "--trials", "23", "--seed", "2")
         assert code == 0
         assert json.loads(out)["ok"] is True
 
@@ -300,3 +326,21 @@ class TestMalformedInputExit2:
         )
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "ground set" in err
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["system", "edge-color", "-i", "{c5}"], "--colors"),
+            (["system", "defined", "-i", "{c5}"], "--formula"),
+            (["disc", "eval", "-i", "{c5}", "--system", "neighborhood"], "--coloring"),
+            (
+                ["approx", "verify", "-i", "{c5}", "--system", "neighborhood",
+                 "--eps", "1/2"],
+                "--sample",
+            ),
+        ],
+    )
+    def test_missing_required_option(self, c5, capsys, argv, option):
+        code, out, err = run(capsys, *(a.format(c5=c5) for a in argv))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and f"needs {option}" in err

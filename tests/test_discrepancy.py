@@ -1,13 +1,17 @@
 import io
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import disc_brute, eval_disc_brute, herdisc_brute
+import numpy as np
+
+from oracles import disc_brute, eval_disc_brute, herdisc_brute, psd_brute
 from sparsedisc.discrepancy import (
     Coloring,
+    _is_psd,
     beck_fiala,
     beck_fiala_with_stats,
     eval_discrepancy,
@@ -20,7 +24,13 @@ from sparsedisc.discrepancy import (
 from sparsedisc.errors import ParseError, ResourceLimitError
 from sparsedisc.graphs import generate_family, sylvester_graph
 from sparsedisc.rng import SplitMix64
-from sparsedisc.setsystems import SetSystem, degree, neighborhood_system, random_system
+from sparsedisc.setsystems import (
+    SetSystem,
+    degree,
+    neighborhood_system,
+    random_even_system,
+    random_system,
+)
 
 c5_system = lambda: neighborhood_system(generate_family("cycle", [5]))
 
@@ -58,7 +68,7 @@ class TestEvalDiscrepancy:
         s = random_system(rng, max_ground=12, max_degree=4, max_sets=8)
         values = tuple(1 if rng.bernoulli(1, 2) else -1 for _ in range(s.ground_size))
         chi = Coloring(values)
-        assert eval_discrepancy(s, chi)[0] == eval_discrepancy(s, chi.negate())[0]
+        assert eval_discrepancy(s, chi)[0] == eval_discrepancy(s, Coloring(tuple(-x for x in values)))[0]
 
     @given(st.integers(0, 2**31))
     @settings(max_examples=40, deadline=None)
@@ -233,6 +243,81 @@ class TestSpectralLowerBound:
         fat = SetSystem.from_sets(n, [list(range(k, n)) for k in range(1001)])
         with pytest.raises(ResourceLimitError):
             spectral_lower_bound(fat)
+
+    def test_even_set_regression(self):
+        # A^T A is singular: + - - + spans its kernel and colors every set
+        # to zero; an iteration that settles on the next eigenvalue (0.84)
+        # reports 0.915 instead of 0
+        s = SetSystem.from_json('{"ground_size":4,"sets":[[0,1],[0,1,2,3],[0,2],[1,3]]}')
+        assert exact_discrepancy(s)[0] == 0
+        assert spectral_lower_bound(s) == 0
+
+    @staticmethod
+    def eigvalsh_bound(s):
+        m, n = len(s.sets), s.ground_size
+        a = np.zeros((m, n))
+        for i, st in enumerate(s.sets):
+            a[i, list(st)] = 1
+        return math.sqrt(max(np.linalg.eigvalsh(a.T @ a)[0], 0.0) * n / m)
+
+    def test_even_set_corpus_sound_and_tight(self):
+        rng = SplitMix64(2024)
+        zero = 0
+        for _ in range(2000):
+            s = random_even_system(rng)
+            assert len(s.sets) >= s.ground_size <= 9
+            lower = spectral_lower_bound(s)
+            assert lower <= exact_discrepancy(s)[0]
+            assert abs(float(lower) - self.eigvalsh_bound(s)) <= 2e-6
+            zero += lower == 0
+        assert 100 < zero < 1900  # both singular and well-conditioned cases
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+    def test_sylvester_tight(self, p):
+        s = sylvester_system(p)
+        assert abs(float(spectral_lower_bound(s)) - self.eigvalsh_bound(s)) <= 2e-6
+
+
+class TestIsPsd:
+    FIXED = [
+        ([[0, 1], [1, 0]], False),
+        ([[0, 0], [0, 0]], True),
+        ([[1, 1], [1, 1]], True),
+        ([[1, 2], [2, 4]], True),
+        ([[0, 0], [0, -1]], False),
+        ([[1, 0], [0, 0]], True),
+        ([[0, 0, 0], [0, 1, 1], [0, 1, 1]], True),
+        ([[1, 1, 0], [1, 1, 1], [0, 1, 1]], False),  # zero pivot, nonzero row
+        ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], True),
+        ([[-1]], False),
+    ]
+
+    @staticmethod
+    def is_psd(matrix):
+        return _is_psd([row[i:] for i, row in enumerate(matrix)])
+
+    @pytest.mark.parametrize("matrix, expected", FIXED)
+    def test_fixed(self, matrix, expected):
+        assert psd_brute(matrix) == expected
+        assert self.is_psd(matrix) == expected
+
+    def test_random_gram_shifts_match_minors(self):
+        # X^T X - c I with rank(X) < n often: singular PSD, PSD and not
+        rng = SplitMix64(77)
+        verdicts = []
+        for _ in range(300):
+            n = 1 + rng.randrange(6)
+            r = rng.randrange(n + 1)
+            x = [[rng.randrange(5) - 2 for _ in range(n)] for _ in range(r)]
+            c = rng.randrange(3)
+            matrix = [
+                [sum(row[i] * row[j] for row in x) - (c if i == j else 0) for j in range(n)]
+                for i in range(n)
+            ]
+            expected = psd_brute(matrix)
+            assert self.is_psd(matrix) == expected, matrix
+            verdicts.append(expected)
+        assert 50 < sum(verdicts) < 250
 
 
 class TestColoringIO:

@@ -163,7 +163,7 @@ class TestDecompose:
         [(pos, atom)] = dec.rhos[0]
         assert pos and atom.render() == "A(x1)"
         assert dec.psis == (((("f",), 0),),)
-        assert dec.conjunct_count == 2
+        assert len(dec.assembly) == 2
 
     def test_three_object_variable_example(self):
         dec = qf_decompose(parse_formula("R(x3) & B(y1) & h(x1)=f(y2) & h(x2)=g(y2)"))
