@@ -2,6 +2,11 @@
 systems, and the decomposition pipeline that colors them with a constant
 discrepancy bound.
 
+Formulas are evaluated a whole table of x-tuples at a time: `_term` maps
+a term over the rows through numpy index arrays and `_truth` gives a
+boolean vector over the rows; every definable set, rho, guard and psi in
+this module goes through that one evaluator.
+
 A quantifier-free partitioned formula is normalized to DNF; each conjunct
 splits into object-only literals (rho), parameter-only literals (the
 guard), and cross equalities word(x_i) = word(y_j).  Replacing the
@@ -9,16 +14,20 @@ parameter side of each positive cross by a fresh z slot yields a psi of
 the canonical form  AND_r (word_r(x_{i_r}) = z_r); negated crosses each
 become a single-slot psi subtracted in the assembly.  The psi systems
 have degree 1 (the z-tuple of a member is determined by the member), so
-the union system of all rhos and psis has degree at most |Psi|, its
-intersection closure has degree at most 2^|Psi|, and a solver coloring of
-the closure is within the constant 2^(2k+t+1) on every definable set.
+the union system of all rho and psi systems has degree at most t, the
+number of those systems; its intersection closure has degree at most 2^t,
+and a solver coloring of the closure is within the constant 2^(2k+t+1) on
+every definable set.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from itertools import product
 from typing import Iterable, Optional, Union
+
+import numpy as np
 
 from .discrepancy import Coloring, beck_fiala
 from .errors import ParseError, ResourceLimitError
@@ -27,8 +36,7 @@ from .graphs import Graph
 from .orderings import degeneracy_order, orient_along
 from .setsystems import SetSystem, intersection_closure
 
-DEFINED_PARAM_CAP = 10**6
-DEFINED_GROUND_BITS = 24
+DEFINED_TABLE_CAP = 10**7
 DNF_ATOM_CAP = 12
 
 Word = tuple[str, ...]
@@ -84,38 +92,59 @@ class PointerStructure:
             {k: frozenset(v) for k, v in predicates.items()},
         )
 
-    def apply_word(self, word: Word, value: int) -> int:
-        for name in word:
-            fn = self.functions.get(name)
-            if fn is None:
-                raise KeyError(f"unknown function {name!r}")
-            value = fn[value]
-        return value
+    @cached_property
+    def function_arrays(self) -> dict[str, np.ndarray]:
+        return {name: np.array(f, dtype=np.intp) for name, f in self.functions.items()}
+
+    @cached_property
+    def predicate_masks(self) -> dict[str, np.ndarray]:
+        ground = np.arange(self.domain_size)
+        return {name: np.isin(ground, sorted(p)) for name, p in self.predicates.items()}
 
 
-def _eval_term(m: PointerStructure, t: Term, a: tuple, b: tuple, c: tuple) -> int:
-    pools = {"x": a, "y": b, "z": c}
-    pool = pools[t.side]
+def _x_table(n: int, k: int) -> np.ndarray:
+    """All n^k x-tuples as the rows of an (n^k x k) array in lexicographic
+    order, so a row's index is its tuple read in base n; the smallest
+    unsigned dtype that holds n - 1 keeps the table small near the cap."""
+    cells = np.indices((n,) * k, dtype=np.min_scalar_type(max(n - 1, 0)))
+    return cells.reshape(k, n**k).T
+
+
+def _term(m: PointerStructure, t: Term, xs: np.ndarray, b: tuple, c: tuple):
+    """The value of t at every row of xs (an x-term), or its one value (a
+    y- or z-term)."""
+    pool = xs.T if t.side == "x" else b if t.side == "y" else c
     if t.index >= len(pool):
         raise ValueError(f"{t.side}{t.index + 1} outside the supplied tuple")
-    return m.apply_word(t.word, pool[t.index])
+    value = pool[t.index]
+    for name in t.word:
+        fn = m.function_arrays.get(name)
+        if fn is None:
+            raise KeyError(f"unknown function {name!r}")
+        value = fn[value]
+    return value
 
 
-def _eval_node(m: PointerStructure, node: Node, a: tuple, b: tuple, c: tuple) -> bool:
+def _truth(m: PointerStructure, node: Node, xs: np.ndarray, b: tuple, c: tuple) -> np.ndarray:
+    """The truth of node at every row of xs, as a boolean vector.  Every
+    child is evaluated, so an unknown symbol raises whatever the data."""
     if isinstance(node, Pred):
-        p = m.predicates.get(node.name)
-        if p is None:
+        mask = m.predicate_masks.get(node.name)
+        if mask is None:
             raise KeyError(f"unknown predicate {node.name!r}")
-        return _eval_term(m, node.term, a, b, c) in p
-    if isinstance(node, Eq):
-        return _eval_term(m, node.left, a, b, c) == _eval_term(m, node.right, a, b, c)
-    if isinstance(node, Not):
-        return not _eval_node(m, node.child, a, b, c)
-    if isinstance(node, And):
-        return all(_eval_node(m, ch, a, b, c) for ch in node.children)
-    if isinstance(node, Or):
-        return any(_eval_node(m, ch, a, b, c) for ch in node.children)
-    raise TypeError(node)
+        value = mask[_term(m, node.term, xs, b, c)]
+    elif isinstance(node, Eq):
+        value = _term(m, node.left, xs, b, c) == _term(m, node.right, xs, b, c)
+    elif isinstance(node, Not):
+        return np.logical_not(_truth(m, node.child, xs, b, c))
+    elif isinstance(node, (And, Or)):
+        conj = isinstance(node, And)  # also the identity of the empty node
+        op = np.logical_and if conj else np.logical_or
+        children = (_truth(m, ch, xs, b, c) for ch in node.children)
+        return reduce(op, children, np.full(len(xs), conj))
+    else:
+        raise TypeError(node)
+    return np.broadcast_to(value, len(xs))
 
 
 def eval_formula(
@@ -123,32 +152,23 @@ def eval_formula(
 ) -> bool:
     if len(a) != phi.x_arity or len(b) != phi.y_arity:
         raise ValueError("tuple arities do not match the formula")
-    return _eval_node(m, phi.root, tuple(a), tuple(b), tuple(c))
-
-
-def _flatten_index(a: tuple[int, ...], n: int) -> int:
-    idx = 0
-    for v in a:
-        idx = idx * n + v
-    return idx
+    xs = np.array([a], dtype=np.intp)
+    return bool(_truth(m, phi.root, xs, tuple(b), tuple(c))[0])
 
 
 def defined_system(m: PointerStructure, phi: QFFormula) -> SetSystem:
     """One set per parameter tuple: {x-tuples satisfying phi}, with
-    x-tuples of arity > 1 flattened to lexicographic indices."""
+    x-tuples of arity > 1 flattened to lexicographic indices.  The truth
+    table has n^(x_arity + y_arity) entries and is capped."""
     n = m.domain_size
-    if n**phi.y_arity > DEFINED_PARAM_CAP:
-        raise ResourceLimitError("parameter enumeration over the cap")
-    if phi.x_arity * max(1, (n - 1).bit_length()) > DEFINED_GROUND_BITS:
-        raise ResourceLimitError("ground tuple space over the cap")
-    ground = n**phi.x_arity
-    sets = []
-    xs = list(product(range(n), repeat=phi.x_arity))
-    for b in product(range(n), repeat=phi.y_arity):
-        sets.append(
-            [_flatten_index(a, n) for a in xs if eval_formula(m, phi, a, b)]
-        )
-    return SetSystem.from_sets(ground, sets)
+    if n ** (phi.x_arity + phi.y_arity) > DEFINED_TABLE_CAP:
+        raise ResourceLimitError(f"truth table of n^(x+y) entries over {DEFINED_TABLE_CAP}")
+    xs = _x_table(n, phi.x_arity)
+    sets = [
+        np.flatnonzero(_truth(m, phi.root, xs, b, ())).tolist()
+        for b in product(range(n), repeat=phi.y_arity)
+    ]
+    return SetSystem.from_sets(len(xs), sets)
 
 
 def from_degenerate_graph(g: Graph) -> tuple[PointerStructure, QFFormula]:
@@ -329,31 +349,13 @@ def qf_decompose(phi: QFFormula) -> PsiDecomposition:
     )
 
 
-def _eval_literals(
-    m: PointerStructure, literals: Iterable[Literal], a: tuple, b: tuple
-) -> bool:
-    return all(
-        _eval_node(m, atom if pos else Not(atom), a, b, ()) for pos, atom in literals
-    )
+def _conjunction(literals: Iterable[Literal]) -> And:
+    return And(tuple(atom if pos else Not(atom) for pos, atom in literals))
 
 
-def _rho_members(
-    m: PointerStructure, rho: tuple[Literal, ...], xs: list[tuple[int, ...]]
-) -> set[tuple[int, ...]]:
-    return {a for a in xs if _eval_literals(m, rho, a, ())}
-
-
-def _psi_members(
-    m: PointerStructure,
-    psi: tuple[tuple[Word, int], ...],
-    c: tuple[int, ...],
-    xs: list[tuple[int, ...]],
-) -> set[tuple[int, ...]]:
-    return {
-        a
-        for a in xs
-        if all(m.apply_word(w, a[i]) == c[r] for r, (w, i) in enumerate(psi))
-    }
+def _psi_formula(psi: tuple[tuple[Word, int], ...]) -> And:
+    """AND_r (word_r(x_i) = z_r)."""
+    return And(tuple(Eq(Term("x", i, w), Term("z", r)) for r, (w, i) in enumerate(psi)))
 
 
 def assemble(m: PointerStructure, dec: PsiDecomposition, b: tuple) -> set[int]:
@@ -361,20 +363,21 @@ def assemble(m: PointerStructure, dec: PsiDecomposition, b: tuple) -> set[int]:
     from the decomposition; ground indices flattened as in defined_system."""
     if len(b) != dec.y_arity:
         raise ValueError("parameter tuple arity mismatch")
-    n = m.domain_size
-    xs = list(product(range(n), repeat=dec.x_arity))
-    out: set[tuple[int, ...]] = set()
+    xs = _x_table(m.domain_size, dec.x_arity)
+
+    def psi_truth(index: int, params: Iterable[tuple[Word, int]]) -> np.ndarray:
+        c = tuple(_term(m, Term("y", j, w), xs, b, ()) for w, j in params)
+        return _truth(m, _psi_formula(dec.psis[index]), xs, b, c)
+
+    out = np.zeros(len(xs), dtype=bool)
     for plan in dec.assembly:
-        if not _eval_literals(m, plan.guard, (), b):
-            continue
-        cur = _rho_members(m, dec.rhos[plan.rho_index], xs)
+        cur = _truth(m, _conjunction(plan.guard + dec.rhos[plan.rho_index]), xs, b, ())
         if plan.psi_index is not None:
-            c = tuple(m.apply_word(w, b[j]) for w, j in plan.psi_params)
-            cur &= _psi_members(m, dec.psis[plan.psi_index], c, xs)
-        for pidx, (w, j) in plan.negatives:
-            cur -= _psi_members(m, dec.psis[pidx], (m.apply_word(w, b[j]),), xs)
+            cur = cur & psi_truth(plan.psi_index, plan.psi_params)
+        for pidx, param in plan.negatives:
+            cur = cur & ~psi_truth(pidx, (param,))
         out |= cur
-    return {_flatten_index(a, n) for a in out}
+    return set(np.flatnonzero(out).tolist())
 
 
 # ---------- the constant-bound coloring ----------
@@ -385,9 +388,10 @@ def psi_system_sets(
 ) -> list[list[int]]:
     """Nonempty sets of the psi-defined system, grouped by the value
     tuple; pairwise disjoint because the tuple is a function of the member."""
+    xs = _x_table(m.domain_size, 1)
+    columns = [_term(m, Term("x", 0, w), xs, (), ()).tolist() for w, _ in psi]
     fibers: dict[tuple[int, ...], list[int]] = {}
-    for a in range(m.domain_size):
-        c = tuple(m.apply_word(w, a) for w, _ in psi)
+    for a, c in enumerate(zip(*columns)):
         fibers.setdefault(c, []).append(a)
     sets = list(fibers.values())
     assert sum(len(s) for s in sets) == m.domain_size
@@ -399,46 +403,38 @@ def definable_closure(
 ) -> tuple[SetSystem, int, int]:
     """The intersection closure of the union decomposition system for the
     given formulas, together with k (max sets per Boolean combination) and
-    t = |Psi|.  Solver colorings of this closure (or of any of its traces)
-    stay within 2^(2k+t+1) on every system the formulas define."""
+    t, the number of distinct rho and psi systems.  Solver colorings of
+    this closure (or of any of its traces) stay within 2^(2k+t+1) on every
+    system the formulas define."""
     decs = [qf_decompose(phi) for phi in phis]
     if any(dec.x_arity != 1 for dec in decs):
         raise ValueError("constant-bound coloring supports x-arity 1 only")
 
-    rho_pool: dict[tuple, int] = {}
-    rhos: list[tuple[Literal, ...]] = []
-    psi_pool: dict[tuple, int] = {}
-    psis: list[tuple[tuple[Word, int], ...]] = []
+    # rhos keyed by their literal keys, psis by content, in first-seen order
+    rhos: dict[tuple, tuple[Literal, ...]] = {}
+    psis: dict[tuple[tuple[Word, int], ...], None] = {}
     k = 0
     for dec in decs:
-        rho_map = {}
-        for i, rho in enumerate(dec.rhos):
-            key = tuple(_literal_key(l) for l in rho)
-            if key not in rho_pool:
-                rho_pool[key] = len(rhos)
-                rhos.append(rho)
-            rho_map[i] = rho_pool[key]
-        psi_map = {}
-        for i, psi in enumerate(dec.psis):
-            if psi not in psi_pool:
-                psi_pool[psi] = len(psis)
-                psis.append(psi)
-            psi_map[i] = psi_pool[psi]
+        rho_keys = [tuple(_literal_key(l) for l in rho) for rho in dec.rhos]
+        for key, rho in zip(rho_keys, dec.rhos):
+            rhos.setdefault(key, rho)
+        psis.update(dict.fromkeys(dec.psis))
         slots = set()
         for plan in dec.assembly:
-            slots.add(("rho", rho_map[plan.rho_index]))
+            slots.add(("rho", rho_keys[plan.rho_index]))
             if plan.psi_index is not None:
-                slots.add(("psi", psi_map[plan.psi_index], plan.psi_params))
+                slots.add(("psi", dec.psis[plan.psi_index], plan.psi_params))
             for pidx, param in plan.negatives:
-                slots.add(("psi", psi_map[pidx], (param,)))
+                slots.add(("psi", dec.psis[pidx], (param,)))
         k = max(k, len(slots))
 
     t = len(rhos) + len(psis)
     n = m.domain_size
-    base_sets: list[list[int]] = []
-    xs = [(a,) for a in range(n)]
-    for rho in rhos:
-        base_sets.append(sorted(a for (a,) in _rho_members(m, rho, xs)))
+    xs = _x_table(n, 1)
+    base_sets = [
+        np.flatnonzero(_truth(m, _conjunction(rho), xs, (), ())).tolist()
+        for rho in rhos.values()
+    ]
     for psi in psis:
         base_sets.extend(psi_system_sets(m, psi))
     closure = intersection_closure(SetSystem.from_sets(n, base_sets))
@@ -448,7 +444,8 @@ def definable_closure(
 def qf_color(m: PointerStructure, phis: list[QFFormula]) -> tuple[Coloring, int]:
     """Color the domain so every system definable by the given formulas
     has discrepancy at most 2^(2k+t+1), a constant independent of the
-    structure: k bounds the sets per Boolean combination, t = |Psi|."""
+    structure: k bounds the sets per Boolean combination, and t counts the
+    distinct rho and psi systems of the decomposition."""
     closure, k, t = definable_closure(m, phis)
     chi = beck_fiala(closure)
     bound = 2 ** (2 * k + t + 1)

@@ -1,9 +1,11 @@
 """Independent brute-force oracles used by the tests.
 
 These deliberately share no algorithmic code with the package: exhaustive
-enumeration, plain BFS, and the plain rational Gauss-Jordan elimination
+enumeration, plain BFS, the plain rational Gauss-Jordan elimination
 that the solver's fraction-free null vector must agree with up to a
-positive scale, and positive semidefiniteness by principal minors.  They are the second route of every dual-route check.
+positive scale, positive semidefiniteness by principal minors, and
+formula truth one point at a time by recursion.  They are the second
+route of every dual-route check.
 Small constructions that only the tests need (bipartiteness, weakly
 induced substructures) live here too, not in the library.
 """
@@ -13,6 +15,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Iterable
 
+from sparsedisc.formulas import And, Eq, Node, Not, Or, Pred, Term
 from sparsedisc.graphs import Graph
 from sparsedisc.pointer import PointerStructure
 from sparsedisc.setsystems import SetSystem
@@ -156,6 +159,29 @@ def weakly_induced(m: PointerStructure, subset: Iterable[int]) -> PointerStructu
         name: frozenset(pos[v] for v in p if v in pos) for name, p in m.predicates.items()
     }
     return PointerStructure(len(sub), functions, predicates)
+
+
+def eval_brute(m: PointerStructure, node: Node, a: tuple, b: tuple, c: tuple = ()) -> bool:
+    """The truth of a formula node at the one point (a; b; c), by
+    recursion on the node and plain lookups in the structure's tables."""
+
+    def term(t: Term) -> int:
+        value = {"x": a, "y": b, "z": c}[t.side][t.index]
+        for name in t.word:
+            value = m.functions[name][value]
+        return value
+
+    if isinstance(node, Pred):
+        return term(node.term) in m.predicates[node.name]
+    if isinstance(node, Eq):
+        return term(node.left) == term(node.right)
+    if isinstance(node, Not):
+        return not eval_brute(m, node.child, a, b, c)
+    if isinstance(node, And):
+        return all(eval_brute(m, ch, a, b, c) for ch in node.children)
+    if isinstance(node, Or):
+        return any(eval_brute(m, ch, a, b, c) for ch in node.children)
+    raise TypeError(node)
 
 
 def approx_error_brute(s: SetSystem, sample: set[int]) -> Fraction:

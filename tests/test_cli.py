@@ -167,6 +167,26 @@ class TestSystemAndApprox:
         assert code == 0
         assert json.loads(out)["sets"] == [[0], [1], [2]]
 
+    def _defined(self, tmp_path, capsys, structure, text):
+        struct = tmp_path / "m.json"
+        struct.write_text(json.dumps(structure))
+        formula = tmp_path / "phi.txt"
+        formula.write_text(text)
+        return run(capsys, "system", "defined", "-i", str(struct), "--formula", str(formula))
+
+    def test_defined_table_cap_exit_3(self, tmp_path, capsys):
+        structure = {"n": 3, "functions": {}, "predicates": {}}
+        code, out, err = self._defined(tmp_path, capsys, structure, "x10=y10")
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and err.startswith("resource limit: ")
+
+    @pytest.mark.parametrize("text", ["A(x1) | g(x1)=y1", "!A(x1) & Q(y1)"])
+    def test_defined_unknown_symbol_exit_2(self, tmp_path, capsys, text):
+        structure = {"n": 3, "functions": {"f": [1, 2, 0]}, "predicates": {"A": [0, 1, 2]}}
+        code, out, err = self._defined(tmp_path, capsys, structure, text)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
     def test_edge_color_system(self, tmp_path, capsys):
         path = tmp_path / "k3.edges"
         run(capsys, "gen", "complete", "3", "-o", str(path))

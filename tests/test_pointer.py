@@ -2,10 +2,10 @@ from itertools import product
 
 import pytest
 
-from oracles import weakly_induced
+from oracles import eval_brute, weakly_induced
 from sparsedisc.discrepancy import beck_fiala, eval_discrepancy
 from sparsedisc.errors import ResourceLimitError
-from sparsedisc.formulas import parse_formula
+from sparsedisc.formulas import And, Eq, Not, Or, Pred, QFFormula, Term, parse_formula
 from sparsedisc.graphs import Graph, generate_family, random_degenerate_graph
 from sparsedisc.pointer import (
     PointerStructure,
@@ -94,6 +94,12 @@ class TestEvalFormula:
         with pytest.raises(ValueError):
             eval_formula(m, parse_formula("A(x1)"), (0, 1), ())
 
+    def test_empty_and_or_are_true_and_false(self):
+        m = PointerStructure(2, {}, {})
+        assert eval_formula(m, QFFormula(1, 0, And(())), (1,), ())
+        assert not eval_formula(m, QFFormula(1, 0, Or(())), (1,), ())
+        assert defined_system(m, QFFormula(1, 0, And(()))).sets == ((0, 1),)
+
 
 class TestDefinedSystem:
     def test_equality_gives_singletons(self):
@@ -128,6 +134,89 @@ class TestDefinedSystem:
         phi = parse_formula("x1=x2 & x1=x3 & x1=y1")
         with pytest.raises(ResourceLimitError):
             defined_system(m, phi)
+
+    def test_table_cap_bounds_the_product(self):
+        # 3^10 parameters and 3^10 x-tuples each pass a separate cap; the
+        # 3^20-entry truth table does not
+        m = PointerStructure(3, {}, {})
+        with pytest.raises(ResourceLimitError):
+            defined_system(m, parse_formula("x10=y10"))
+
+    @pytest.mark.parametrize("text", ["A(x1) | g(x1)=y1", "!A(x1) & Q(y1)"])
+    def test_unknown_symbol_raises_whatever_the_data(self, text):
+        # A holds everywhere, so a short-circuit would never look at g or Q
+        m = PointerStructure(3, {"f": (1, 2, 0)}, {"A": frozenset({0, 1, 2})})
+        with pytest.raises(KeyError):
+            defined_system(m, parse_formula(text))
+
+    def test_x_arity_zero_is_one_empty_tuple(self):
+        m = PointerStructure(3, {"f": (1, 1, 0)}, {"B": frozenset({1})})
+        s = defined_system(m, parse_formula("B(f(y1))"))
+        assert s.ground_size == 1 and s.sets == ((0,),)
+
+    def test_parameter_only_formula_broadcasts_to_the_ground(self):
+        m = PointerStructure(3, {}, {"B": frozenset({1})})
+        s = defined_system(m, QFFormula(1, 1, Pred("B", Term("y", 0))))
+        assert s.sets == ((0, 1, 2),)
+
+    def test_empty_domain(self):
+        m = PointerStructure(0, {"f": ()}, {"A": frozenset()})
+        assert defined_system(m, parse_formula("A(f(x1))")) == SetSystem(0, ())
+        assert defined_system(m, parse_formula("x1=y1")) == SetSystem(0, ())
+
+
+def random_formula(rng: SplitMix64, funcs, preds) -> QFFormula:
+    """x-arity 1-2, y-arity 0-2, words of length <= 2, nesting depth <= 3;
+    the declared arities may exceed the indices the formula uses."""
+    x_arity, y_arity = 1 + rng.randrange(2), rng.randrange(3)
+
+    def term() -> Term:
+        side = "y" if y_arity and rng.bernoulli(1, 2) else "x"
+        word = tuple(funcs[rng.randrange(len(funcs))] for _ in range(rng.randrange(3)))
+        return Term(side, rng.randrange(x_arity if side == "x" else y_arity), word)
+
+    def node(depth: int):
+        if depth == 0 or rng.bernoulli(1, 3):
+            if rng.bernoulli(1, 3):
+                return Pred(preds[rng.randrange(len(preds))], term())
+            return Eq(term(), term())
+        kind = rng.randrange(3)
+        if kind == 0:
+            return Not(node(depth - 1))
+        children = tuple(node(depth - 1) for _ in range(2 + rng.randrange(2)))
+        return And(children) if kind == 1 else Or(children)
+
+    return QFFormula(x_arity, y_arity, node(3))
+
+
+class TestEvaluatorMatchesBrute:
+    """The set-at-a-time evaluator against the pointwise oracle."""
+
+    def test_random_structures_and_formulas(self):
+        rng = SplitMix64(55)
+        assembled = 0
+        for _ in range(300):
+            n = rng.randrange(6)
+            funcs = ("f", "g")[: 1 + rng.randrange(2)]
+            preds = ("A", "B")[: 1 + rng.randrange(2)]
+            m = random_structure(rng, n, preds=preds, funcs=funcs)
+            phi = random_formula(rng, funcs, preds)
+            xs = list(product(range(n), repeat=phi.x_arity))
+            try:
+                dec = qf_decompose(phi)
+            except ResourceLimitError:  # more than DNF_ATOM_CAP atoms
+                dec = None
+            sets = []
+            for b in product(range(n), repeat=phi.y_arity):
+                truth = [eval_brute(m, phi.root, a, b) for a in xs]
+                assert [eval_formula(m, phi, a, b) for a in xs] == truth
+                members = {i for i, hit in enumerate(truth) if hit}
+                sets.append(members)
+                if dec is not None:
+                    assert assemble(m, dec, b) == members
+            assert defined_system(m, phi) == SetSystem.from_sets(n**phi.x_arity, sets)
+            assembled += dec is not None
+        assert assembled >= 150
 
 
 class TestFromDegenerateGraph:
