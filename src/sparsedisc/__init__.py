@@ -15,10 +15,8 @@ from .discrepancy import (
 )
 from .graphs import (
     Graph,
-    HadamardMatrix,
     generate_family,
     graph_power,
-    graph_stats,
     hadamard,
     read_edge_list,
     subdivide,
@@ -38,19 +36,15 @@ from .setsystems import (
     SetSystem,
     bipartite_double,
     degree,
-    dual,
     edge_color_system,
     intersection_closure,
     neighborhood_system,
-    shatter,
     trace,
-    vc_dimension,
 )
 
 __all__ = [
     "Coloring",
     "Graph",
-    "HadamardMatrix",
     "LinearOrder",
     "Orientation",
     "SetSystem",
@@ -58,25 +52,21 @@ __all__ = [
     "bipartite_double",
     "degeneracy_order",
     "degree",
-    "dual",
     "edge_color_system",
     "eval_discrepancy",
     "exact_discrepancy",
     "generate_family",
     "graph_power",
-    "graph_stats",
     "hadamard",
     "herdisc_search",
     "intersection_closure",
     "neighborhood_system",
     "orient_along",
     "read_edge_list",
-    "shatter",
     "spectral_lower_bound",
     "subdivide",
     "sylvester_graph",
     "trace",
-    "vc_dimension",
     "wcol_exact",
     "wcol_from_order",
     "weak_reach",

@@ -17,7 +17,6 @@ from . import discrepancy as disc_mod
 from . import graphs, orderings, pointer, power_coloring, setsystems
 from .errors import ParseError, ResourceLimitError
 from .formulas import QFFormula, parse_formula
-from .rng import SplitMix64
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -238,105 +237,6 @@ def cmd_approx(args: argparse.Namespace) -> int:
     raise ParseError(f"unknown approx kind {args.kind!r}")
 
 
-# ---------- property suites ----------
-
-
-def _suite_beck_fiala(trials: int, seed: int) -> dict:
-    rng = SplitMix64(seed)
-    worst_margin = None
-    for _ in range(trials):
-        s = setsystems.random_system(rng, max_ground=120, max_degree=6, max_sets=20)
-        t = setsystems.degree(s)
-        chi = disc_mod.beck_fiala(s)
-        d, _ = disc_mod.eval_discrepancy(s, chi)
-        if t and d > 2 * t - 1:
-            return {"ok": False, "disc": d, "degree": t}
-        if t:
-            margin = (2 * t - 1) - d
-            worst_margin = margin if worst_margin is None else min(worst_margin, margin)
-    return {"ok": True, "worst_margin": worst_margin}
-
-
-def _suite_orientation(trials: int, seed: int) -> dict:
-    rng = SplitMix64(seed)
-    for _ in range(trials):
-        n = 4 + rng.randrange(40)
-        g = graphs.generate_family("gnp", [n, 1, 4], seed=rng.next_u64())
-        chi, bound = power_coloring.orientation_coloring(g)
-        d, _ = disc_mod.eval_discrepancy(setsystems.neighborhood_system(g), chi)
-        if bound and d >= bound:
-            return {"ok": False, "disc": d, "bound": bound}
-    return {"ok": True}
-
-
-def _suite_wcol_identity(trials: int, seed: int) -> dict:
-    rng = SplitMix64(seed)
-    for _ in range(trials):
-        n = 2 + rng.randrange(5)
-        g = graphs.generate_family("gnp", [n, 1, 2], seed=rng.next_u64())
-        _, dgn = orderings.degeneracy_order(g)
-        if orderings.wcol_exact(g, 1) != dgn + 1:
-            return {"ok": False, "n": n}
-    return {"ok": True}
-
-
-def _suite_power(trials: int, seed: int) -> dict:
-    rng = SplitMix64(seed)
-    for _ in range(trials):
-        n = 4 + rng.randrange(16)
-        g = graphs.generate_family("gnp", [n, 1, 4], seed=rng.next_u64())
-        d = 1 + rng.randrange(3)
-        _, cert = power_coloring.power_coloring(g, d)
-        if cert.achieved >= cert.claimed_bound:
-            return {"ok": False, "n": n, "d": d}
-    return {"ok": True}
-
-
-def _suite_approx(trials: int, seed: int) -> dict:
-    rng = SplitMix64(seed)
-    for _ in range(trials):
-        s = setsystems.random_system(rng, max_ground=40, max_degree=4, max_sets=10)
-        report = approx_mod.epsilon_approximation(s, Fraction(1, 2))
-        if report.epsilon_measured > report.epsilon_claimed:
-            return {"ok": False}
-        if not approx_mod.verify_net(s, report.sample, Fraction(1, 2)):
-            return {"ok": False, "net": False}
-    return {"ok": True}
-
-
-def _suite_spectral(trials: int, seed: int) -> dict:
-    rng = SplitMix64(seed)
-    for _ in range(trials):
-        for s in (
-            setsystems.random_system(rng, max_ground=10, max_degree=4, max_sets=12),
-            setsystems.random_even_system(rng),
-        ):
-            lower = disc_mod.spectral_lower_bound(s)
-            exact, _ = disc_mod.exact_discrepancy(s)
-            if lower > exact:
-                return {"ok": False, "lower": approx_mod.frac_str(lower), "exact": exact}
-    return {"ok": True}
-
-
-SUITES = {
-    "beck-fiala": _suite_beck_fiala,
-    "orientation": _suite_orientation,
-    "wcol-identity": _suite_wcol_identity,
-    "power": _suite_power,
-    "approx": _suite_approx,
-    "spectral": _suite_spectral,
-}
-
-
-def cmd_verify(args: argparse.Namespace) -> int:
-    suite = SUITES[args.suite]
-    _log(f"running suite {args.suite} with {args.trials} trials, seed {args.seed}")
-    result = suite(args.trials, args.seed)
-    payload = {"suite": args.suite, "trials": args.trials, **result}
-    _emit(payload)
-    return EXIT_OK if result.get("ok") else EXIT_INVARIANT
-
-
 # ---------- argument parsing ----------
 
 
@@ -400,12 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample")
     p.set_defaults(func=cmd_approx)
 
-    p = sub.add_parser("verify", help="run a named property suite")
-    p.add_argument("suite", choices=sorted(SUITES))
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_verify)
-
     return top
 
 
@@ -414,7 +308,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ResourceLimitError, RecursionError) as exc:  # recursion: deep nesting
+    except (ResourceLimitError, RecursionError) as exc:  # recursion: exact DFS past --cap-exact-n
         _log(f"resource limit: {exc}")
         return EXIT_RESOURCE
     except (ParseError, ValueError, KeyError, OSError) as exc:

@@ -13,6 +13,9 @@ Predicate names start uppercase, function names lowercase.  Variables are
 partitioned into object variables x*, parameter variables y*, and the z*
 slots used by decompositions.  Function applications nest to depth at
 most WORD_CAP; compositions are words over the base function names.
+Parentheses and negations nest to depth at most NESTING_CAP, well inside
+the recursion limit of the parser and of every recursive pass over the
+formula tree.
 """
 from __future__ import annotations
 
@@ -20,9 +23,10 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Union
 
-from .errors import ParseError
+from .errors import ParseError, ResourceLimitError
 
 WORD_CAP = 8
+NESTING_CAP = 100
 SIDES = ("x", "y", "z")
 _QUANTIFIER_WORDS = {"exists", "forall", "all", "ex", "some", "any"}
 
@@ -131,6 +135,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = list(_tokenize(text))
         self.i = 0
+        self.depth = 0  # open "(" and "!" around the current position
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -165,15 +170,19 @@ class _Parser:
 
     def lit(self) -> Node:
         kind, val, pos = self.peek()
+        if kind not in ("!", "("):
+            return self.atom()
+        self.take(kind)
+        self.depth += 1
+        if self.depth > NESTING_CAP:
+            raise ResourceLimitError(f"formula nesting deeper than {NESTING_CAP} at position {pos}")
         if kind == "!":
-            self.take("!")
-            return Not(self.lit())
-        if kind == "(":
-            self.take("(")
+            node = Not(self.lit())
+        else:
             node = self.disj()
             self.take(")")
-            return node
-        return self.atom()
+        self.depth -= 1
+        return node
 
     def atom(self) -> Node:
         kind, val, pos = self.peek()

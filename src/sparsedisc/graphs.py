@@ -6,7 +6,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import IO, Iterable, Optional
 
@@ -16,7 +15,6 @@ from .errors import ParseError, ResourceLimitError
 from .rng import SplitMix64
 
 HADAMARD_MAX_P = 13  # 2^26 matrix entries is the desk-scale cap
-CLIQUE_MAX_N = 40
 
 FAMILIES = (
     "path",
@@ -73,9 +71,6 @@ class Graph:
 
     def edge_count(self) -> int:
         return sum(len(a) for a in self.adjacency) // 2
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
 
 
 def read_edge_list(stream: IO[str]) -> Graph:
@@ -173,21 +168,9 @@ def subdivide(g: Graph, r: int) -> Graph:
     return Graph.from_edges(total, out)
 
 
-@dataclass(frozen=True)
-class HadamardMatrix:
-    """2^p x 2^p matrix with +-1 entries and orthogonal rows."""
-
-    p: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = 1 << self.p
-        if self.entries.shape != (m, m):
-            raise ValueError("entry matrix has wrong shape")
-
-
-def hadamard(p: int) -> HadamardMatrix:
-    """Kronecker-product recursion H_{p+1} = H_1 (x) H_p, H_0 = (1)."""
+def hadamard(p: int) -> np.ndarray:
+    """The 2^p x 2^p int8 matrix with +-1 entries and orthogonal rows, by
+    the Kronecker-product recursion H_{p+1} = H_1 (x) H_p, H_0 = (1)."""
     if p < 0:
         raise ValueError("order exponent must be non-negative")
     if p > HADAMARD_MAX_P:
@@ -196,7 +179,7 @@ def hadamard(p: int) -> HadamardMatrix:
     h = np.array([[1]], dtype=np.int8)
     for _ in range(p):
         h = np.kron(h1, h)
-    return HadamardMatrix(p, h)
+    return h
 
 
 def sylvester_graph(p: int) -> Graph:
@@ -204,7 +187,7 @@ def sylvester_graph(p: int) -> Graph:
 
     Vertex convention: rows are 0..2^p-1, columns are 2^p..2^{p+1}-1.
     """
-    h = hadamard(p).entries
+    h = hadamard(p)
     m = 1 << p
     edges = [(int(i), int(m + j)) for i, j in zip(*np.nonzero(h == 1))]
     return Graph.from_edges(2 * m, edges)
@@ -263,54 +246,6 @@ def generate_family(name: str, params: list[int], seed: int = 0) -> Graph:
         edges = [(u, n + i) for i, sub in enumerate(subsets) for u in sub]
         return Graph.from_edges(n + len(subsets), edges)
     raise ValueError(f"unknown family {name!r}")
-
-
-def _clique_number(g: Graph) -> int:
-    """Exact maximum clique by branch and bound with a greedy color bound."""
-    if g.n == 0:
-        return 0
-    order = sorted(range(g.n), key=g.degree, reverse=True)
-    adj = [set(g.adjacency[v]) for v in range(g.n)]
-    best = 1
-
-    def color_bound(cands: list[int]) -> int:
-        classes: list[set[int]] = []
-        for v in cands:
-            for cls in classes:
-                if not (adj[v] & cls):
-                    cls.add(v)
-                    break
-            else:
-                classes.append({v})
-        return len(classes)
-
-    def expand(clique_size: int, cands: list[int]) -> None:
-        nonlocal best
-        if not cands:
-            best = max(best, clique_size)
-            return
-        if clique_size + color_bound(cands) <= best:
-            return
-        for i, v in enumerate(cands):
-            if clique_size + len(cands) - i <= best:
-                return
-            expand(clique_size + 1, [u for u in cands[i + 1 :] if u in adj[v]])
-
-    expand(0, order)
-    return best
-
-
-def graph_stats(g: Graph) -> dict:
-    """Degree summary plus the exact clique number on small graphs."""
-    degs = [g.degree(v) for v in range(g.n)]
-    avg = Fraction(2 * g.edge_count(), g.n) if g.n else Fraction(0)
-    stats = {
-        "min_degree": min(degs) if degs else 0,
-        "max_degree": max(degs) if degs else 0,
-        "average_degree": avg,
-        "clique_number": _clique_number(g) if g.n <= CLIQUE_MAX_N else None,
-    }
-    return stats
 
 
 def random_degenerate_graph(n: int, d: int, seed: int = 0) -> Graph:

@@ -102,6 +102,31 @@ class PointerStructure:
         return {name: np.isin(ground, sorted(p)) for name, p in self.predicates.items()}
 
 
+def _count_atoms(node: Node, seen: set) -> None:
+    if isinstance(node, (Pred, Eq)):
+        seen.add(node)
+    elif isinstance(node, Not):
+        _count_atoms(node.child, seen)
+    else:
+        for ch in node.children:
+            _count_atoms(ch, seen)
+
+
+def _check_signature(m: PointerStructure, root: Node) -> None:
+    """Reject a formula that names a function or predicate the structure
+    lacks, before anything is evaluated: there may be no row or parameter
+    tuple to evaluate at."""
+    atoms: set = set()
+    _count_atoms(root, atoms)
+    terms = [t for a in atoms for t in ((a.term,) if isinstance(a, Pred) else (a.left, a.right))]
+    functions = sorted({name for t in terms for name in t.word} - m.functions.keys())
+    if functions:
+        raise KeyError(f"unknown function {functions[0]!r}")
+    predicates = sorted({a.name for a in atoms if isinstance(a, Pred)} - m.predicates.keys())
+    if predicates:
+        raise KeyError(f"unknown predicate {predicates[0]!r}")
+
+
 def _x_table(n: int, k: int) -> np.ndarray:
     """All n^k x-tuples as the rows of an (n^k x k) array in lexicographic
     order, so a row's index is its tuple read in base n; the smallest
@@ -118,21 +143,14 @@ def _term(m: PointerStructure, t: Term, xs: np.ndarray, b: tuple, c: tuple):
         raise ValueError(f"{t.side}{t.index + 1} outside the supplied tuple")
     value = pool[t.index]
     for name in t.word:
-        fn = m.function_arrays.get(name)
-        if fn is None:
-            raise KeyError(f"unknown function {name!r}")
-        value = fn[value]
+        value = m.function_arrays[name][value]
     return value
 
 
 def _truth(m: PointerStructure, node: Node, xs: np.ndarray, b: tuple, c: tuple) -> np.ndarray:
-    """The truth of node at every row of xs, as a boolean vector.  Every
-    child is evaluated, so an unknown symbol raises whatever the data."""
+    """The truth of node at every row of xs, as a boolean vector."""
     if isinstance(node, Pred):
-        mask = m.predicate_masks.get(node.name)
-        if mask is None:
-            raise KeyError(f"unknown predicate {node.name!r}")
-        value = mask[_term(m, node.term, xs, b, c)]
+        value = m.predicate_masks[node.name][_term(m, node.term, xs, b, c)]
     elif isinstance(node, Eq):
         value = _term(m, node.left, xs, b, c) == _term(m, node.right, xs, b, c)
     elif isinstance(node, Not):
@@ -152,6 +170,7 @@ def eval_formula(
 ) -> bool:
     if len(a) != phi.x_arity or len(b) != phi.y_arity:
         raise ValueError("tuple arities do not match the formula")
+    _check_signature(m, phi.root)
     xs = np.array([a], dtype=np.intp)
     return bool(_truth(m, phi.root, xs, tuple(b), tuple(c))[0])
 
@@ -160,6 +179,7 @@ def defined_system(m: PointerStructure, phi: QFFormula) -> SetSystem:
     """One set per parameter tuple: {x-tuples satisfying phi}, with
     x-tuples of arity > 1 flattened to lexicographic indices.  The truth
     table has n^(x_arity + y_arity) entries and is capped."""
+    _check_signature(m, phi.root)
     n = m.domain_size
     if n ** (phi.x_arity + phi.y_arity) > DEFINED_TABLE_CAP:
         raise ResourceLimitError(f"truth table of n^(x+y) entries over {DEFINED_TABLE_CAP}")
@@ -207,16 +227,6 @@ class PsiDecomposition:
     rhos: tuple[tuple[Literal, ...], ...]
     psis: tuple[tuple[tuple[Word, int], ...], ...]
     assembly: tuple[ConjunctPlan, ...]
-
-
-def _count_atoms(node: Node, seen: set) -> None:
-    if isinstance(node, (Pred, Eq)):
-        seen.add(node)
-    elif isinstance(node, Not):
-        _count_atoms(node.child, seen)
-    else:
-        for ch in node.children:
-            _count_atoms(ch, seen)
 
 
 def _dnf(node: Node, negated: bool) -> list[frozenset[Literal]]:
@@ -406,6 +416,8 @@ def definable_closure(
     t, the number of distinct rho and psi systems.  Solver colorings of
     this closure (or of any of its traces) stay within 2^(2k+t+1) on every
     system the formulas define."""
+    for phi in phis:
+        _check_signature(m, phi.root)
     decs = [qf_decompose(phi) for phi in phis]
     if any(dec.x_arity != 1 for dec in decs):
         raise ValueError("constant-bound coloring supports x-arity 1 only")

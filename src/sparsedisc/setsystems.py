@@ -9,9 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations
-from math import comb
 from typing import Iterable
 
 from .errors import ParseError, ResourceLimitError
@@ -19,8 +16,6 @@ from .graphs import Graph
 from .orderings import degeneracy_order
 from .rng import SplitMix64
 
-SHATTER_WORK_CAP = 10**8
-VC_MAX_GROUND = 20
 CLOSURE_CAP = 10**5
 
 
@@ -54,18 +49,6 @@ class SetSystem:
             if t:
                 canon.add(t)
         return cls(ground_size, tuple(sorted(canon)))
-
-    @cached_property
-    def masks(self) -> tuple[int, ...]:
-        """Each set as an integer bitmask (internal accelerator only;
-        the serialized form is always the sorted-list form)."""
-        out = []
-        for s in self.sets:
-            m = 0
-            for v in s:
-                m |= 1 << v
-            out.append(m)
-        return tuple(out)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -164,68 +147,11 @@ def degree(s: SetSystem) -> int:
     return max(counts, default=0)
 
 
-def dual(s: SetSystem) -> SetSystem:
-    """Exchange the parts of the incidence graph: ground becomes the set
-    indices, and each original element turns into its membership set."""
-    return SetSystem.from_sets(len(s.sets), s.membership())
-
-
-def shatter(s: SetSystem, m: int, mode: str = "primal") -> int:
-    """Shatter function value: the maximum number of distinct traces on an
-    m-element subset (dual mode computes the primal of the dual system)."""
-    if mode == "dual":
-        return shatter(dual(s), m, "primal")
-    if mode != "primal":
-        raise ValueError("mode must be 'primal' or 'dual'")
-    if m < 0:
-        raise ValueError("m must be non-negative")
-    if m > s.ground_size:
-        m = s.ground_size
-    if comb(s.ground_size, m) * max(1, len(s.sets)) > SHATTER_WORK_CAP:
-        raise ResourceLimitError("shatter enumeration over the work cap")
-    best = 0
-    for xs in combinations(range(s.ground_size), m):
-        xmask = 0
-        for v in xs:
-            xmask |= 1 << v
-        best = max(best, len({mask & xmask for mask in s.masks}))
-    return best
-
-
-def vc_dimension(s: SetSystem) -> int:
-    """Largest shattered subset size, by level-wise exhaustion.
-
-    Shattered sets are downward closed, so level k+1 candidates extend
-    level-k shattered sets only.
-    """
-    if s.ground_size > VC_MAX_GROUND:
-        raise ResourceLimitError(f"vc_dimension capped at ground <= {VC_MAX_GROUND}")
-    if not s.sets:
-        return 0
-    masks = set(s.masks)
-    level: set[int] = {0}  # the empty set is always shattered (trace of any set)
-    dim = 0
-    while True:
-        nxt: set[int] = set()
-        for xmask in level:
-            for v in range(s.ground_size):
-                bit = 1 << v
-                if xmask & bit or xmask > bit:
-                    continue  # extend by larger elements only, avoids repeats
-                cand = xmask | bit
-                if len({m & cand for m in masks}) == 1 << bin(cand).count("1"):
-                    nxt.add(cand)
-        if not nxt:
-            return dim
-        dim += 1
-        level = nxt
-
-
 def intersection_closure(s: SetSystem, cap: int = CLOSURE_CAP) -> SetSystem:
     """All intersections of members, plus the full ground set as the empty
     intersection; degree grows at most to 2^degree(s)."""
     ground_mask = (1 << s.ground_size) - 1
-    closed: set[int] = {ground_mask} | set(s.masks)
+    closed: set[int] = {ground_mask} | {sum(1 << v for v in st) for st in s.sets}
     work = list(closed)
     while work:
         new: set[int] = set()
@@ -273,14 +199,3 @@ def random_system(
         sets.append(chosen)
     return SetSystem.from_sets(n, sets)
 
-
-def random_even_system(rng: SplitMix64, max_ground: int = 9) -> SetSystem:
-    """Random system on 3..max_ground elements, at least as many sets as
-    elements, all of even size: A^T A is often singular or nearly so."""
-    n = 3 + rng.randrange(max_ground - 2)
-    target = min(n + rng.randrange(n), 2 ** (n - 1) - 1)
-    sets: set[tuple[int, ...]] = set()
-    while len(sets) < target:
-        size = 2 * (1 + rng.randrange(n // 2))
-        sets.add(tuple(sorted(rng.sample(list(range(n)), size))))
-    return SetSystem.from_sets(n, sets)

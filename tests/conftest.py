@@ -10,15 +10,6 @@ from sparsedisc.orderings import LinearOrder
 from sparsedisc.rng import SplitMix64
 
 
-def petersen() -> Graph:
-    edges = []
-    for i in range(5):
-        edges.append((i, (i + 1) % 5))
-        edges.append((i, i + 5))
-        edges.append((i + 5, (i + 2) % 5 + 5))
-    return Graph.from_edges(10, edges)
-
-
 def shuffled_order(n: int, seed: int) -> LinearOrder:
     """A seeded uniformly shuffled order of 0..n-1."""
     seq = list(range(n))

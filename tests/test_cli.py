@@ -187,6 +187,12 @@ class TestSystemAndApprox:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
 
+    def test_defined_unknown_symbol_on_empty_domain_exit_2(self, tmp_path, capsys):
+        structure = {"n": 0, "functions": {}, "predicates": {}}
+        code, out, err = self._defined(tmp_path, capsys, structure, "Q(x1) | g(y1)=x1")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ") and "unknown" in err
+
     def test_edge_color_system(self, tmp_path, capsys):
         path = tmp_path / "k3.edges"
         run(capsys, "gen", "complete", "3", "-o", str(path))
@@ -216,28 +222,6 @@ class TestSystemAndApprox:
         assert code == 0
         verdict = json.loads(out)
         assert verdict["ok"] and verdict["net"]
-
-
-class TestVerifySuites:
-    @pytest.mark.parametrize(
-        "suite", ["beck-fiala", "orientation", "wcol-identity", "power", "approx", "spectral"]
-    )
-    def test_suite_passes(self, suite, capsys):
-        code, out, _ = run(capsys, "verify", suite, "--trials", "5")
-        assert code == 0
-        assert json.loads(out)["ok"] is True
-
-    def test_spectral_even_set_draws(self, capsys):
-        # with the former power-iteration bound this run reported
-        # 421557/1000000 against an exact discrepancy of 0 and exited 4
-        code, out, _ = run(capsys, "verify", "spectral", "--trials", "23", "--seed", "2")
-        assert code == 0
-        assert json.loads(out)["ok"] is True
-
-    def test_deterministic_stdout(self, capsys):
-        _, a, _ = run(capsys, "verify", "beck-fiala", "--trials", "5", "--seed", "3")
-        _, b, _ = run(capsys, "verify", "beck-fiala", "--trials", "5", "--seed", "3")
-        assert a == b
 
 
 class TestOrder:

@@ -28,7 +28,6 @@ from sparsedisc.setsystems import (
     SetSystem,
     degree,
     neighborhood_system,
-    random_even_system,
     random_system,
 )
 
@@ -37,6 +36,18 @@ c5_system = lambda: neighborhood_system(generate_family("cycle", [5]))
 
 def sylvester_system(p):
     return neighborhood_system(sylvester_graph(p))
+
+
+def random_even_system(rng: SplitMix64, max_ground: int = 9) -> SetSystem:
+    """Random system on 3..max_ground elements, at least as many sets as
+    elements, all of even size: A^T A is often singular or nearly so."""
+    n = 3 + rng.randrange(max_ground - 2)
+    target = min(n + rng.randrange(n), 2 ** (n - 1) - 1)
+    sets: set[tuple[int, ...]] = set()
+    while len(sets) < target:
+        size = 2 * (1 + rng.randrange(n // 2))
+        sets.add(tuple(sorted(rng.sample(list(range(n)), size))))
+    return SetSystem.from_sets(n, sets)
 
 
 class TestEvalDiscrepancy:

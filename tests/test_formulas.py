@@ -1,7 +1,17 @@
 import pytest
 
-from sparsedisc.errors import ParseError
-from sparsedisc.formulas import And, Eq, Not, Or, Pred, Term, parse_formula, render
+from sparsedisc.errors import ParseError, ResourceLimitError
+from sparsedisc.formulas import (
+    NESTING_CAP,
+    And,
+    Eq,
+    Not,
+    Or,
+    Pred,
+    Term,
+    parse_formula,
+    render,
+)
 
 
 class TestParser:
@@ -56,6 +66,17 @@ class TestParser:
             deep = f"f({deep})"
         with pytest.raises(ParseError, match="deeper"):
             parse_formula(f"{deep}=y1")
+
+    @pytest.mark.parametrize(
+        "opening, closing", [("(", ")"), ("!", ""), ("!(", ")"), ("(!", ")")]
+    )
+    def test_nesting_cap(self, opening, closing):
+        # each "(" and "!" is one level; the cap is checked before any recursion limit
+        levels = NESTING_CAP // len(opening)
+        parse_formula(opening * levels + "x1=y1" + closing * levels)
+        parse_formula(" & ".join([opening + "x1=y1" + closing] * (NESTING_CAP + 1)))
+        with pytest.raises(ResourceLimitError, match=f"deeper than {NESTING_CAP}"):
+            parse_formula(opening * (levels + 1) + "x1=y1" + closing * (levels + 1))
 
     def test_unexpected_character(self):
         with pytest.raises(ParseError, match="unexpected"):

@@ -149,6 +149,18 @@ class TestDefinedSystem:
         with pytest.raises(KeyError):
             defined_system(m, parse_formula(text))
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("Q(x1) | g(y1)=x1", "unknown function 'g'"), ("Q(x1) | x1=y1", "unknown predicate 'Q'")],
+    )
+    def test_unknown_symbol_raises_on_an_empty_domain(self, text, message):
+        # no parameter tuple and no row to evaluate at: the signature check alone rejects it
+        m = PointerStructure(0, {}, {})
+        with pytest.raises(KeyError, match=message):
+            defined_system(m, parse_formula(text))
+        with pytest.raises(KeyError, match=message):
+            qf_color(m, [parse_formula(text)])
+
     def test_x_arity_zero_is_one_empty_tuple(self):
         m = PointerStructure(3, {"f": (1, 1, 0)}, {"B": frozenset({1})})
         s = defined_system(m, parse_formula("B(f(y1))"))

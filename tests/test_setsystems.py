@@ -1,5 +1,3 @@
-from math import comb
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,14 +10,11 @@ from sparsedisc.setsystems import (
     SetSystem,
     bipartite_double,
     degree,
-    dual,
     edge_color_system,
     intersection_closure,
     neighborhood_system,
     random_system,
-    shatter,
     trace,
-    vc_dimension,
 )
 
 
@@ -65,7 +60,7 @@ class TestNeighborhoodSystem:
             g = generate_family("gnp", [10, 1, 2], seed=seed)
             if len({tuple(a) for a in g.adjacency}) != g.n:
                 continue
-            assert degree(neighborhood_system(g)) == max(g.degree(v) for v in range(g.n))
+            assert degree(neighborhood_system(g)) == max(len(a) for a in g.adjacency)
 
 
 class TestEdgeColorSystem:
@@ -122,8 +117,8 @@ class TestBipartiteDouble:
         gamma = {(0, 1): 1, (1, 2): 2, (2, 3): 1, (3, 2 + 1): 2}
         gamma = {(0, 1): 1, (1, 2): 2, (2, 3): 1, (0, 3): 2}
         doubled = bipartite_double(g, gamma)
-        assert max(doubled.degree(v) for v in range(4)) <= 2
-        assert all(doubled.degree(v) <= 1 for v in range(4, 12))
+        assert max(len(doubled.adjacency[v]) for v in range(4)) <= 2
+        assert all(len(doubled.adjacency[v]) <= 1 for v in range(4, 12))
 
 
 class TestTrace:
@@ -164,73 +159,6 @@ class TestDegreeDual:
 
     def test_degree_empty(self):
         assert degree(system(4, [])) == 0
-
-    def test_dual_singletons(self):
-        assert dual(system(2, [[0], [1]])).sets == ((0,), (1,))
-
-    @staticmethod
-    def _collapsed(s):
-        """Drop uncovered elements and merge twin elements (equal
-        membership patterns), relabeling by the lex order of patterns."""
-        member = s.membership()
-        pats = sorted({tuple(member[v]) for v in range(s.ground_size) if member[v]})
-        rank = {p: i for i, p in enumerate(pats)}
-        return SetSystem.from_sets(
-            len(pats),
-            ({rank[tuple(member[v])] for v in st if member[v]} for st in s.sets),
-        )
-
-    def test_dual_degree_is_max_set_size(self):
-        # the dedup in the canonical form merges twin elements, so on raw
-        # systems only <= holds; after collapsing twins it is an equality
-        rng = SplitMix64(10)
-        for _ in range(20):
-            s = random_system(rng, max_ground=10, max_degree=4, max_sets=6)
-            assert degree(dual(s)) <= max(len(t) for t in s.sets)
-            c = self._collapsed(s)
-            assert degree(dual(c)) == max(len(t) for t in c.sets)
-
-    def test_double_dual_is_collapsed_relabeling(self):
-        # incidence-isomorphism, stated exactly: the double dual equals the
-        # twin-collapsed system relabeled by pattern order
-        rng = SplitMix64(11)
-        for _ in range(20):
-            s = random_system(rng, max_ground=10, max_degree=4, max_sets=6)
-            assert dual(dual(s)) == self._collapsed(s)
-
-
-class TestShatterVC:
-    def test_pi_zero(self):
-        assert shatter(system(3, [[0]]), 0) == 1
-
-    def test_singletons_vc(self):
-        assert vc_dimension(system(3, [[0], [1], [2]])) == 1
-
-    def test_k3_pairs(self):
-        s = neighborhood_system(generate_family("complete", [3]))
-        assert shatter(s, 2) == 3
-
-    def test_dual_mode(self):
-        s = system(4, [[0, 1], [1, 2], [2, 3]])
-        assert shatter(s, 2, "dual") == shatter(dual(s), 2)
-
-    def test_work_cap(self):
-        huge = system(60, [[v] for v in range(60)])
-        with pytest.raises(ResourceLimitError):
-            shatter(huge, 30)
-
-    def test_vc_ground_cap(self):
-        with pytest.raises(ResourceLimitError):
-            vc_dimension(system(21, [[0]]))
-
-    def test_sauer_shelah(self):
-        rng = SplitMix64(12)
-        for _ in range(12):
-            s = random_system(rng, max_ground=9, max_degree=4, max_sets=7)
-            d = vc_dimension(s)
-            for m in range(s.ground_size + 1):
-                bound = sum(comb(m, i) for i in range(d + 1))
-                assert shatter(s, m) <= bound
 
 
 class TestIntersectionClosure:
