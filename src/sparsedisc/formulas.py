@@ -7,12 +7,12 @@ Grammar:
     lit     := "!" lit | "(" formula ")" | atom
     atom    := NAME "(" term ")" | term "=" term
     term    := VAR | NAME "(" term ")"
-    VAR     := ("x" | "y" | "z") digits
+    VAR     := ("x" | "y") digits
 
 Predicate names start uppercase, function names lowercase.  Variables are
-partitioned into object variables x*, parameter variables y*, and the z*
-slots used by decompositions.  Function applications nest to depth at
-most WORD_CAP; compositions are words over the base function names.
+partitioned into object variables x* and parameter variables y*.
+Function applications nest to depth at most WORD_CAP; compositions are
+words over the base function names.
 Parentheses and negations nest to depth at most NESTING_CAP, well inside
 the recursion limit of the parser and of every recursive pass over the
 formula tree.
@@ -27,7 +27,7 @@ from .errors import ParseError, ResourceLimitError
 
 WORD_CAP = 8
 NESTING_CAP = 100
-SIDES = ("x", "y", "z")
+SIDES = ("x", "y")
 _QUANTIFIER_WORDS = {"exists", "forall", "all", "ex", "some", "any"}
 
 
@@ -35,7 +35,7 @@ _QUANTIFIER_WORDS = {"exists", "forall", "all", "ex", "some", "any"}
 class Term:
     """A variable with a word of function names applied innermost-first."""
 
-    side: str  # "x", "y" or "z"
+    side: str  # "x" or "y"
     index: int  # 0-based
     word: tuple[str, ...] = ()
 
@@ -128,7 +128,7 @@ def _tokenize(text: str) -> Iterator[tuple[str, str, int]]:
     yield ("end", "", len(text))
 
 
-_VAR_RE = re.compile(r"^([xyz])([0-9]+)$")
+_VAR_RE = re.compile(r"^([xy])([0-9]+)$")
 
 
 class _Parser:

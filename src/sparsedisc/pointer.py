@@ -2,29 +2,29 @@
 systems, and the decomposition pipeline that colors them with a constant
 discrepancy bound.
 
-Formulas are evaluated a whole table of x-tuples at a time: `_term` maps
-a term over the rows through numpy index arrays and `_truth` gives a
-boolean vector over the rows; every definable set, rho, guard and psi in
-this module goes through that one evaluator.
+Every variable is a column of one row table, y1..y_k first, then x1,
+x2, ...: `_term` maps a term over the rows through numpy index arrays and
+`_truth` gives a boolean vector over them.  A definable system is one
+truth table over all (parameter, object) rows, and every definable set,
+rho, guard and psi in this module goes through that one evaluator.
 
 A quantifier-free partitioned formula is normalized to DNF; each conjunct
 splits into object-only literals (rho), parameter-only literals (the
-guard), and cross equalities word(x_i) = word(y_j).  Replacing the
-parameter side of each positive cross by a fresh z slot yields a psi of
-the canonical form  AND_r (word_r(x_{i_r}) = z_r); negated crosses each
-become a single-slot psi subtracted in the assembly.  The psi systems
-have degree 1 (the z-tuple of a member is determined by the member), so
-the union system of all rho and psi systems has degree at most t, the
-number of those systems; its intersection closure has degree at most 2^t,
-and a solver coloring of the closure is within the constant 2^(2k+t+1) on
-every definable set.
+guard), and cross equalities word(x_i) = word(y_j).  Naming the parameter
+side of each positive cross z_r yields a psi of the canonical form
+AND_r (word_r(x_{i_r}) = z_r); negated crosses each become a single-slot
+psi subtracted in the assembly.  z_r is only notation: the assembly reads
+it as its parameter term.  The psi systems have degree 1 (the z-tuple of
+a member is determined by the member), so the union system of all rho
+and psi systems has degree at most t, the number of those systems; its
+intersection closure has degree at most 2^t, and a solver coloring of
+the closure is within the constant 2^(2k+t+1) on every definable set.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import product
 from typing import Iterable, Optional, Union
 
 import numpy as np
@@ -36,6 +36,8 @@ from .graphs import Graph
 from .orderings import degeneracy_order, orient_along
 from .setsystems import SetSystem, intersection_closure
 
+# bounds the rows of defined_system's one table walk, and so every array
+# of that walk: a column, a term's values, a truth vector
 DEFINED_TABLE_CAP = 10**7
 DNF_ATOM_CAP = 12
 
@@ -94,7 +96,8 @@ class PointerStructure:
 
     @cached_property
     def function_arrays(self) -> dict[str, np.ndarray]:
-        return {name: np.array(f, dtype=np.intp) for name, f in self.functions.items()}
+        dtype = np.min_scalar_type(max(self.domain_size - 1, 0))  # as in _table
+        return {name: np.array(f, dtype=dtype) for name, f in self.functions.items()}
 
     @cached_property
     def predicate_masks(self) -> dict[str, np.ndarray]:
@@ -127,68 +130,70 @@ def _check_signature(m: PointerStructure, root: Node) -> None:
         raise KeyError(f"unknown predicate {predicates[0]!r}")
 
 
-def _x_table(n: int, k: int) -> np.ndarray:
-    """All n^k x-tuples as the rows of an (n^k x k) array in lexicographic
+def _table(n: int, k: int) -> np.ndarray:
+    """All n^k k-tuples as the rows of an (n^k x k) array in lexicographic
     order, so a row's index is its tuple read in base n; the smallest
     unsigned dtype that holds n - 1 keeps the table small near the cap."""
     cells = np.indices((n,) * k, dtype=np.min_scalar_type(max(n - 1, 0)))
     return cells.reshape(k, n**k).T
 
 
-def _term(m: PointerStructure, t: Term, xs: np.ndarray, b: tuple, c: tuple):
-    """The value of t at every row of xs (an x-term), or its one value (a
-    y- or z-term)."""
-    pool = xs.T if t.side == "x" else b if t.side == "y" else c
-    if t.index >= len(pool):
+def _check_domain(m: PointerStructure, values: tuple) -> None:
+    if any(not 0 <= v < m.domain_size for v in values):
+        raise ValueError(f"tuple entry outside the domain 0..{m.domain_size - 1}")
+
+
+def _term(m: PointerStructure, t: Term, table: np.ndarray, y_arity: int) -> np.ndarray:
+    """The value of t at every row of the table, whose first y_arity
+    columns are y1..y_k and whose other columns are x1, x2, ..."""
+    width = y_arity if t.side == "y" else table.shape[1] - y_arity
+    if t.index >= width:
         raise ValueError(f"{t.side}{t.index + 1} outside the supplied tuple")
-    value = pool[t.index]
+    value = table[:, t.index if t.side == "y" else y_arity + t.index]
     for name in t.word:
         value = m.function_arrays[name][value]
     return value
 
 
-def _truth(m: PointerStructure, node: Node, xs: np.ndarray, b: tuple, c: tuple) -> np.ndarray:
-    """The truth of node at every row of xs, as a boolean vector."""
+def _truth(m: PointerStructure, node: Node, table: np.ndarray, y_arity: int) -> np.ndarray:
+    """The truth of node at every row of the table, as a boolean vector."""
     if isinstance(node, Pred):
-        value = m.predicate_masks[node.name][_term(m, node.term, xs, b, c)]
-    elif isinstance(node, Eq):
-        value = _term(m, node.left, xs, b, c) == _term(m, node.right, xs, b, c)
-    elif isinstance(node, Not):
-        return np.logical_not(_truth(m, node.child, xs, b, c))
-    elif isinstance(node, (And, Or)):
+        return m.predicate_masks[node.name][_term(m, node.term, table, y_arity)]
+    if isinstance(node, Eq):
+        return _term(m, node.left, table, y_arity) == _term(m, node.right, table, y_arity)
+    if isinstance(node, Not):
+        return np.logical_not(_truth(m, node.child, table, y_arity))
+    if isinstance(node, (And, Or)):
         conj = isinstance(node, And)  # also the identity of the empty node
         op = np.logical_and if conj else np.logical_or
-        children = (_truth(m, ch, xs, b, c) for ch in node.children)
-        return reduce(op, children, np.full(len(xs), conj))
-    else:
-        raise TypeError(node)
-    return np.broadcast_to(value, len(xs))
+        children = (_truth(m, ch, table, y_arity) for ch in node.children)
+        return reduce(op, children, np.full(len(table), conj))
+    raise TypeError(node)
 
 
-def eval_formula(
-    m: PointerStructure, phi: QFFormula, a: tuple, b: tuple, c: tuple = ()
-) -> bool:
+def eval_formula(m: PointerStructure, phi: QFFormula, a: tuple, b: tuple) -> bool:
     if len(a) != phi.x_arity or len(b) != phi.y_arity:
         raise ValueError("tuple arities do not match the formula")
     _check_signature(m, phi.root)
-    xs = np.array([a], dtype=np.intp)
-    return bool(_truth(m, phi.root, xs, tuple(b), tuple(c))[0])
+    row = (*b, *a)
+    _check_domain(m, row)
+    return bool(_truth(m, phi.root, np.array([row], dtype=np.intp), phi.y_arity)[0])
 
 
 def defined_system(m: PointerStructure, phi: QFFormula) -> SetSystem:
     """One set per parameter tuple: {x-tuples satisfying phi}, with
-    x-tuples of arity > 1 flattened to lexicographic indices.  The truth
-    table has n^(x_arity + y_arity) entries and is capped."""
+    x-tuples of arity > 1 flattened to lexicographic indices.  One walk of
+    the formula covers the capped table of all n^(y+x) rows; row b*n^x + a
+    holds (b; a), so the truth vector reshaped to (n^y, n^x) has one row
+    per parameter tuple, in lexicographic order."""
     _check_signature(m, phi.root)
     n = m.domain_size
     if n ** (phi.x_arity + phi.y_arity) > DEFINED_TABLE_CAP:
         raise ResourceLimitError(f"truth table of n^(x+y) entries over {DEFINED_TABLE_CAP}")
-    xs = _x_table(n, phi.x_arity)
-    sets = [
-        np.flatnonzero(_truth(m, phi.root, xs, b, ())).tolist()
-        for b in product(range(n), repeat=phi.y_arity)
-    ]
-    return SetSystem.from_sets(len(xs), sets)
+    table = _table(n, phi.y_arity + phi.x_arity)
+    truth = _truth(m, phi.root, table, phi.y_arity)
+    sets = truth.reshape(n**phi.y_arity, n**phi.x_arity)
+    return SetSystem.from_sets(n**phi.x_arity, (np.flatnonzero(s).tolist() for s in sets))
 
 
 def from_degenerate_graph(g: Graph) -> tuple[PointerStructure, QFFormula]:
@@ -216,7 +221,7 @@ class ConjunctPlan:
     guard: tuple[Literal, ...]  # parameter-only literals
     rho_index: int
     psi_index: Optional[int]
-    psi_params: tuple[tuple[Word, int], ...]  # c_r = word(b[y_index])
+    psi_params: tuple[tuple[Word, int], ...]  # slot r's parameter term word(y_j)
     negatives: tuple[tuple[int, tuple[Word, int]], ...]
 
 
@@ -284,8 +289,6 @@ def qf_decompose(phi: QFFormula) -> PsiDecomposition:
     _count_atoms(phi.root, atoms)
     if len(atoms) > DNF_ATOM_CAP:
         raise ResourceLimitError(f"formula has more than {DNF_ATOM_CAP} atoms")
-    if any("z" in _atom_sides(a) for a in atoms):
-        raise ValueError("decomposition input must use x*/y* variables only")
 
     rho_pool: dict[tuple, int] = {}
     rhos: list[tuple[Literal, ...]] = []
@@ -363,30 +366,24 @@ def _conjunction(literals: Iterable[Literal]) -> And:
     return And(tuple(atom if pos else Not(atom) for pos, atom in literals))
 
 
-def _psi_formula(psi: tuple[tuple[Word, int], ...]) -> And:
-    """AND_r (word_r(x_i) = z_r)."""
-    return And(tuple(Eq(Term("x", i, w), Term("z", r)) for r, (w, i) in enumerate(psi)))
-
-
 def assemble(m: PointerStructure, dec: PsiDecomposition, b: tuple) -> set[int]:
     """The set defined by the original formula at parameter b, rebuilt
     from the decomposition; ground indices flattened as in defined_system."""
     if len(b) != dec.y_arity:
         raise ValueError("parameter tuple arity mismatch")
-    xs = _x_table(m.domain_size, dec.x_arity)
-
-    def psi_truth(index: int, params: Iterable[tuple[Word, int]]) -> np.ndarray:
-        c = tuple(_term(m, Term("y", j, w), xs, b, ()) for w, j in params)
-        return _truth(m, _psi_formula(dec.psis[index]), xs, b, c)
-
+    _check_domain(m, b)
+    xs = _table(m.domain_size, dec.x_arity)
+    table = np.hstack([np.full((len(xs), dec.y_arity), b, dtype=xs.dtype), xs])
     out = np.zeros(len(xs), dtype=bool)
     for plan in dec.assembly:
-        cur = _truth(m, _conjunction(plan.guard + dec.rhos[plan.rho_index]), xs, b, ())
-        if plan.psi_index is not None:
-            cur = cur & psi_truth(plan.psi_index, plan.psi_params)
-        for pidx, param in plan.negatives:
-            cur = cur & ~psi_truth(pidx, (param,))
-        out |= cur
+        psi = dec.psis[plan.psi_index] if plan.psi_index is not None else ()
+        # each psi slot word(x_i) = z_r, with z_r read as its parameter term
+        crosses = [(True, x, y) for x, y in zip(psi, plan.psi_params)]
+        crosses += [(False, dec.psis[p][0], y) for p, y in plan.negatives]
+        literals = plan.guard + dec.rhos[plan.rho_index] + tuple(
+            (pos, Eq(Term("x", i, xw), Term("y", j, yw))) for pos, (xw, i), (yw, j) in crosses
+        )
+        out |= _truth(m, _conjunction(literals), table, dec.y_arity)
     return set(np.flatnonzero(out).tolist())
 
 
@@ -398,8 +395,8 @@ def psi_system_sets(
 ) -> list[list[int]]:
     """Nonempty sets of the psi-defined system, grouped by the value
     tuple; pairwise disjoint because the tuple is a function of the member."""
-    xs = _x_table(m.domain_size, 1)
-    columns = [_term(m, Term("x", 0, w), xs, (), ()).tolist() for w, _ in psi]
+    xs = _table(m.domain_size, 1)
+    columns = [_term(m, Term("x", 0, w), xs, 0).tolist() for w, _ in psi]
     fibers: dict[tuple[int, ...], list[int]] = {}
     for a, c in enumerate(zip(*columns)):
         fibers.setdefault(c, []).append(a)
@@ -442,9 +439,9 @@ def definable_closure(
 
     t = len(rhos) + len(psis)
     n = m.domain_size
-    xs = _x_table(n, 1)
+    xs = _table(n, 1)
     base_sets = [
-        np.flatnonzero(_truth(m, _conjunction(rho), xs, (), ())).tolist()
+        np.flatnonzero(_truth(m, _conjunction(rho), xs, 0)).tolist()
         for rho in rhos.values()
     ]
     for psi in psis:

@@ -148,22 +148,22 @@ def degree(s: SetSystem) -> int:
 
 
 def intersection_closure(s: SetSystem, cap: int = CLOSURE_CAP) -> SetSystem:
-    """All intersections of members, plus the full ground set as the empty
-    intersection; degree grows at most to 2^degree(s)."""
+    """The ground set plus every nonempty intersection of members.  Such an
+    intersection contains some element v, so it is an intersection of sets
+    through v: the closure is the ground plus, for each v, the at most
+    2^degree(s) intersections of subfamilies of the sets through v."""
     ground_mask = (1 << s.ground_size) - 1
-    closed: set[int] = {ground_mask} | {sum(1 << v for v in st) for st in s.sets}
-    work = list(closed)
-    while work:
-        new: set[int] = set()
-        for a in work:
-            for b in closed:
-                c = a & b
-                if c and c not in closed and c not in new:
-                    new.add(c)
-        if len(closed) + len(new) > cap:
+    masks = [sum(1 << v for v in st) for st in s.sets]
+    closed: set[int] = {ground_mask}
+    for through in s.membership():
+        meets = {ground_mask}
+        for i in through:
+            meets |= {c & masks[i] for c in meets}
+            if len(meets) > cap:  # meets lies in the closure, so it is over the cap
+                break
+        closed |= meets
+        if len(closed) > cap:
             raise ResourceLimitError("intersection closure over the size cap")
-        work = list(new)
-        closed |= new
     out = SetSystem.from_sets(
         s.ground_size,
         ([v for v in range(s.ground_size) if mask >> v & 1] for mask in closed),

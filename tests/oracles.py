@@ -3,9 +3,10 @@
 These deliberately share no algorithmic code with the package: exhaustive
 enumeration, plain BFS, the plain rational Gauss-Jordan elimination
 that the solver's fraction-free null vector must agree with up to a
-positive scale, positive semidefiniteness by principal minors, and
-formula truth one point at a time by recursion.  They are the second
-route of every dual-route check.
+positive scale, positive semidefiniteness by principal minors, formula
+truth one point at a time by recursion, and intersection closures by
+enumerating every subfamily.  They are the second route of every
+dual-route check.
 Small constructions that only the tests need (bipartiteness, weakly
 induced substructures) live here too, not in the library.
 """
@@ -161,12 +162,12 @@ def weakly_induced(m: PointerStructure, subset: Iterable[int]) -> PointerStructu
     return PointerStructure(len(sub), functions, predicates)
 
 
-def eval_brute(m: PointerStructure, node: Node, a: tuple, b: tuple, c: tuple = ()) -> bool:
-    """The truth of a formula node at the one point (a; b; c), by
-    recursion on the node and plain lookups in the structure's tables."""
+def eval_brute(m: PointerStructure, node: Node, a: tuple, b: tuple) -> bool:
+    """The truth of a formula node at the one point (a; b), by recursion
+    on the node and plain lookups in the structure's tables."""
 
     def term(t: Term) -> int:
-        value = {"x": a, "y": b, "z": c}[t.side][t.index]
+        value = {"x": a, "y": b}[t.side][t.index]
         for name in t.word:
             value = m.functions[name][value]
         return value
@@ -176,12 +177,25 @@ def eval_brute(m: PointerStructure, node: Node, a: tuple, b: tuple, c: tuple = (
     if isinstance(node, Eq):
         return term(node.left) == term(node.right)
     if isinstance(node, Not):
-        return not eval_brute(m, node.child, a, b, c)
+        return not eval_brute(m, node.child, a, b)
     if isinstance(node, And):
-        return all(eval_brute(m, ch, a, b, c) for ch in node.children)
+        return all(eval_brute(m, ch, a, b) for ch in node.children)
     if isinstance(node, Or):
-        return any(eval_brute(m, ch, a, b, c) for ch in node.children)
+        return any(eval_brute(m, ch, a, b) for ch in node.children)
     raise TypeError(node)
+
+
+def closure_brute(s: SetSystem) -> set[tuple[int, ...]]:
+    """The ground set plus the intersection of every nonempty subfamily of
+    the sets, by enumerating all 2^m - 1 subfamilies; empty intersections
+    are dropped, as the canonical form drops them."""
+    out = {tuple(range(s.ground_size))} if s.ground_size else set()
+    for r in range(1, len(s.sets) + 1):
+        for family in combinations(s.sets, r):
+            common = set(family[0]).intersection(*family[1:])
+            if common:
+                out.add(tuple(sorted(common)))
+    return out
 
 
 def approx_error_brute(s: SetSystem, sample: set[int]) -> Fraction:

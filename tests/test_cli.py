@@ -193,6 +193,17 @@ class TestSystemAndApprox:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: ") and "unknown" in err
 
+    @pytest.mark.parametrize("verb", [["system", "defined"], ["color", "qf"]])
+    def test_z_variable_exit_2(self, tmp_path, capsys, verb):
+        structure = {"n": 3, "functions": {"f": [1, 2, 0]}, "predicates": {}}
+        struct = tmp_path / "m.json"
+        struct.write_text(json.dumps(structure))
+        formula = tmp_path / "phi.txt"
+        formula.write_text("f(x1)=z1")
+        code, out, err = run(capsys, *verb, "-i", str(struct), "--formula", str(formula))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
     def test_edge_color_system(self, tmp_path, capsys):
         path = tmp_path / "k3.edges"
         run(capsys, "gen", "complete", "3", "-o", str(path))

@@ -56,6 +56,11 @@ class TestParser:
         with pytest.raises(ParseError, match="start at 1"):
             parse_formula("A(x0)")
 
+    def test_z_variables_rejected(self):
+        # only x* and y* are variables; z1 reads as a function name
+        with pytest.raises(ParseError):
+            parse_formula("x1=z1")
+
     def test_predicate_as_function_rejected(self):
         with pytest.raises(ParseError, match="function"):
             parse_formula("f(A(x1))=x1")

@@ -94,6 +94,17 @@ class TestEvalFormula:
         with pytest.raises(ValueError):
             eval_formula(m, parse_formula("A(x1)"), (0, 1), ())
 
+    @pytest.mark.parametrize(
+        "text, a, b",
+        [("A(x1)", (-1,), ()), ("A(x1)", (3,), ()), ("x1=y1", (5,), (5,)),
+         ("x1=y1", (0,), (-1,)), ("x1=y1", (0,), (3,))],
+    )
+    def test_out_of_domain_entries_raise(self, text, a, b):
+        # numpy indices would wrap -1 to n - 1 and answer for a tuple not in the domain
+        m = PointerStructure(3, {}, {"A": frozenset({2})})
+        with pytest.raises(ValueError, match="outside the domain"):
+            eval_formula(m, parse_formula(text), a, b)
+
     def test_empty_and_or_are_true_and_false(self):
         m = PointerStructure(2, {}, {})
         assert eval_formula(m, QFFormula(1, 0, And(())), (1,), ())
@@ -331,6 +342,13 @@ class TestAssemble:
                 for b in product(range(n), repeat=phi.y_arity):
                     direct = {a for a in range(n) if eval_formula(m, phi, (a,), b)}
                     assert assemble(m, dec, b) == direct, (text, b)
+
+    @pytest.mark.parametrize("b", [(-1,), (3,)])
+    def test_out_of_domain_parameter_raises(self, b):
+        m = PointerStructure(3, {"f": (1, 2, 0)}, {})
+        dec = qf_decompose(parse_formula("f(x1)=y1"))
+        with pytest.raises(ValueError, match="outside the domain"):
+            assemble(m, dec, b)
 
     def test_guard_false_gives_empty(self):
         phi = parse_formula("B(y1) & f(x1)=y1")

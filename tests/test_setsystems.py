@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import closure_brute
 from sparsedisc.errors import ResourceLimitError
 from sparsedisc.graphs import generate_family, sylvester_graph
 from sparsedisc.orderings import degeneracy_order
@@ -171,6 +172,20 @@ class TestIntersectionClosure:
         s = system(4, [[0], [1], [2]])
         closed = intersection_closure(s)
         assert closed.sets == ((0,), (0, 1, 2, 3), (1,), (2,))
+
+    def test_matches_brute(self):
+        # every subfamily, so a closure that always misses the same kind of
+        # intersection fails here; ground <= 10 and m <= 8
+        rng = SplitMix64(16)
+        corpus = [system(0, []), system(5, []), system(1, [[0]])]
+        for _ in range(300):
+            n, m = rng.randrange(11), rng.randrange(9)
+            keep = 1 + rng.randrange(3)  # element kept with chance keep/4
+            corpus.append(
+                system(n, [[v for v in range(n) if rng.bernoulli(keep, 4)] for _ in range(m)])
+            )
+        for s in corpus:
+            assert set(intersection_closure(s).sets) == closure_brute(s), s
 
     def test_idempotent(self):
         rng = SplitMix64(13)
