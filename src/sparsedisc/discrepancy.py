@@ -7,9 +7,12 @@ is active while it has more than t unfrozen elements (t = system degree),
 so every set's color sum is exactly zero while it is active and can drift
 by less than 2 per unfrozen element afterwards: the final discrepancy is
 at most 2t - 1.  The null vector comes from fraction-free integer
-elimination and the iterates are exact rationals, so the arithmetic is
-exact throughout; floating point would break the strictness of that
-argument.
+elimination and the iterate is held as reduced integer pairs num/den, so
+the arithmetic is exact throughout; floating point would break the
+strictness of that argument.  A round pays only for what changed: each
+element keeps the number of active sets through it, so an element becomes
+a stray (in no active set) when a set through it deactivates, and the
+constraint rows are built column by column from the membership lists.
 """
 from __future__ import annotations
 
@@ -109,16 +112,17 @@ def beck_fiala_with_stats(
     n = s.ground_size
     t = degree(s)
     member = s.membership()
-    elems = [list(st) for st in s.sets]
-    x = [Fraction(0)] * n
+    num = [0] * n  # the iterate x[v] = num[v] / den[v], reduced, den[v] > 0
+    den = [1] * n
     frozen = [False] * n
     unfrozen_in = [len(st) for st in s.sets]
+    cover = [len(through) for through in member]  # active sets through v
     n_unfrozen = n
     rounds = 0
 
-    def freeze(v: int, value: Fraction) -> None:
+    def freeze(v: int, sign: int) -> None:
         nonlocal n_unfrozen
-        x[v] = value
+        num[v], den[v] = sign, 1
         frozen[v] = True
         n_unfrozen -= 1
         for i in member[v]:
@@ -126,57 +130,72 @@ def beck_fiala_with_stats(
 
     for v in range(n):
         if not member[v]:
-            freeze(v, Fraction(1))
+            freeze(v, 1)
 
-    active = [i for i in range(len(elems)) if unfrozen_in[i] > t]
+    # every set starts active; the first round deactivates those with at
+    # most t elements
+    active = list(range(len(s.sets)))
+    covered = [v for v in range(n) if member[v]]
     while n_unfrozen:
         rounds += 1
-        active = [i for i in active if unfrozen_in[i] > t]
+        still = []
+        for i in active:
+            if unfrozen_in[i] > t:
+                still.append(i)
+                continue
+            for v in s.sets[i]:
+                if not frozen[v]:
+                    cover[v] -= 1
+                    if not cover[v]:
+                        # a stray, in no active set: its canonical basis
+                        # vector is a null vector, and the positive max
+                        # step lands on the nearest endpoint
+                        freeze(v, 1 if num[v] >= 0 else -1)
+        active = still
         if check_conservation:
             for i in active:
-                assert sum(x[v] for v in elems[i]) == 0
-        covered = sorted({v for i in active for v in elems[i] if not frozen[v]})
-        covered_set = set(covered)
-        stray = [v for v in range(n) if not frozen[v] and v not in covered_set]
-        for v in stray:
-            # in no active set: its canonical basis vector is a null vector,
-            # and the positive max step lands on the nearest endpoint
-            freeze(v, Fraction(1) if x[v] >= 0 else Fraction(-1))
+                assert sum(Fraction(num[v], den[v]) for v in s.sets[i]) == 0
+        covered = [v for v in covered if not frozen[v]]
         if not covered:
             break
         r = len(active)
         cols = covered[: r + 1]
-        in_cols = {v: j for j, v in enumerate(cols)}
-        rows = []
-        for i in active:
-            row = [0] * len(cols)
-            for v in elems[i]:
-                j = in_cols.get(v)
-                if j is not None and not frozen[v]:
-                    row[j] = 1
-            rows.append(row)
-        nu = _null_vector(rows, len(cols))
-        lam = None
+        row_of = {i: k for k, i in enumerate(active)}
+        rows = [[0] * len(cols) for _ in range(r)]
         for j, v in enumerate(cols):
-            if nu[j] > 0:
-                step = (1 - x[v]) / nu[j]
-            elif nu[j] < 0:
-                step = (-1 - x[v]) / nu[j]
+            for i in member[v]:
+                k = row_of.get(i)
+                if k is not None:
+                    rows[k][j] = 1
+        nu = _null_vector(rows, len(cols))
+        # the step lam_p / lam_q (lam_q > 0): the largest that keeps every
+        # coordinate in [-1, 1], compared by cross-multiplying
+        lam_p, lam_q = 0, 0
+        for j, v in enumerate(cols):
+            c = nu[j]
+            if c > 0:
+                p, q = den[v] - num[v], den[v] * c
+            elif c < 0:
+                p, q = den[v] + num[v], -den[v] * c
             else:
                 continue
-            if lam is None or step < lam:
-                lam = step
-        assert lam is not None and lam > 0
-        hit = []
+            if not lam_q or p * lam_q < lam_p * q:
+                lam_p, lam_q = p, q
+        assert lam_q and lam_p > 0
+        g = gcd(lam_p, lam_q)
+        lam_p, lam_q = lam_p // g, lam_q // g
+        before = n_unfrozen
         for j, v in enumerate(cols):
-            if nu[j]:
-                x[v] += lam * nu[j]
-                if abs(x[v]) == 1:
-                    hit.append(v)
-        assert hit, "the maximal step must freeze at least one variable"
-        for v in hit:
-            freeze(v, x[v])
-    return Coloring(tuple(int(v) for v in x)), rounds
+            c = nu[j]
+            if c:
+                a = num[v] * lam_q + lam_p * c * den[v]
+                b = den[v] * lam_q
+                g = gcd(a, b)
+                num[v], den[v] = a // g, b // g
+                if den[v] == 1 and abs(num[v]) == 1:
+                    freeze(v, num[v])
+        assert n_unfrozen < before, "the maximal step must freeze at least one variable"
+    return Coloring(tuple(num)), rounds
 
 
 def beck_fiala(s: SetSystem, *, check_conservation: bool = False) -> Coloring:

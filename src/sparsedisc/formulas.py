@@ -218,6 +218,11 @@ class _Parser:
         if val[0].isupper():
             raise ParseError(f"predicate {val!r} used as a function at position {pos}")
         self.take("name")
+        if self.peek()[0] != "(":
+            raise ParseError(
+                f"unknown variable {val!r} at position {pos}"
+                " (variables are x1, x2, ... and y1, y2, ...)"
+            )
         self.take("(")
         inner = self.term()
         self.take(")")

@@ -147,6 +147,16 @@ def degree(s: SetSystem) -> int:
     return max(counts, default=0)
 
 
+def _bits(mask: int) -> list[int]:
+    """The set bits of mask, ascending, one step per set bit."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def intersection_closure(s: SetSystem, cap: int = CLOSURE_CAP) -> SetSystem:
     """The ground set plus every nonempty intersection of members.  Such an
     intersection contains some element v, so it is an intersection of sets
@@ -164,10 +174,7 @@ def intersection_closure(s: SetSystem, cap: int = CLOSURE_CAP) -> SetSystem:
         closed |= meets
         if len(closed) > cap:
             raise ResourceLimitError("intersection closure over the size cap")
-    out = SetSystem.from_sets(
-        s.ground_size,
-        ([v for v in range(s.ground_size) if mask >> v & 1] for mask in closed),
-    )
+    out = SetSystem.from_sets(s.ground_size, (_bits(mask) for mask in closed))
     t = degree(s)
     assert degree(out) <= 2**t or s.ground_size == 0
     return out

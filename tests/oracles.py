@@ -3,7 +3,8 @@
 These deliberately share no algorithmic code with the package: exhaustive
 enumeration, plain BFS, the plain rational Gauss-Jordan elimination
 that the solver's fraction-free null vector must agree with up to a
-positive scale, positive semidefiniteness by principal minors, formula
+positive scale, the rounding solver as a rational loop rebuilt every
+round, positive semidefiniteness by principal minors, formula
 truth one point at a time by recursion, and intersection closures by
 enumerating every subfamily.  They are the second route of every
 dual-route check.
@@ -232,6 +233,54 @@ def null_vector_reference(rows: list[list[int]], ncols: int) -> list[Fraction]:
         used[sel] = True
         pivots.append((sel, j))
     raise AssertionError("wide matrix must have a free column")
+
+
+def beck_fiala_reference(s: SetSystem) -> tuple[tuple[int, ...], int]:
+    """Iterated rounding as a plain rational loop, every round rebuilt from
+    scratch: the coloring and the round count of the 2t - 1 solver.
+
+    Elements in no set start at +1.  Each round drops the sets with at
+    most t unfrozen elements; an unfrozen element in no remaining set is
+    rounded to +1 if x >= 0, else -1; then x moves along the canonical null
+    vector of the remaining sets restricted to the first r + 1 covered
+    elements, by the least step that brings some coordinate to +-1.
+    """
+    n = s.ground_size
+    t = max((sum(1 for st in s.sets if v in st) for v in range(n)), default=0)
+    x = [Fraction(0)] * n
+    frozen = [not any(v in st for st in s.sets) for v in range(n)]
+    for v in range(n):
+        if frozen[v]:
+            x[v] = Fraction(1)
+    rounds = 0
+    while not all(frozen):
+        rounds += 1
+        active = [st for st in s.sets if sum(1 for v in st if not frozen[v]) > t]
+        for st in active:
+            assert sum(x[v] for v in st) == 0
+        covered_set = {v for st in active for v in st if not frozen[v]}
+        covered = sorted(covered_set)
+        for v in range(n):
+            if not frozen[v] and v not in covered_set:
+                x[v] = Fraction(1) if x[v] >= 0 else Fraction(-1)
+                frozen[v] = True
+        if not covered:
+            break
+        cols = covered[: len(active) + 1]
+        rows = [[1 if v in st else 0 for v in cols] for st in active]
+        nu = null_vector_reference(rows, len(cols))
+        lam = None
+        for j, v in enumerate(cols):
+            if nu[j]:
+                step = ((1 if nu[j] > 0 else -1) - x[v]) / nu[j]
+                if lam is None or step < lam:
+                    lam = step
+        assert lam is not None and lam > 0
+        for j, v in enumerate(cols):
+            x[v] += lam * nu[j]
+            if abs(x[v]) == 1:
+                frozen[v] = True
+    return tuple(int(v) for v in x), rounds
 
 
 def _det(a: list[list[Fraction]]) -> Fraction:

@@ -204,6 +204,15 @@ class TestSystemAndApprox:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
 
+    def test_defined_unknown_variable_named(self, tmp_path, capsys):
+        structure = {"n": 3, "functions": {}, "predicates": {}}
+        code, out, err = self._defined(tmp_path, capsys, structure, "x1=z1")
+        assert code == 2 and out == ""
+        assert err == (
+            "error: unknown variable 'z1' at position 3"
+            " (variables are x1, x2, ... and y1, y2, ...)\n"
+        )
+
     def test_edge_color_system(self, tmp_path, capsys):
         path = tmp_path / "k3.edges"
         run(capsys, "gen", "complete", "3", "-o", str(path))

@@ -57,9 +57,15 @@ class TestParser:
             parse_formula("A(x0)")
 
     def test_z_variables_rejected(self):
-        # only x* and y* are variables; z1 reads as a function name
-        with pytest.raises(ParseError):
+        # only x* and y* are variables
+        with pytest.raises(ParseError, match=r"unknown variable 'z1' at position 3 \(variables"):
             parse_formula("x1=z1")
+        with pytest.raises(ParseError, match="unknown variable 'w2' at position 0"):
+            parse_formula("w2=f(x1)")
+        with pytest.raises(ParseError, match="unknown variable 'x' at position 6"):
+            parse_formula("f(x1)=x")
+        with pytest.raises(ParseError, match="unknown variable 'z' at position 2"):
+            parse_formula("f(z)=x1")
 
     def test_predicate_as_function_rejected(self):
         with pytest.raises(ParseError, match="function"):

@@ -3,14 +3,15 @@
 The null vector must be a positive multiple of the canonical rational one
 (the oracle), so every step length and every iterate of the rounding is
 the same rational as with plain Gauss-Jordan elimination; the frozen
-digest pins the colorings and round counts themselves.
+digest pins the colorings and round counts themselves, and the rational
+reference loop checks them on seeded systems and edge cases.
 """
 import hashlib
 from fractions import Fraction
 
 import pytest
 
-from oracles import null_vector_reference
+from oracles import beck_fiala_reference, null_vector_reference
 from sparsedisc.discrepancy import _null_vector, beck_fiala_with_stats
 from sparsedisc.graphs import random_degenerate_graph
 from sparsedisc.orderings import degeneracy_order
@@ -119,3 +120,37 @@ def test_colorings_and_rounds_frozen():
         signs = "".join("+" if v == 1 else "-" for v in chi.values)
         h.update(f"{label}|{signs}|{rounds}\n".encode())
     assert h.hexdigest() == FROZEN_DIGEST
+
+
+class TestMatchesReference:
+    def _check(self, s: SetSystem) -> tuple[tuple[int, ...], int]:
+        chi, rounds = beck_fiala_with_stats(s, check_conservation=True)
+        assert (chi.values, rounds) == beck_fiala_reference(s)
+        return chi.values, rounds
+
+    def test_random_systems(self):
+        rng = SplitMix64(8080)
+        for _ in range(300):
+            self._check(random_system(rng, max_ground=120))
+
+    def test_no_sets(self):
+        assert self._check(SetSystem.from_sets(4, [])) == ((1, 1, 1, 1), 0)
+
+    def test_empty_ground(self):
+        assert self._check(SetSystem.from_sets(0, [])) == ((), 0)
+
+    def test_every_set_within_degree(self):
+        # degree 2, no set larger than 2: one round of strays, all +1
+        s = SetSystem.from_sets(4, [[0, 1], [1, 2], [2, 3], [0, 3]])
+        assert self._check(s) == ((1, 1, 1, 1), 1)
+
+    def test_element_in_no_set(self):
+        s = SetSystem.from_sets(6, [[0, 1, 2, 3], [2, 3, 4]])
+        assert self._check(s) == ((-1, 1, -1, 1, 1, 1), 3)
+
+    def test_duplicate_sets(self):
+        s = SetSystem.from_sets(5, [[0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [0, 1, 2, 3, 4]])
+        assert self._check(s) == self._check(SetSystem.from_sets(5, [[0, 1, 2, 3, 4]]))
+
+    def test_single_set(self):
+        assert self._check(SetSystem.from_sets(5, [[0, 1, 2, 3, 4]])) == ((-1, 1, -1, 1, 1), 3)
