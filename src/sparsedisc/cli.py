@@ -134,6 +134,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_order(args: argparse.Namespace) -> int:
+    if args.d < 0:
+        raise ParseError(f"--d must be non-negative, got {args.d}")
     g = _read_graph(args.input)
     order, dgn = orderings.degeneracy_order(g)
     report = {

@@ -232,7 +232,7 @@ def generate_family(name: str, params: list[int], seed: int = 0) -> Graph:
         a, b = params
         return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
     if name == "gnp":
-        if len(params) != 3 or params[0] < 0 or params[2] <= 0 or params[1] < 0:
+        if len(params) != 3 or params[0] < 0 or params[2] <= 0 or not 0 <= params[1] <= params[2]:
             raise _family_arity_error(name, params)
         n, num, den = params
         rng = SplitMix64(seed)

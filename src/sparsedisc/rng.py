@@ -31,8 +31,8 @@ class SplitMix64:
 
     def bernoulli(self, num: int, den: int) -> bool:
         """True with probability num/den, decided by exact integer compare."""
-        if den <= 0 or num < 0:
-            raise ValueError("probability must be a non-negative fraction")
+        if den <= 0 or not 0 <= num <= den:
+            raise ValueError(f"probability {num}/{den} is not in [0, 1]")
         return self.next_u64() * den < num * (1 << 64)
 
     def sample(self, population: list, k: int) -> list:

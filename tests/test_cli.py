@@ -368,3 +368,19 @@ class TestMalformedInputExit2:
         code, out, err = run(capsys, *(a.format(c5=c5) for a in argv))
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and f"needs {option}" in err
+
+    @pytest.mark.parametrize(
+        "argv, words",
+        [
+            (["gen", "gnp", "5", "2", "1"], "bad parameters [5, 2, 1]"),
+            (["order", "-i", "{c5}", "--d", "-2"], "--d must be non-negative"),
+            (
+                ["disc", "herdisc", "-i", "{c5}", "--system", "neighborhood", "--budget", "-5"],
+                "budget must be at least 1",
+            ),
+        ],
+    )
+    def test_out_of_range_numeric_option(self, c5, capsys, argv, words):
+        code, out, err = run(capsys, *(a.format(c5=c5) for a in argv))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and words in err

@@ -17,6 +17,7 @@ from sparsedisc.graphs import (
     sylvester_graph,
     write_edge_list,
 )
+from sparsedisc.rng import SplitMix64
 
 
 def parse(text: str) -> Graph:
@@ -201,11 +202,17 @@ class TestGenerateFamily:
     @pytest.mark.parametrize(
         "name,params",
         [("cycle", [2]), ("grid", [0, 3]), ("gnp", [5, 1]), ("path", [-1]),
-         ("all_d_subsets", [3, 4]), ("nosuch", [1])],
+         ("all_d_subsets", [3, 4]), ("nosuch", [1]), ("gnp", [5, 2, 1]), ("gnp", [1, 2, 1]),
+         ("gnp", [1, 0, 0])],
     )
     def test_bad_params(self, name, params):
         with pytest.raises(ValueError):
             generate_family(name, params)
+
+    @pytest.mark.parametrize("num, den", [(2, 1), (-1, 2), (1, 0)])
+    def test_bernoulli_outside_unit_interval(self, num, den):
+        with pytest.raises(ValueError, match="not in"):
+            SplitMix64(0).bernoulli(num, den)
 
 
 @given(st.integers(4, 30), st.integers(0, 2**32))

@@ -4,7 +4,8 @@ The null vector must be a positive multiple of the canonical rational one
 (the oracle), so every step length and every iterate of the rounding is
 the same rational as with plain Gauss-Jordan elimination; the frozen
 digest pins the colorings and round counts themselves, and the rational
-reference loop checks them on seeded systems and edge cases.
+reference loop checks them on seeded systems and edge cases.  Every null
+vector test runs both routes of the elimination, packed rows and lists.
 """
 import hashlib
 from fractions import Fraction
@@ -12,7 +13,8 @@ from fractions import Fraction
 import pytest
 
 from oracles import beck_fiala_reference, null_vector_reference
-from sparsedisc.discrepancy import _null_vector, beck_fiala_with_stats
+from sparsedisc import discrepancy
+from sparsedisc.discrepancy import _null_vector, _null_vector_lists, beck_fiala_with_stats
 from sparsedisc.graphs import random_degenerate_graph
 from sparsedisc.orderings import degeneracy_order
 from sparsedisc.power_coloring import wreach_star_system
@@ -20,10 +22,21 @@ from sparsedisc.rng import SplitMix64
 from sparsedisc.setsystems import SetSystem, random_system
 
 
-def _wide_matrix(rng: SplitMix64) -> tuple[list[list[int]], int]:
+def _masks(rows: list[list[int]]) -> list[int]:
+    """Rows as the bitmasks _null_vector takes: bit j set when entry j is 1."""
+    return [sum(1 << j for j, e in enumerate(row) if e) for row in rows]
+
+
+def _both_routes(rows: list[list[int]], ncols: int) -> tuple[list[int], list[int]]:
+    """The null vector by packed rows (every matrix here is under the row
+    cut) and by lists."""
+    return _null_vector(_masks(rows), ncols), _null_vector_lists([list(r) for r in rows], ncols)
+
+
+def _wide_matrix(rng: SplitMix64, max_rows: int = 12) -> tuple[list[list[int]], int]:
     """A random 0/1 matrix with more columns than rows, salted with
     duplicate rows, sums of disjoint rows, zero rows and zero columns."""
-    r = 1 + rng.randrange(12)
+    r = 1 + rng.randrange(max_rows)
     ncols = r + 1 + rng.randrange(3)
     density = 2 + rng.randrange(2)
     rows = [[1 if rng.bernoulli(density, 5) else 0 for _ in range(ncols)] for _ in range(r)]
@@ -44,31 +57,56 @@ def _wide_matrix(rng: SplitMix64) -> tuple[list[list[int]], int]:
     return rows, ncols
 
 
+def _check_against_reference(rows: list[list[int]], ncols: int) -> None:
+    ref = null_vector_reference(rows, ncols)
+    j = next(k for k, e in enumerate(ref) if e)
+    for got in _both_routes(rows, ncols):
+        assert all(type(e) is int for e in got)
+        assert len(got) == ncols
+        assert all(sum(a * b for a, b in zip(row, got)) == 0 for row in rows)
+        scale = Fraction(got[j]) / ref[j]
+        assert scale > 0
+        assert [Fraction(e) for e in got] == [scale * e for e in ref]
+
+
+def _sylvester_core(order: int) -> list[list[int]]:
+    """The 0/1 core of the Sylvester Hadamard matrix of the given order:
+    the first row and column dropped, -1 read as 1 and +1 as 0.  No 0/1
+    matrix of its size has a larger determinant."""
+    h = [[1]]
+    while len(h) < order:
+        h = [row + row for row in h] + [row + [-e for e in row] for row in h]
+    return [[1 if e < 0 else 0 for e in row[1:]] for row in h[1:]]
+
+
 class TestNullVector:
     def test_positive_multiple_of_reference(self):
         rng = SplitMix64(2024)
         for _ in range(600):
-            rows, ncols = _wide_matrix(rng)
-            got = _null_vector(rows, ncols)
-            ref = null_vector_reference(rows, ncols)
-            assert all(type(e) is int for e in got)
-            assert len(got) == ncols
-            assert all(sum(a * b for a, b in zip(row, got)) == 0 for row in rows)
-            j = next(k for k, e in enumerate(ref) if e)
-            scale = Fraction(got[j]) / ref[j]
-            assert scale > 0
-            assert [Fraction(e) for e in got] == [scale * e for e in ref]
+            _check_against_reference(*_wide_matrix(rng))
+
+    def test_up_to_sixty_rows(self):
+        rng = SplitMix64(4048)
+        for _ in range(16):
+            _check_against_reference(*_wide_matrix(rng, max_rows=60))
+
+    @pytest.mark.parametrize("order", [16, 32, 64])
+    def test_largest_determinants(self, order):
+        # determinants 2^17, 2^49 and 2^129 at 15, 31 and 63 rows: the
+        # packed fields must hold minors this large
+        rows = [row + [1] for row in _sylvester_core(order)]
+        _check_against_reference(rows, order)
 
     def test_pivots_beyond_unit_determinants(self):
-        # pivots 1, 1, 2, -3: exact divisions by 2, and the sign of the
-        # last pivot folded into the vector
+        # pivots 1, 1, 2, -3: exact divisions by 2, and a negative last
+        # pivot
         rows = [
             [1, 1, 0, 1, 0],
             [0, 1, 1, 1, 0],
             [1, 0, 1, 1, 0],
             [1, 1, 1, 0, 1],
         ]
-        assert _null_vector(rows, 5) == [-1, -1, -1, 2, 3]
+        assert _both_routes(rows, 5) == ([-1, -1, -1, 2, 3],) * 2
         assert null_vector_reference(rows, 5) == [Fraction(k, 3) for k in (-1, -1, -1, 2, 3)]
 
     def test_zero_entry_rows_rescaled_by_a_fraction(self):
@@ -81,12 +119,14 @@ class TestNullVector:
             [0, 0, 1, 0, 1, 1],
             [0, 0, 0, 0, 1, 0],
         ]
-        assert _null_vector(rows, 6) == [-1, 1, -1, 1, 0, 1]
+        assert _both_routes(rows, 6) == ([-1, 1, -1, 1, 0, 1],) * 2
         assert null_vector_reference(rows, 6) == [-1, 1, -1, 1, 0, 1]
 
     def test_square_rejected(self):
         with pytest.raises(AssertionError):
-            _null_vector([[1, 0], [0, 1]], 2)
+            _null_vector(_masks([[1, 0], [0, 1]]), 2)
+        with pytest.raises(AssertionError):
+            _null_vector_lists([[1, 0], [0, 1]], 2)
 
 
 def _large_degree4(n: int, rng: SplitMix64) -> SetSystem:
@@ -120,6 +160,23 @@ def test_colorings_and_rounds_frozen():
         signs = "".join("+" if v == 1 else "-" for v in chi.values)
         h.update(f"{label}|{signs}|{rounds}\n".encode())
     assert h.hexdigest() == FROZEN_DIGEST
+
+
+# sha256 of the (coloring, rounds) of one size-20 degree-4 system with
+# n = 300: 236 rounds with up to 60 active rows, far more than the corpus
+# above reaches; scripts/solver_scaling.py --sizes 300 prints its first 12
+# digits
+FROZEN_DIGEST_N300 = "3454bcc96b4fc28c8bdcd920cc33a78a6b1631584d96596b759f090105a064c7"
+
+
+@pytest.mark.parametrize("route", ["packed", "lists"])
+def test_wide_rounds_frozen(route, monkeypatch):
+    if route == "lists":
+        monkeypatch.setattr(discrepancy, "PACKED_MAX_ROWS", -1)
+    chi, rounds = beck_fiala_with_stats(_large_degree4(300, SplitMix64(1)))
+    signs = "".join("+" if v == 1 else "-" for v in chi.values)
+    assert rounds == 236
+    assert hashlib.sha256(f"{signs}|{rounds}".encode()).hexdigest() == FROZEN_DIGEST_N300
 
 
 class TestMatchesReference:
