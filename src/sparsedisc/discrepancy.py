@@ -13,10 +13,9 @@ strictness of that argument.  A round pays only for what changed: each
 element keeps the number of active sets through it, so an element becomes
 a stray (in no active set) when a set through it deactivates, and the
 constraint rows are built column by column from the membership lists, as
-bitmasks.  Up to PACKED_MAX_ROWS rows the elimination keeps each row as
-one integer, in fields of a width proven by Hadamard's bound, so a row
-update is a few whole-integer operations; above that cut, where the
-proven width outgrows the real entries, each row is a list of ints.
+bitmasks.  The elimination keeps each row as one integer, in fields of a
+width proven by Hadamard's bound, so a row update is a few whole-integer
+operations.
 """
 from __future__ import annotations
 
@@ -34,10 +33,6 @@ from .setsystems import SetSystem, degree, trace
 EXACT_MAX_GROUND = 24
 SPECTRAL_MAX_GROUND = 128  # the exact PSD check is O(n^3) on big integers
 SPECTRAL_GRANULARITY = 10**6  # results floored to 1e-6 so the bound stays sound
-# on the matrices of scripts/solver_scaling.py, packed rows ran 2x faster
-# than lists at 50-130 rows and 1.2x at 150-169, even at 170-179, and
-# lost from 180 on, where the proven field width is over 700 bits
-PACKED_MAX_ROWS = 160
 
 
 @dataclass(frozen=True)
@@ -76,9 +71,9 @@ def _null_vector(rows: list[int], ncols: int) -> list[int]:
     keeps that invariant with D > 0 (D = 1 before the first step).  The
     vector is D at j and -work[i][j] at each pivot (i, pc).
 
-    With k <= PACKED_MAX_ROWS rows, each work row is one integer: entry c
-    sits in a w-bit field starting at bit w*(ncols-1-c) + 1, column 0 in
-    the top field, and a row update is a few whole-integer operations.
+    Each work row is one integer: entry c of a matrix with k rows sits in
+    a w-bit field starting at bit w*(ncols-1-c) + 1, column 0 in the top
+    field, and a row update is a few whole-integer operations.
     Every entry is a minor of a 0/1 matrix of at most k rows, so by
     Hadamard's bound |entry| <= k^(k/2) < 2^(k*k.bit_length()/2) <=
     2^(w-3/2) with w = k*k.bit_length()//2 + 2.  Fields before a division
@@ -89,13 +84,9 @@ def _null_vector(rows: list[int], ncols: int) -> list[int]:
     left of the current column j are 0; the fields right of it add up to
     less than half the unit of j's field in magnitude (the spare low bit
     makes room), so j's entry is the top of the row rounded to the nearest
-    integer: two shifts and an add, whatever the row's length.  The proven
-    width grows as k log k while real entries stay small, so above the cut
-    the rows are unpacked into lists of ints instead.
+    integer: two shifts and an add, whatever the row's length.
     """
     k = len(rows)
-    if k > PACKED_MAX_ROWS:
-        return _null_vector_lists([[m >> c & 1 for c in range(ncols)] for m in rows], ncols)
     w = k * k.bit_length() // 2 + 2
     top = w * (ncols - 1) + 1  # the lowest bit of column 0's field
     work = []
@@ -128,6 +119,7 @@ def _null_vector(rows: list[int], ncols: int) -> list[int]:
         srow, piv = work[sel], heads[sel]
         if piv < 0:
             srow, piv = -srow, -piv
+        work[sel] = heads[sel] = 0  # the pivot row is rewritten below
         for i, row in enumerate(work):
             f = heads[i]
             if f:
@@ -143,47 +135,6 @@ def _null_vector(rows: list[int], ncols: int) -> list[int]:
         work[sel] = row
         heads[sel] = (row >> nxt) + 1 >> 1
         prev = piv
-        pivots.append((sel, j))
-    raise AssertionError("wide matrix must have a free column")
-
-
-def _null_vector_lists(work: list[list[int]], ncols: int) -> list[int]:
-    """_null_vector on rows given as lists of ints, which it replaces.
-    Each row keeps only the columns from the current one on: every column
-    left of the first free one is a pivot column, whose entries the vector
-    never reads.  Pivots keep their sign, so the vector is |D| at j and
-    -sign(D) * work[i][j] at each pivot (i, pc)."""
-    used = [False] * len(work)
-    pivots: list[tuple[int, int]] = []
-    prev = 1
-    for j in range(ncols):
-        sel = None
-        for i, row in enumerate(work):
-            if not used[i] and row[0]:
-                sel = i
-                break
-        if sel is None:
-            sign = 1 if prev > 0 else -1
-            nu = [0] * ncols
-            nu[j] = abs(prev)
-            for i, pc in pivots:
-                nu[pc] = -sign * work[i][0]
-            return nu
-        srow = work[sel]
-        piv = srow[0]
-        stail = srow[1:]
-        for i, row in enumerate(work):
-            f = row[0]
-            if i == sel:
-                work[i] = stail
-            elif f:
-                work[i] = [(piv * a - f * b) // prev for a, b in zip(row[1:], stail)]
-            elif piv == prev:
-                work[i] = row[1:]
-            else:
-                work[i] = [piv * a // prev for a in row[1:]]
-        prev = piv
-        used[sel] = True
         pivots.append((sel, j))
     raise AssertionError("wide matrix must have a free column")
 

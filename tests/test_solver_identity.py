@@ -4,8 +4,7 @@ The null vector must be a positive multiple of the canonical rational one
 (the oracle), so every step length and every iterate of the rounding is
 the same rational as with plain Gauss-Jordan elimination; the frozen
 digest pins the colorings and round counts themselves, and the rational
-reference loop checks them on seeded systems and edge cases.  Every null
-vector test runs both routes of the elimination, packed rows and lists.
+reference loop checks them on seeded systems and edge cases.
 """
 import hashlib
 from fractions import Fraction
@@ -13,8 +12,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import beck_fiala_reference, null_vector_reference
-from sparsedisc import discrepancy
-from sparsedisc.discrepancy import _null_vector, _null_vector_lists, beck_fiala_with_stats
+from sparsedisc.discrepancy import _null_vector, beck_fiala_with_stats
 from sparsedisc.graphs import random_degenerate_graph
 from sparsedisc.orderings import degeneracy_order
 from sparsedisc.power_coloring import wreach_star_system
@@ -25,12 +23,6 @@ from sparsedisc.setsystems import SetSystem, random_system
 def _masks(rows: list[list[int]]) -> list[int]:
     """Rows as the bitmasks _null_vector takes: bit j set when entry j is 1."""
     return [sum(1 << j for j, e in enumerate(row) if e) for row in rows]
-
-
-def _both_routes(rows: list[list[int]], ncols: int) -> tuple[list[int], list[int]]:
-    """The null vector by packed rows (every matrix here is under the row
-    cut) and by lists."""
-    return _null_vector(_masks(rows), ncols), _null_vector_lists([list(r) for r in rows], ncols)
 
 
 def _wide_matrix(rng: SplitMix64, max_rows: int = 12) -> tuple[list[list[int]], int]:
@@ -60,13 +52,13 @@ def _wide_matrix(rng: SplitMix64, max_rows: int = 12) -> tuple[list[list[int]], 
 def _check_against_reference(rows: list[list[int]], ncols: int) -> None:
     ref = null_vector_reference(rows, ncols)
     j = next(k for k, e in enumerate(ref) if e)
-    for got in _both_routes(rows, ncols):
-        assert all(type(e) is int for e in got)
-        assert len(got) == ncols
-        assert all(sum(a * b for a, b in zip(row, got)) == 0 for row in rows)
-        scale = Fraction(got[j]) / ref[j]
-        assert scale > 0
-        assert [Fraction(e) for e in got] == [scale * e for e in ref]
+    got = _null_vector(_masks(rows), ncols)
+    assert all(type(e) is int for e in got)
+    assert len(got) == ncols
+    assert all(sum(a * b for a, b in zip(row, got)) == 0 for row in rows)
+    scale = Fraction(got[j]) / ref[j]
+    assert scale > 0
+    assert [Fraction(e) for e in got] == [scale * e for e in ref]
 
 
 def _sylvester_core(order: int) -> list[list[int]]:
@@ -106,7 +98,7 @@ class TestNullVector:
             [1, 0, 1, 1, 0],
             [1, 1, 1, 0, 1],
         ]
-        assert _both_routes(rows, 5) == ([-1, -1, -1, 2, 3],) * 2
+        assert _null_vector(_masks(rows), 5) == [-1, -1, -1, 2, 3]
         assert null_vector_reference(rows, 5) == [Fraction(k, 3) for k in (-1, -1, -1, 2, 3)]
 
     def test_zero_entry_rows_rescaled_by_a_fraction(self):
@@ -119,14 +111,12 @@ class TestNullVector:
             [0, 0, 1, 0, 1, 1],
             [0, 0, 0, 0, 1, 0],
         ]
-        assert _both_routes(rows, 6) == ([-1, 1, -1, 1, 0, 1],) * 2
+        assert _null_vector(_masks(rows), 6) == [-1, 1, -1, 1, 0, 1]
         assert null_vector_reference(rows, 6) == [-1, 1, -1, 1, 0, 1]
 
     def test_square_rejected(self):
         with pytest.raises(AssertionError):
             _null_vector(_masks([[1, 0], [0, 1]]), 2)
-        with pytest.raises(AssertionError):
-            _null_vector_lists([[1, 0], [0, 1]], 2)
 
 
 def _large_degree4(n: int, rng: SplitMix64) -> SetSystem:
@@ -169,10 +159,7 @@ def test_colorings_and_rounds_frozen():
 FROZEN_DIGEST_N300 = "3454bcc96b4fc28c8bdcd920cc33a78a6b1631584d96596b759f090105a064c7"
 
 
-@pytest.mark.parametrize("route", ["packed", "lists"])
-def test_wide_rounds_frozen(route, monkeypatch):
-    if route == "lists":
-        monkeypatch.setattr(discrepancy, "PACKED_MAX_ROWS", -1)
+def test_wide_rounds_frozen():
     chi, rounds = beck_fiala_with_stats(_large_degree4(300, SplitMix64(1)))
     signs = "".join("+" if v == 1 else "-" for v in chi.values)
     assert rounds == 236
