@@ -14,8 +14,8 @@ element keeps the number of active sets through it, so an element becomes
 a stray (in no active set) when a set through it deactivates, and the
 constraint rows are built column by column from the membership lists, as
 bitmasks.  The elimination keeps each row as one integer, in fields of a
-width proven by Hadamard's bound, so a row update is a few whole-integer
-operations.
+width proven by Hadamard's bound over the columns (each has at most t
+ones), so a row update is a few whole-integer operations.
 """
 from __future__ import annotations
 
@@ -57,7 +57,7 @@ def eval_discrepancy(s: SetSystem, chi: Coloring) -> tuple[int, Optional[int]]:
     return best, witness
 
 
-def _null_vector(rows: list[int], ncols: int) -> list[int]:
+def _null_vector(rows: list[int], ncols: int, t: int) -> list[int]:
     """Integer null vector of a wide 0/1 matrix whose row i has bit c set
     when entry (i, c) is 1: a positive multiple of the canonical one
     (Gauss-Jordan, columns left to right, the first unused row with a
@@ -74,9 +74,12 @@ def _null_vector(rows: list[int], ncols: int) -> list[int]:
     Each work row is one integer: entry c of a matrix with k rows sits in
     a w-bit field starting at bit w*(ncols-1-c) + 1, column 0 in the top
     field, and a row update is a few whole-integer operations.
-    Every entry is a minor of a 0/1 matrix of at most k rows, so by
-    Hadamard's bound |entry| <= k^(k/2) < 2^(k*k.bit_length()/2) <=
-    2^(w-3/2) with w = k*k.bit_length()//2 + 2.  Fields before a division
+    Every entry is a minor of order i <= k of the 0/1 input, whose columns
+    have at most t ones each (a column is one element, and its ones are
+    the active sets through it).  By Hadamard's bound taken over columns,
+    each column of a minor has Euclidean norm at most sqrt(min(i, t)), so
+    |entry| <= min(k, t)^(k/2) < 2^(k*b/2) <= 2^(w-3/2) with
+    b = min(k, t).bit_length() and w = k*b//2 + 2.  Fields before a division
     may overflow into their neighbours, but the packed integer is exact,
     and each field is a multiple of the last pivot, so dividing the whole
     row by it is exact.  Gauss-Jordan clears the pivot columns of the other
@@ -87,7 +90,7 @@ def _null_vector(rows: list[int], ncols: int) -> list[int]:
     integer: two shifts and an add, whatever the row's length.
     """
     k = len(rows)
-    w = k * k.bit_length() // 2 + 2
+    w = k * min(k, t).bit_length() // 2 + 2
     top = w * (ncols - 1) + 1  # the lowest bit of column 0's field
     work = []
     for m in rows:
@@ -203,7 +206,7 @@ def beck_fiala_with_stats(
                 k = row_of.get(i)
                 if k is not None:
                     rows[k] |= bit
-        nu = _null_vector(rows, len(cols))
+        nu = _null_vector(rows, len(cols), t)
         # the step lam_p / lam_q (lam_q > 0): the largest that keeps every
         # coordinate in [-1, 1], compared by cross-multiplying
         lam_p, lam_q = 0, 0

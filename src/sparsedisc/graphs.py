@@ -1,13 +1,14 @@
-"""Simple undirected graphs: representation, I/O, powers, subdivisions,
-and the generator families used as fixtures (including the Sylvester
-bipartite graphs that exhibit sqrt(n) neighborhood discrepancy).
+"""Simple undirected graphs: representation, I/O, d-balls (one BFS per
+vertex, serving both graph powers and the power certificate), powers,
+subdivisions, and the generator families used as fixtures (including the
+Sylvester bipartite graphs that exhibit sqrt(n) neighborhood discrepancy).
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
-from typing import IO, Iterable, Optional
+from typing import IO, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -118,23 +119,31 @@ def write_edge_list(g: Graph, stream: IO[str]) -> None:
         stream.write(f"{u} {v}\n")
 
 
-def _bfs_within(g: Graph, source: int, depth: int) -> list[int]:
-    """Vertices at distance 1..depth from source."""
-    dist = {source: 0}
-    frontier = [source]
-    out = []
-    for d in range(1, depth + 1):
-        nxt = []
-        for u in frontier:
-            for w in g.adjacency[u]:
-                if w not in dist:
-                    dist[w] = d
-                    nxt.append(w)
-                    out.append(w)
-        frontier = nxt
-        if not frontier:
-            break
-    return out
+def balls(g: Graph, d: int) -> Iterator[list[int]]:
+    """For each vertex v in turn, the vertices at distance 1..d from v.
+
+    One BFS per vertex, all sharing one stamp list (seen[w] == v once v's
+    BFS has reached w); a BFS stops as soon as its frontier is empty, so
+    the cost does not grow with d past the eccentricity.
+    """
+    adj = g.adjacency
+    seen = [-1] * g.n
+    for v in range(g.n):
+        seen[v] = v
+        frontier = [v]
+        ball: list[int] = []
+        for _ in range(d):
+            nxt = []
+            for u in frontier:
+                for w in adj[u]:
+                    if seen[w] != v:
+                        seen[w] = v
+                        nxt.append(w)
+            if not nxt:
+                break
+            ball += nxt
+            frontier = nxt
+        yield ball
 
 
 def graph_power(g: Graph, d: int) -> Graph:
@@ -143,8 +152,7 @@ def graph_power(g: Graph, d: int) -> Graph:
         raise ValueError("graph power needs d >= 1")
     if d == 1:
         return g
-    nbrs = [tuple(sorted(_bfs_within(g, v, d))) for v in range(g.n)]
-    return Graph(g.n, tuple(nbrs))
+    return Graph(g.n, tuple(tuple(sorted(b)) for b in balls(g, d)))
 
 
 def subdivide(g: Graph, r: int) -> Graph:

@@ -118,7 +118,7 @@ def weak_reach(g: Graph, order: LinearOrder, d: int) -> list[dict[int, int]]:
     (rows[v][v] == 0).  Equivalently v is within i steps of z in the
     subgraph induced by z and the vertices ranked after z, so one BFS of
     depth <= d per root z serves every v, at O(sum_v |WReach_d[v]| * deg)
-    total cost.
+    total cost; a BFS ends once its frontier is empty, whatever d is.
     """
     if d < 0:
         raise ValueError("radius must be non-negative")
@@ -140,6 +140,8 @@ def weak_reach(g: Graph, order: LinearOrder, d: int) -> list[dict[int, int]]:
                         if z not in row:
                             row[z] = i
                             nxt.append(w)
+            if not nxt:
+                break
             frontier = nxt
     return rows
 

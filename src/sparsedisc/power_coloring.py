@@ -6,6 +6,10 @@ order L, color it with the constructive solver, and certify the bound
 (2d*M_{d-1} + 1)*M_d where M_i is the maximum weak-i-reach size under L.
 Every neighborhood of G^d decomposes into at most M_{d-1} star sets plus
 a remainder inside one weak-reach set, which is where the bound comes from.
+The achieved discrepancy is summed straight from the BFS balls of
+`graphs.balls`, without building G^d.  POWER_STAR_CAP bounds n*d before
+any pass (the reach profile has d + 1 entries, counted per vertex) and the
+star system's incidences before it is built.
 
 For d = 1 there is a leaner pipeline: color the in-neighborhood system of
 a bounded out-degree orientation; out-neighborhoods add at most deg(G)
@@ -17,15 +21,23 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .discrepancy import Coloring, beck_fiala, eval_discrepancy
-from .graphs import Graph, graph_power
+from .discrepancy import Coloring, beck_fiala
+from .errors import ResourceLimitError
+from .graphs import Graph, balls
 from .orderings import (
     LinearOrder,
     degeneracy_order,
     orient_along,
     weak_reach,
 )
-from .setsystems import SetSystem, degree, neighborhood_system
+from .setsystems import SetSystem
+
+# unused here; perfbench/tracing.py wraps them by attribute name
+from .discrepancy import eval_discrepancy  # noqa: F401
+from .graphs import graph_power  # noqa: F401
+from .setsystems import neighborhood_system  # noqa: F401
+
+POWER_STAR_CAP = 10_000_000  # caps n*d and the star system's incidences
 
 
 @dataclass(frozen=True)
@@ -60,10 +72,22 @@ def wreach_star_system(g: Graph, order: LinearOrder, d: int) -> SetSystem:
     because u is only in the (z, i) star when z is in u's weak i-reach."""
     if d < 1:
         raise ValueError("radius must be at least 1")
-    stars: list[set[int]] = [set() for _ in range(g.n * d)]
-    for u, row in enumerate(weak_reach(g, order, d)):
+    rows = weak_reach(g, order, d)
+    radii = [row.values() for row in rows]
+    # the (z, i) stars with i past the largest radius found repeat the
+    # (z, top) star, so only radii up to top are built
+    top = max(1, max(map(max, radii), default=0))
+    # the pair (u, z) at radius r lies in the stars of radii max(r, 1)..top,
+    # and each row holds one pair at radius 0 (u itself)
+    size = (top + 1) * sum(map(len, radii)) - sum(map(sum, radii)) - g.n
+    if size > POWER_STAR_CAP:
+        raise ResourceLimitError(
+            f"star system capped at {POWER_STAR_CAP} incidences, needs {size}"
+        )
+    stars: list[set[int]] = [set() for _ in range(g.n * top)]
+    for u, row in enumerate(rows):
         for z, r in row.items():
-            for i in range(max(r, 1), d + 1):
+            for i in range(max(r, 1), top + 1):
                 stars[(i - 1) * g.n + z].add(u)
     return SetSystem.from_sets(g.n, stars)
 
@@ -90,12 +114,17 @@ def power_coloring(
     strictly below the ordering-relative bound (2d*M_{d-1} + 1)*M_d."""
     if d < 1:
         raise ValueError("power radius must be at least 1")
+    if g.n * d > POWER_STAR_CAP:
+        raise ResourceLimitError(
+            f"power coloring capped at n*d <= {POWER_STAR_CAP}, got {g.n}*{d}"
+        )
     if order is None:
         order, _ = degeneracy_order(g)
     profile = reach_profile(g, order, d)
     chi = beck_fiala(wreach_star_system(g, order, d))
     bound = (2 * d * profile[d - 1] + 1) * profile[d]
-    achieved, _ = eval_discrepancy(neighborhood_system(graph_power(g, d)), chi)
+    values = chi.values
+    achieved = max((abs(sum([values[w] for w in b])) for b in balls(g, d)), default=0)
     cert = PowerColoringCertificate(d, order, profile, bound, achieved)
     return chi, cert
 

@@ -384,3 +384,23 @@ class TestMalformedInputExit2:
         code, out, err = run(capsys, *(a.format(c5=c5) for a in argv))
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and words in err
+
+    @pytest.fixture()
+    def p20(self, tmp_path, capsys):
+        path = tmp_path / "p20.edges"
+        run(capsys, "gen", "path", "20", "-o", str(path))
+        return path
+
+    def test_power_radius_cap_exit_3(self, p20, capsys):
+        # n*d = 2*10^7: refused before any pass, not a MemoryError
+        code, out, err = run(capsys, "color", "power", "-i", str(p20), "--d", "1000000")
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and err.startswith("resource limit: ")
+
+    def test_order_radius_past_the_diameter(self, p20, capsys):
+        # one weak-reach pass per radius; each root's BFS ends when its
+        # frontier empties, so the radius past 19 costs little
+        code, out, err = run(capsys, "order", "-i", str(p20), "--d", "1000")
+        assert code == 0 and err == "" and out.count("\n") == 1
+        wcol = json.loads(out)["wcol_from_order"]
+        assert len(wcol) == 1000 and len(set(list(wcol.values())[18:])) == 1

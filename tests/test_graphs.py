@@ -88,15 +88,25 @@ class TestGraphPower:
         assert all(v in cube.adjacency[u] for u in range(6) for v in range(6) if u != v)
 
     def test_power_matches_bfs_oracle(self):
-        g = generate_family("gnp", [15, 1, 4], seed=7)
-        dists = [bfs_distances(g, v) for v in range(g.n)]
-        for d in (2, 3):
-            p = graph_power(g, d)
-            for u in range(g.n):
-                for v in range(g.n):
-                    if u != v:
-                        expect = v in dists[u] and dists[u][v] <= d
-                        assert (v in p.adjacency[u]) == expect
+        cases = [
+            (generate_family("gnp", [15, 1, 4], seed=7), (2, 3)),
+            # disconnected: a 5-cycle, a path of 4 and two isolated vertices
+            (
+                Graph.from_edges(11, [(i, (i + 1) % 5) for i in range(5)] + [(5, 6), (6, 7), (7, 8)]),
+                (2, 3),
+            ),
+            # past the diameter: a path of 6 has diameter 5
+            (generate_family("path", [6]), (5, 9, 10**9)),
+        ]
+        for g, depths in cases:
+            dists = [bfs_distances(g, v) for v in range(g.n)]
+            for d in depths:
+                p = graph_power(g, d)
+                for u in range(g.n):
+                    for v in range(g.n):
+                        if u != v:
+                            expect = v in dists[u] and dists[u][v] <= d
+                            assert (v in p.adjacency[u]) == expect
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):

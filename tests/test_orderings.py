@@ -147,6 +147,13 @@ class TestWeakReach:
             for z, r in rows[v].items():
                 assert r == min(i for i in range(5) if z in brute[i])
 
+    def test_radius_far_past_the_diameter(self):
+        # each root's BFS ends once its frontier is empty, so the radius
+        # costs nothing past the longest path out of the root
+        g = generate_family("path", [20])
+        order = shuffled_order(20, 3)
+        assert weak_reach(g, order, 10**9) == weak_reach(g, order, 19)
+
     def test_rejects_bad_arguments(self):
         g = generate_family("path", [3])
         with pytest.raises(ValueError):

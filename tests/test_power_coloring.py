@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import wreach_brute
+from oracles import bfs_distances, wreach_brute
+from sparsedisc import power_coloring as power_module
 from sparsedisc.discrepancy import beck_fiala, eval_discrepancy
+from sparsedisc.errors import ResourceLimitError
 from sparsedisc.graphs import Graph, generate_family, graph_power, random_degenerate_graph
 from sparsedisc.orderings import (
     LinearOrder,
@@ -51,6 +53,19 @@ class TestViewsMatchOracle:
         ]
         assert wreach_star_system(g, order, d) == SetSystem.from_sets(g.n, stars)
 
+    @pytest.mark.parametrize("d", [6, 9, 40])
+    def test_star_system_past_the_diameter(self, d):
+        # a path of 7 (diameter 6) and a triangle: no weak-reach radius
+        # exceeds 6, so the stars of radii 7..d repeat and are not built
+        g = Graph.from_edges(10, [(i, i + 1) for i in range(6)] + [(7, 8), (8, 9), (7, 9)])
+        order = shuffled_order(g.n, d)
+        stars = [
+            {u for u in range(g.n) if z in wreach_brute(g, order.position, i, u)}
+            for i in range(1, d + 1)
+            for z in range(g.n)
+        ]
+        assert wreach_star_system(g, order, d) == SetSystem.from_sets(g.n, stars)
+
 
 class TestWreachStarSystem:
     def test_single_edge(self):
@@ -75,6 +90,18 @@ class TestWreachStarSystem:
     def test_rejects_zero_radius(self):
         with pytest.raises(ValueError):
             wreach_star_system(generate_family("path", [3]), natural(3), 0)
+
+    def test_incidence_cap(self, monkeypatch):
+        # the path of 4 in its natural order: vertex u weakly reaches every
+        # z <= u at radius u - z, and sum over those pairs of
+        # 3 + 1 - max(u - z, 1) is 26 star incidences at d = 3
+        g = generate_family("path", [4])
+        full = wreach_star_system(g, natural(4), 3)
+        monkeypatch.setattr(power_module, "POWER_STAR_CAP", 26)
+        assert wreach_star_system(g, natural(4), 3) == full
+        monkeypatch.setattr(power_module, "POWER_STAR_CAP", 25)
+        with pytest.raises(ResourceLimitError, match="needs 26"):
+            wreach_star_system(g, natural(4), 3)
 
 
 class TestPowerColoring:
@@ -149,6 +176,54 @@ class TestPowerColoring:
     def test_rejects_zero_depth(self):
         with pytest.raises(ValueError):
             power_coloring(generate_family("path", [3]), 0)
+
+    def test_radius_cap_before_any_pass(self):
+        # n*d = 2*10^13: the cap fires before the reach profile allocates
+        # d + 1 counters
+        g = generate_family("path", [20])
+        with pytest.raises(ResourceLimitError, match="n\\*d"):
+            power_coloring(g, 10**12)
+
+    def test_radius_far_past_the_diameter(self):
+        g = generate_family("path", [20])
+        _, far = power_coloring(g, 200_000)
+        _, near = power_coloring(g, 19)
+        assert far.achieved == near.achieved
+        assert far.reach_profile[:20] == near.reach_profile
+        assert set(far.reach_profile[20:]) == {near.reach_profile[-1]}
+
+
+def _ball_sums_max(g: Graph, d: int, values: tuple[int, ...]) -> int:
+    """max over v of |sum of chi over the vertices at distance 1..d|."""
+    best = 0
+    for v in range(g.n):
+        ball = [w for w, r in bfs_distances(g, v).items() if 1 <= r <= d]
+        best = max(best, abs(sum(values[w] for w in ball)))
+    return best
+
+
+def _certificate_corpus() -> list[Graph]:
+    rng = SplitMix64(1212)
+    out = [generate_family("grid", [3, 4]), generate_family("grid", [5, 5])]
+    out += [generate_family("gnp", [20, 1, 5], seed=rng.randrange(2**32)) for _ in range(3)]
+    out += [random_degenerate_graph(24, 3, rng.randrange(2**32)) for _ in range(3)]
+    # an isolated vertex beside a triangle
+    out.append(Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)]))
+    # disconnected: a 5-cycle, a path of 4 and two isolated vertices
+    out.append(Graph.from_edges(11, [(i, (i + 1) % 5) for i in range(5)] + [(5, 6), (6, 7), (7, 8)]))
+    # diameter 2, so d = 3 and 4 reach past it
+    out.append(generate_family("complete_bipartite", [3, 4]))
+    return out
+
+
+class TestCertificateOracle:
+    """cert.achieved against ball sums from an independent BFS."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_achieved_matches_ball_sums(self, d):
+        for g in _certificate_corpus():
+            chi, cert = power_coloring(g, d)
+            assert cert.achieved == _ball_sums_max(g, d, chi.values)
 
 
 class TestOrientationColoring:

@@ -25,6 +25,12 @@ def _masks(rows: list[list[int]]) -> list[int]:
     return [sum(1 << j for j, e in enumerate(row) if e) for row in rows]
 
 
+def _col_weight(rows: list[list[int]]) -> int:
+    """The largest number of ones in a column: the system degree t that
+    the solver passes to _null_vector."""
+    return max((sum(col) for col in zip(*rows)), default=0)
+
+
 def _wide_matrix(rng: SplitMix64, max_rows: int = 12) -> tuple[list[list[int]], int]:
     """A random 0/1 matrix with more columns than rows, salted with
     duplicate rows, sums of disjoint rows, zero rows and zero columns."""
@@ -52,7 +58,7 @@ def _wide_matrix(rng: SplitMix64, max_rows: int = 12) -> tuple[list[list[int]], 
 def _check_against_reference(rows: list[list[int]], ncols: int) -> None:
     ref = null_vector_reference(rows, ncols)
     j = next(k for k, e in enumerate(ref) if e)
-    got = _null_vector(_masks(rows), ncols)
+    got = _null_vector(_masks(rows), ncols, _col_weight(rows))
     assert all(type(e) is int for e in got)
     assert len(got) == ncols
     assert all(sum(a * b for a, b in zip(row, got)) == 0 for row in rows)
@@ -89,6 +95,22 @@ class TestNullVector:
         rows = [row + [1] for row in _sylvester_core(order)]
         _check_against_reference(rows, order)
 
+    @pytest.mark.parametrize("blocks", [4, 8])
+    def test_column_weight_below_row_count(self, blocks):
+        # block-diagonal cores of order 8 (column weight 4, determinant 32
+        # each) and one extra column through four blocks: t = 4 < k, so
+        # the fields are sized by t, and the minors reach 32^blocks
+        core = _sylvester_core(8)
+        k = 7 * blocks
+        rows = [[0] * (k + 1) for _ in range(k)]
+        for b in range(blocks):
+            for i, row in enumerate(core):
+                rows[7 * b + i][7 * b:7 * b + 7] = row
+        for b in range(0, blocks, blocks // 4):
+            rows[7 * b + 3][k] = 1
+        assert _col_weight(rows) == 4
+        _check_against_reference(rows, k + 1)
+
     def test_pivots_beyond_unit_determinants(self):
         # pivots 1, 1, 2, -3: exact divisions by 2, and a negative last
         # pivot
@@ -98,7 +120,7 @@ class TestNullVector:
             [1, 0, 1, 1, 0],
             [1, 1, 1, 0, 1],
         ]
-        assert _null_vector(_masks(rows), 5) == [-1, -1, -1, 2, 3]
+        assert _null_vector(_masks(rows), 5, _col_weight(rows)) == [-1, -1, -1, 2, 3]
         assert null_vector_reference(rows, 5) == [Fraction(k, 3) for k in (-1, -1, -1, 2, 3)]
 
     def test_zero_entry_rows_rescaled_by_a_fraction(self):
@@ -111,12 +133,12 @@ class TestNullVector:
             [0, 0, 1, 0, 1, 1],
             [0, 0, 0, 0, 1, 0],
         ]
-        assert _null_vector(_masks(rows), 6) == [-1, 1, -1, 1, 0, 1]
+        assert _null_vector(_masks(rows), 6, _col_weight(rows)) == [-1, 1, -1, 1, 0, 1]
         assert null_vector_reference(rows, 6) == [-1, 1, -1, 1, 0, 1]
 
     def test_square_rejected(self):
         with pytest.raises(AssertionError):
-            _null_vector(_masks([[1, 0], [0, 1]]), 2)
+            _null_vector(_masks([[1, 0], [0, 1]]), 2, 1)
 
 
 def _large_degree4(n: int, rng: SplitMix64) -> SetSystem:
