@@ -138,13 +138,15 @@ def cmd_order(args: argparse.Namespace) -> int:
         raise ParseError(f"--d must be non-negative, got {args.d}")
     g = _read_graph(args.input)
     order, dgn = orderings.degeneracy_order(g)
+    # every radius from one pass; an empty graph has no weak-reach sets,
+    # so its wcol is 0 where the profile's M_i is 1
+    profile = power_coloring.reach_profile(orderings.weak_reach(g, order, args.d), args.d)
     report = {
         "n": g.n,
         "degeneracy": dgn,
         "order": order.sequence(),
         "wcol_from_order": {
-            str(d): orderings.wcol_from_order(g, order, d)
-            for d in range(1, args.d + 1)
+            str(d): profile[d] if g.n else 0 for d in range(1, args.d + 1)
         },
     }
     if args.exact_d is not None:

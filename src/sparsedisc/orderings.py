@@ -6,13 +6,19 @@ bounded BFS from each root z through the vertices ranked after z finds
 every v that weakly reaches z, with the least radius (the standard
 polynomial method; Nadara, Pilipczuk, Rabinovich, Reidl and Siebertz,
 *Empirical evaluation of approaches for computing weak coloring
-numbers*).  Weak coloring numbers are read from that pass, per order or
-exactly by exhaustion over orderings.
+numbers*).  The pass is root-major: levels[z][i] lists the vertices at
+BFS depth i from z, so every consumer (the reach profile, the weak-reach
+stars, wcol) reads it without a transpose.  The per-root BFS is the only
+weak-reach kernel: the exact weak coloring number runs it too, in a
+branch and bound over order prefixes, because a root's BFS depends only
+on which vertices are placed before it.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain
+from typing import Sequence
 
 from .errors import ResourceLimitError
 from .graphs import Graph
@@ -110,15 +116,43 @@ def orient_along(g: Graph, order: LinearOrder) -> Orientation:
     return Orientation(outs, max((len(o) for o in outs), default=0))
 
 
-def weak_reach(g: Graph, order: LinearOrder, d: int) -> list[dict[int, int]]:
+def _root_levels(
+    adj: tuple[tuple[int, ...], ...], pos: Sequence[int], z: int, d: int, seen: list[int]
+) -> list[list[int]]:
+    """BFS levels 0..<=d of root z in the subgraph induced by z and the
+    vertices ranked after z (pos[w] > pos[z]); level 0 is [z].
+
+    seen[w] == z marks w as reached, so roots share one stamp list.  The
+    BFS ends once its frontier is empty, whatever d is.
+    """
+    rank = pos[z]
+    frontier = [z]
+    levels = [frontier]
+    for _ in range(d):
+        nxt = []
+        for x in frontier:
+            for w in adj[x]:
+                if pos[w] > rank and seen[w] != z:
+                    seen[w] = z
+                    nxt.append(w)
+        if not nxt:
+            break
+        levels.append(nxt)
+        frontier = nxt
+    return levels
+
+
+def weak_reach(g: Graph, order: LinearOrder, d: int) -> list[list[list[int]]]:
     """Weak reachability of every vertex at every radius up to d, in one pass.
 
-    rows[v][z] is the least i <= d with z in WReach_i[v]: z is reachable
-    from v by a path of length <= i on which z is the order-minimum vertex
-    (rows[v][v] == 0).  Equivalently v is within i steps of z in the
-    subgraph induced by z and the vertices ranked after z, so one BFS of
-    depth <= d per root z serves every v, at O(sum_v |WReach_d[v]| * deg)
-    total cost; a BFS ends once its frontier is empty, whatever d is.
+    Root-major levels: levels[z][i] lists the vertices v whose least radius
+    to z is i, i.e. z is in WReach_i[v] but not in WReach_{i-1}[v]: z is
+    reachable from v by a path of length <= i on which z is the
+    order-minimum vertex (levels[z][0] == [z]).  Equivalently v is within
+    i steps of z in the subgraph induced by z and the vertices ranked after
+    z, so one BFS of depth <= d per root z serves every v, at
+    O(sum_v |WReach_d[v]| * deg) total cost.  Trailing empty levels are
+    not stored: len(levels[z]) - 1 is the depth of z's BFS.
     """
     if d < 0:
         raise ValueError("radius must be non-negative")
@@ -126,42 +160,57 @@ def weak_reach(g: Graph, order: LinearOrder, d: int) -> list[dict[int, int]]:
         raise ValueError("order size does not match graph")
     pos = order.position
     adj = g.adjacency
-    rows: list[dict[int, int]] = [{v: 0} for v in range(g.n)]
-    for z in range(g.n):
-        # rows[w] holds z exactly when this BFS has reached w
-        rank = pos[z]
-        frontier = [z]
-        for i in range(1, d + 1):
-            nxt = []
-            for x in frontier:
-                for w in adj[x]:
-                    if pos[w] > rank:
-                        row = rows[w]
-                        if z not in row:
-                            row[z] = i
-                            nxt.append(w)
-            if not nxt:
-                break
-            frontier = nxt
-    return rows
+    seen = [-1] * g.n
+    return [_root_levels(adj, pos, z, d, seen) for z in range(g.n)]
 
 
 def wcol_from_order(g: Graph, order: LinearOrder, d: int) -> int:
     """max_v |WReach_d[v]|; an upper bound on the weak coloring number
-    realized by this particular order."""
-    return max((len(row) for row in weak_reach(g, order, d)), default=0)
+    realized by this particular order.  |WReach_d[v]| is the number of
+    roots whose levels hold v."""
+    counts = Counter(chain.from_iterable(chain.from_iterable(weak_reach(g, order, d))))
+    return max(counts.values(), default=0)
 
 
 def wcol_exact(g: Graph, d: int, max_n: int = WCOL_EXACT_MAX_N) -> int:
-    """Exact weak coloring number by exhausting all n! orders."""
+    """Exact weak coloring number by branch and bound over order prefixes.
+
+    Vertices are placed one at a time; the unplaced ones rank after every
+    placed one.  Root z's BFS runs through the vertices ranked after z, so
+    it depends only on which vertices were placed before z: placing z fixes
+    its contribution to |WReach_d[v]| for every v.  Counts only grow along
+    a branch, so a branch is cut once any count reaches the best value of a
+    complete order so far.
+    """
     if g.n > max_n:
         raise ResourceLimitError(f"wcol_exact capped at n <= {max_n}, got n = {g.n}")
-    if g.n == 0:
+    n = g.n
+    if n == 0:
         return 0
-    best = g.n + 1
-    for perm in permutations(range(g.n)):
-        order = LinearOrder.from_sequence(list(perm))
-        best = min(best, wcol_from_order(g, order, d))
-        if best == 1:
-            break
+    adj = g.adjacency
+    rank = [n] * n  # n = unplaced, after every placed vertex
+    counts = [0] * n
+    best = n + 1
+
+    def place(k: int) -> None:
+        nonlocal best
+        if k == n:
+            best = max(counts)
+            return
+        for z in range(n):
+            if rank[z] < n:
+                continue
+            rank[z] = k
+            reached = list(chain.from_iterable(_root_levels(adj, rank, z, d, [-1] * n)))
+            for v in reached:
+                counts[v] += 1
+            # z's count is final; every other reached vertex is unplaced
+            # and will still count itself
+            if counts[z] < best and all(counts[v] + 1 < best for v in reached[1:]):
+                place(k + 1)
+            for v in reached:
+                counts[v] -= 1
+            rank[z] = n
+
+    place(0)
     return best

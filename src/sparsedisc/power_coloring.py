@@ -6,9 +6,12 @@ order L, color it with the constructive solver, and certify the bound
 (2d*M_{d-1} + 1)*M_d where M_i is the maximum weak-i-reach size under L.
 Every neighborhood of G^d decomposes into at most M_{d-1} star sets plus
 a remainder inside one weak-reach set, which is where the bound comes from.
+One weak-reach pass (`orderings.weak_reach`, root-major BFS levels) feeds
+both the reach profile and the star system; each root's stars are the
+sorted prefixes of its BFS list, one per level, so no star is built twice.
 The achieved discrepancy is summed straight from the BFS balls of
 `graphs.balls`, without building G^d.  POWER_STAR_CAP bounds n*d before
-any pass (the reach profile has d + 1 entries, counted per vertex) and the
+any pass (the reach profile has d + 1 entries) and the
 star system's incidences before it is built.
 
 For d = 1 there is a leaner pipeline: color the in-neighborhood system of
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import add
 from typing import Optional
 
 from .discrepancy import Coloring, beck_fiala
@@ -66,45 +70,67 @@ class PowerColoringCertificate:
         )
 
 
-def wreach_star_system(g: Graph, order: LinearOrder, d: int) -> SetSystem:
+def wreach_star_system(levels: list[list[list[int]]], d: int) -> SetSystem:
     """One set per (vertex z, radius i <= d): all vertices that weakly
-    i-reach z.  Each element u lies in at most d * max|WReach_d| sets,
-    because u is only in the (z, i) star when z is in u's weak i-reach."""
+    i-reach z, read from the root-major levels of `weak_reach(g, order, d)`.
+    Each element u lies in at most d * max|WReach_d| sets, because u is only
+    in the (z, i) star when z is in u's weak i-reach.
+
+    The stars of root z are nested, (z, 1) <= ... <= (z, top), and the
+    (z, i) star is the sorted prefix of z's BFS list through level i.  Only
+    radii 1..len(levels[z]) - 1 are built (radius 1 alone when z's BFS is
+    only [z]), because the stars of larger radii repeat the last one, and
+    each built star strictly contains the one before.  Stars of different
+    roots differ too: the root is the unique earliest-ranked element of its
+    star.  So the stars are already distinct and only need sorting.
+    """
     if d < 1:
         raise ValueError("radius must be at least 1")
-    rows = weak_reach(g, order, d)
-    radii = [row.values() for row in rows]
+    n = len(levels)
     # the (z, i) stars with i past the largest radius found repeat the
-    # (z, top) star, so only radii up to top are built
-    top = max(1, max(map(max, radii), default=0))
-    # the pair (u, z) at radius r lies in the stars of radii max(r, 1)..top,
-    # and each row holds one pair at radius 0 (u itself)
-    size = (top + 1) * sum(map(len, radii)) - sum(map(sum, radii)) - g.n
+    # (z, top) star, so the incidences counted here are those of radii up
+    # to top: the pair (u, z) at radius r lies in the stars of radii
+    # max(r, 1)..top, and each root has one pair at radius 0 (z itself)
+    top = max(1, max(map(len, levels), default=1) - 1)
+    pairs = radii = 0
+    for lv in levels:
+        for i, layer in enumerate(lv):
+            pairs += len(layer)
+            radii += i * len(layer)
+    size = (top + 1) * pairs - radii - n
     if size > POWER_STAR_CAP:
         raise ResourceLimitError(
             f"star system capped at {POWER_STAR_CAP} incidences, needs {size}"
         )
-    stars: list[set[int]] = [set() for _ in range(g.n * top)]
-    for u, row in enumerate(rows):
-        for z, r in row.items():
-            for i in range(max(r, 1), top + 1):
-                stars[(i - 1) * g.n + z].add(u)
-    return SetSystem.from_sets(g.n, stars)
+    stars: list[tuple[int, ...]] = []
+    for lv in levels:
+        star = lv[0]
+        for layer in lv[1:]:
+            star = sorted(star + layer)
+            stars.append(tuple(star))
+        if len(lv) == 1:
+            stars.append(tuple(star))
+    stars.sort()
+    return SetSystem(n, tuple(stars))
 
 
-def reach_profile(g: Graph, order: LinearOrder, d: int) -> tuple[int, ...]:
-    """M_i = max_v |WReach_i| for i = 0..d (M_0 is always 1)."""
-    profile = [1] * (d + 1)
-    for row in weak_reach(g, order, d):
-        counts = [0] * (d + 1)
-        for r in row.values():
-            counts[r] += 1
-        size = 0
-        for i in range(d + 1):
-            size += counts[i]
-            if size > profile[i]:
-                profile[i] = size
-    return tuple(profile)
+def reach_profile(levels: list[list[list[int]]], d: int) -> tuple[int, ...]:
+    """M_i = max_v |WReach_i| for i = 0..d (M_0 is always 1), read from the
+    root-major levels of `weak_reach(g, order, d)`.  The counts are sized
+    by the deepest level found; M_i for i past it equals M at that level."""
+    n = len(levels)
+    depth = max(map(len, levels), default=1)
+    counts = [[0] * n for _ in range(depth)]
+    for lv in levels:
+        for c, layer in zip(counts, lv):
+            for v in layer:
+                c[v] += 1
+    profile = []
+    size = [0] * n
+    for c in counts:
+        size = list(map(add, size, c))
+        profile.append(max(size, default=1))
+    return tuple(profile + profile[-1:] * (d + 1 - depth))
 
 
 def power_coloring(
@@ -120,8 +146,9 @@ def power_coloring(
         )
     if order is None:
         order, _ = degeneracy_order(g)
-    profile = reach_profile(g, order, d)
-    chi = beck_fiala(wreach_star_system(g, order, d))
+    levels = weak_reach(g, order, d)
+    profile = reach_profile(levels, d)
+    chi = beck_fiala(wreach_star_system(levels, d))
     bound = (2 * d * profile[d - 1] + 1) * profile[d]
     values = chi.values
     achieved = max((abs(sum([values[w] for w in b])) for b in balls(g, d)), default=0)

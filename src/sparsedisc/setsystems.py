@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import lt
 from typing import Iterable
 
 from .errors import ParseError, ResourceLimitError
@@ -25,20 +26,20 @@ class SetSystem:
     sets: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        seen = set()
+        # strictly increasing, inside each set and along the outer list,
+        # rules out duplicates in both
         prev = None
         for s in self.sets:
             if not s:
                 raise ValueError("empty sets are dropped from the canonical form")
-            if list(s) != sorted(set(s)):
+            if not all(map(lt, s, s[1:])):
                 raise ValueError("sets must be sorted and duplicate-free")
             if s[0] < 0 or s[-1] >= self.ground_size:
                 raise ValueError("set element out of ground range")
-            if s in seen:
-                raise ValueError("duplicate set in canonical form")
             if prev is not None and not prev < s:
+                if prev == s:
+                    raise ValueError("duplicate set in canonical form")
                 raise ValueError("outer list must be sorted lexicographically")
-            seen.add(s)
             prev = s
 
     @classmethod

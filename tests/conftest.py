@@ -17,6 +17,17 @@ def shuffled_order(n: int, seed: int) -> LinearOrder:
     return LinearOrder.from_sequence(seq)
 
 
+def wreach_rows(levels: list[list[list[int]]]) -> list[dict[int, int]]:
+    """Transpose weak_reach's root-major levels into WReach rows:
+    rows[v][z] is the least radius i with z in WReach_i[v]."""
+    rows: list[dict[int, int]] = [{} for _ in levels]
+    for z, lv in enumerate(levels):
+        for i, layer in enumerate(lv):
+            for v in layer:
+                rows[v][z] = i
+    return rows
+
+
 @pytest.fixture(scope="session")
 def small_corpus() -> list[tuple[str, Graph]]:
     """Named graphs with at most 7 vertices, used by exhaustive checks."""

@@ -3,8 +3,10 @@ import json
 
 import pytest
 
+from sparsedisc import orderings
 from sparsedisc.cli import main
 from sparsedisc.graphs import read_edge_list
+from sparsedisc.orderings import weak_reach
 
 
 def run(capsys, *argv):
@@ -398,9 +400,26 @@ class TestMalformedInputExit2:
         assert err.count("\n") == 1 and err.startswith("resource limit: ")
 
     def test_order_radius_past_the_diameter(self, p20, capsys):
-        # one weak-reach pass per radius; each root's BFS ends when its
-        # frontier empties, so the radius past 19 costs little
+        # one weak-reach pass gives every radius; each root's BFS ends when
+        # its frontier empties, so the radius past 19 costs little
         code, out, err = run(capsys, "order", "-i", str(p20), "--d", "1000")
         assert code == 0 and err == "" and out.count("\n") == 1
         wcol = json.loads(out)["wcol_from_order"]
         assert len(wcol) == 1000 and len(set(list(wcol.values())[18:])) == 1
+        code, out, _ = run(capsys, "order", "-i", str(p20), "--d", "100000")
+        assert code == 0
+        assert json.loads(out)["wcol_from_order"] == {
+            **wcol, **{str(d): wcol["1000"] for d in range(1001, 100001)}
+        }
+
+    def test_order_makes_one_weak_reach_pass(self, p20, capsys, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return weak_reach(*args)
+
+        monkeypatch.setattr(orderings, "weak_reach", counted)
+        code, out, _ = run(capsys, "order", "-i", str(p20), "--d", "4")
+        assert code == 0 and len(calls) == 1
+        assert json.loads(out)["wcol_from_order"] == {"1": 2, "2": 3, "3": 4, "4": 5}

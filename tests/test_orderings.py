@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,7 @@ from sparsedisc.orderings import (
     weak_reach,
 )
 
-from conftest import shuffled_order
+from conftest import shuffled_order, wreach_rows
 
 natural = lambda n: LinearOrder.from_sequence(list(range(n)))
 
@@ -102,20 +104,20 @@ class TestOrientAlong:
 class TestWeakReach:
     def test_depth_zero(self):
         g = generate_family("cycle", [5])
-        assert set(weak_reach(g, natural(5), 0)[3]) == {3}
+        assert set(wreach_rows(weak_reach(g, natural(5), 0))[3]) == {3}
 
     def test_path_example(self):
         g = generate_family("path", [4])
-        assert set(weak_reach(g, natural(4), 2)[3]) == {1, 2, 3}
+        assert set(wreach_rows(weak_reach(g, natural(4), 2))[3]) == {1, 2, 3}
 
     def test_complete_last_vertex(self):
         g = generate_family("complete", [4])
-        assert set(weak_reach(g, natural(4), 1)[3]) == {0, 1, 2, 3}
+        assert set(wreach_rows(weak_reach(g, natural(4), 1))[3]) == {0, 1, 2, 3}
 
     def test_contains_self(self):
         g = generate_family("gnp", [12, 1, 3], seed=4)
         for v in range(12):
-            assert v in set(weak_reach(g, natural(12), 3)[v])
+            assert v in set(wreach_rows(weak_reach(g, natural(12), 3))[v])
 
     def test_matches_path_enumeration_oracle(self):
         for seed in range(5):
@@ -123,7 +125,7 @@ class TestWeakReach:
             order = natural(8)
             for d in range(4):
                 for v in range(8):
-                    assert set(weak_reach(g, order, d)[v]) == wreach_brute(
+                    assert set(wreach_rows(weak_reach(g, order, d))[v]) == wreach_brute(
                         g, order.position, d, v
                     )
 
@@ -131,7 +133,7 @@ class TestWeakReach:
     @settings(max_examples=40, deadline=None)
     def test_random_orders_match_oracle(self, family, seed, d):
         g, order = random_instance(family, seed)
-        rows = weak_reach(g, order, d)
+        rows = wreach_rows(weak_reach(g, order, d))
         assert len(rows) == g.n
         for v in range(g.n):
             assert set(rows[v]) == wreach_brute(g, order.position, d, v)
@@ -140,7 +142,7 @@ class TestWeakReach:
     @settings(max_examples=25, deadline=None)
     def test_radius_is_least(self, family, seed):
         g, order = random_instance(family, seed)
-        rows = weak_reach(g, order, 4)
+        rows = wreach_rows(weak_reach(g, order, 4))
         for v in range(g.n):
             brute = [wreach_brute(g, order.position, i, v) for i in range(5)]
             assert rows[v][v] == 0
@@ -166,8 +168,8 @@ class TestWeakReach:
     def test_monotone_in_d(self, seed, d):
         g = generate_family("gnp", [15, 1, 4], seed=seed)
         for v in range(g.n):
-            small = set(weak_reach(g, natural(15), d)[v])
-            big = set(weak_reach(g, natural(15), d + 1)[v])
+            small = set(wreach_rows(weak_reach(g, natural(15), d))[v])
+            big = set(wreach_rows(weak_reach(g, natural(15), d + 1))[v])
             assert small <= big
 
 
@@ -221,6 +223,27 @@ class TestWcolExact:
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             wcol_exact(generate_family("path", [10]), 1)
+
+    def test_matches_exhaustive_orders(self, small_corpus):
+        # the branch and bound against the minimum of wcol_from_order over
+        # every order
+        for name, g in small_corpus:
+            if g.n > 6:
+                continue
+            for d in (0, 1, 2, 3):
+                best = min(
+                    wcol_from_order(g, LinearOrder.from_sequence(list(p)), d)
+                    for p in permutations(range(g.n))
+                )
+                assert wcol_exact(g, d) == best, (name, d)
+
+    def test_nine_vertices(self):
+        # 5 by exhausting all 9! orders
+        assert wcol_exact(generate_family("gnp", [9, 1, 3], seed=6), 2) == 5
+
+    def test_empty_graph(self):
+        assert wcol_exact(Graph(0, ()), 2) == 0
+        assert wcol_exact(Graph(3, ((), (), ())), 2) == 1
 
 
 class TestHeuristicOrder:

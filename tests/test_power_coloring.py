@@ -11,6 +11,7 @@ from sparsedisc.orderings import (
     LinearOrder,
     degeneracy_order,
     wcol_from_order,
+    weak_reach,
 )
 from sparsedisc.power_coloring import (
     in_neighborhood_system,
@@ -39,7 +40,7 @@ class TestViewsMatchOracle:
             max(len(wreach_brute(g, order.position, i, v)) for v in range(g.n))
             for i in range(d + 1)
         )
-        assert reach_profile(g, order, d) == expected
+        assert reach_profile(weak_reach(g, order, d), d) == expected
 
     @given(st.integers(0, 2**32), st.integers(1, 3))
     @settings(max_examples=25, deadline=None)
@@ -51,7 +52,7 @@ class TestViewsMatchOracle:
             for i in range(1, d + 1)
             for z in range(g.n)
         ]
-        assert wreach_star_system(g, order, d) == SetSystem.from_sets(g.n, stars)
+        assert wreach_star_system(weak_reach(g, order, d), d) == SetSystem.from_sets(g.n, stars)
 
     @pytest.mark.parametrize("d", [6, 9, 40])
     def test_star_system_past_the_diameter(self, d):
@@ -64,13 +65,13 @@ class TestViewsMatchOracle:
             for i in range(1, d + 1)
             for z in range(g.n)
         ]
-        assert wreach_star_system(g, order, d) == SetSystem.from_sets(g.n, stars)
+        assert wreach_star_system(weak_reach(g, order, d), d) == SetSystem.from_sets(g.n, stars)
 
 
 class TestWreachStarSystem:
     def test_single_edge(self):
         g = generate_family("path", [2])
-        s = wreach_star_system(g, natural(2), 1)
+        s = wreach_star_system(weak_reach(g, natural(2), 1), 1)
         assert s.sets == ((0, 1), (1,))
 
     def test_degree_bound(self):
@@ -79,29 +80,32 @@ class TestWreachStarSystem:
             g = generate_family("gnp", [15, 1, 4], seed=seed)
             order = degeneracy_order(g)[0]
             for d in (1, 2, 3):
-                s = wreach_star_system(g, order, d)
+                s = wreach_star_system(weak_reach(g, order, d), d)
                 assert degree(s) <= d * wcol_from_order(g, order, d)
 
     def test_empty_graph(self):
         g = Graph(4, ((), (), (), ()))
-        s = wreach_star_system(g, natural(4), 3)
+        s = wreach_star_system(weak_reach(g, natural(4), 3), 3)
         assert s.sets == ((0,), (1,), (2,), (3,))
+
+    def test_no_vertices(self):
+        assert wreach_star_system(weak_reach(Graph(0, ()), natural(0), 2), 2) == SetSystem(0, ())
 
     def test_rejects_zero_radius(self):
         with pytest.raises(ValueError):
-            wreach_star_system(generate_family("path", [3]), natural(3), 0)
+            wreach_star_system(weak_reach(generate_family("path", [3]), natural(3), 0), 0)
 
     def test_incidence_cap(self, monkeypatch):
         # the path of 4 in its natural order: vertex u weakly reaches every
         # z <= u at radius u - z, and sum over those pairs of
         # 3 + 1 - max(u - z, 1) is 26 star incidences at d = 3
         g = generate_family("path", [4])
-        full = wreach_star_system(g, natural(4), 3)
+        full = wreach_star_system(weak_reach(g, natural(4), 3), 3)
         monkeypatch.setattr(power_module, "POWER_STAR_CAP", 26)
-        assert wreach_star_system(g, natural(4), 3) == full
+        assert wreach_star_system(weak_reach(g, natural(4), 3), 3) == full
         monkeypatch.setattr(power_module, "POWER_STAR_CAP", 25)
         with pytest.raises(ResourceLimitError, match="needs 26"):
-            wreach_star_system(g, natural(4), 3)
+            wreach_star_system(weak_reach(g, natural(4), 3), 3)
 
 
 class TestPowerColoring:
@@ -115,7 +119,7 @@ class TestPowerColoring:
     def test_grid_4x4_depth2(self):
         g = generate_family("grid", [4, 4])
         chi, cert = power_coloring(g, 2)
-        profile = reach_profile(g, degeneracy_order(g)[0], 2)
+        profile = reach_profile(weak_reach(g, degeneracy_order(g)[0], 2), 2)
         assert cert.reach_profile == profile
         assert cert.claimed_bound == (4 * profile[1] + 1) * profile[2]
         assert cert.achieved < cert.claimed_bound
@@ -147,9 +151,9 @@ class TestPowerColoring:
         g = generate_family("gnp", [25, 1, 6], seed=2)
         order = degeneracy_order(g)[0]
         for d in (1, 2):
-            stars = wreach_star_system(g, order, d)
+            stars = wreach_star_system(weak_reach(g, order, d), d)
             power_sys = neighborhood_system(graph_power(g, d))
-            profile = reach_profile(g, order, d)
+            profile = reach_profile(weak_reach(g, order, d), d)
             bound = (2 * d * profile[d - 1] + 1) * profile[d]
             for _ in range(20):
                 subset = [v for v in range(g.n) if rng.bernoulli(1, 2)]
@@ -172,6 +176,20 @@ class TestPowerColoring:
         order = LinearOrder.from_sequence([5, 4, 3, 2, 1, 0])
         _, cert = power_coloring(g, 2, order)
         assert cert.ordering == order
+
+    def test_one_weak_reach_pass(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return weak_reach(*args)
+
+        monkeypatch.setattr(power_module, "weak_reach", counted)
+        g = random_degenerate_graph(40, 3, seed=2)
+        for d in (1, 2, 3):
+            calls.clear()
+            power_coloring(g, d)
+            assert len(calls) == 1
 
     def test_rejects_zero_depth(self):
         with pytest.raises(ValueError):

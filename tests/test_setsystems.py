@@ -41,6 +41,22 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             system(2, [[0, 2]])
 
+    @pytest.mark.parametrize(
+        "sets, words",
+        [
+            (((),), "empty"),
+            (((1, 0),), "sorted and duplicate-free"),
+            (((0, 0, 1),), "sorted and duplicate-free"),
+            (((-1, 0),), "out of ground range"),
+            (((0,), (0,)), "duplicate set"),
+            (((1,), (0, 1)), "sorted lexicographically"),
+            (((0,), (1,), (0,)), "sorted lexicographically"),
+        ],
+    )
+    def test_constructor_rejects_non_canonical(self, sets, words):
+        with pytest.raises(ValueError, match=words):
+            SetSystem(3, sets)
+
 
 class TestNeighborhoodSystem:
     def test_triangle(self):

@@ -14,7 +14,7 @@ import pytest
 from oracles import beck_fiala_reference, null_vector_reference
 from sparsedisc.discrepancy import _null_vector, beck_fiala_with_stats
 from sparsedisc.graphs import random_degenerate_graph
-from sparsedisc.orderings import degeneracy_order
+from sparsedisc.orderings import degeneracy_order, weak_reach
 from sparsedisc.power_coloring import wreach_star_system
 from sparsedisc.rng import SplitMix64
 from sparsedisc.setsystems import SetSystem, random_system
@@ -157,7 +157,7 @@ def _corpus() -> list[tuple[str, SetSystem]]:
     out += [(f"size-20 degree-4 n={n}", _large_degree4(n, rng)) for n in (60, 60, 100)]
     g = random_degenerate_graph(120, 4, seed=5)
     order, _ = degeneracy_order(g)
-    out.append(("wreach stars n=120 p=4 d=2", wreach_star_system(g, order, 2)))
+    out.append(("wreach stars n=120 p=4 d=2", wreach_star_system(weak_reach(g, order, 2), 2)))
     return out
 
 
