@@ -63,6 +63,14 @@ def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _checked_eps(eps: Fraction) -> Fraction:
+    """eps as a Fraction; a ValueError unless it lies in (0, 1]."""
+    eps = Fraction(eps)
+    if eps <= 0 or eps > 1:
+        raise ValueError(f"eps must lie in (0, 1], got {eps}")
+    return eps
+
+
 def halve(s: SetSystem, current: Iterable[int]) -> tuple[tuple[int, ...], int]:
     """One halving level; the caller must have the ground set as a member.
 
@@ -96,9 +104,7 @@ def epsilon_approximation(s: SetSystem, eps: Fraction) -> ApproximationReport:
     The report carries the exact claimed and measured errors; the final
     attempted level that would have broken the budget is recorded too.
     """
-    eps = Fraction(eps)
-    if eps <= 0 or eps > 1:
-        raise ValueError("eps must lie in (0, 1]")
+    eps = _checked_eps(eps)
     n = s.ground_size
     if n == 0:
         raise ValueError("cannot approximate an empty ground set")
@@ -135,7 +141,7 @@ def verify_approximation(
     if sam[0] < 0 or sam[-1] >= s.ground_size:
         raise ValueError("sample vertex outside the ground set")
     inside = set(sam)
-    eps = Fraction(eps)
+    eps = _checked_eps(eps)
     worst: Fraction = Fraction(0)
     worst_set: Optional[int] = None
     for i, st in enumerate(s.sets):
@@ -149,7 +155,7 @@ def verify_approximation(
 def verify_net(s: SetSystem, sample: Iterable[int], eps: Fraction) -> bool:
     """True iff the sample meets every set of size at least eps * |U|."""
     inside = set(sample)
-    eps = Fraction(eps)
+    eps = _checked_eps(eps)
     for st in s.sets:
         if Fraction(len(st)) >= eps * s.ground_size and not inside.intersection(st):
             return False

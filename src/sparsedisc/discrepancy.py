@@ -9,13 +9,15 @@ by less than 2 per unfrozen element afterwards: the final discrepancy is
 at most 2t - 1.  The null vector comes from fraction-free integer
 elimination and the iterate is held as reduced integer pairs num/den, so
 the arithmetic is exact throughout; floating point would break the
-strictness of that argument.  A round pays only for what changed: each
-element keeps the number of active sets through it, so an element becomes
-a stray (in no active set) when a set through it deactivates, and the
-constraint rows are built column by column from the membership lists, as
-bitmasks.  The elimination keeps each row as one integer, in fields of a
-width proven by Hadamard's bound over the columns (each has at most t
-ones), so a row update is a few whole-integer operations.
+strictness of that argument.  A round pays only for what it uses: the
+solver prunes its own copy of the membership lists to the active sets, so
+an element becomes a stray (in no active set) when its list empties, its
+window is the first unfrozen elements of a covered list whose frozen
+entries are dropped as the window passes them, and each constraint row is
+built once, straight into the packed form that the elimination reads.
+The elimination keeps each row as one integer, in fields of a width
+proven by Hadamard's bound over the columns (each has at most t ones), so
+a row update is a few whole-integer operations.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ import numpy as np
 
 from .errors import ParseError, ResourceLimitError
 from .rng import SplitMix64
-from .setsystems import SetSystem, degree, trace
+from .setsystems import SetSystem, trace
 
 EXACT_MAX_GROUND = 24
 SPECTRAL_MAX_GROUND = 128  # the exact PSD check is O(n^3) on big integers
@@ -57,12 +59,18 @@ def eval_discrepancy(s: SetSystem, chi: Coloring) -> tuple[int, Optional[int]]:
     return best, witness
 
 
-def _null_vector(rows: list[int], ncols: int, t: int) -> list[int]:
-    """Integer null vector of a wide 0/1 matrix whose row i has bit c set
-    when entry (i, c) is 1: a positive multiple of the canonical one
-    (Gauss-Jordan, columns left to right, the first unused row with a
-    nonzero entry as pivot; the first pivotless column j gives coefficient
-    1 at j and 0 on the other free columns).
+def _field_width(k: int, t: int) -> int:
+    """Bits per field of a packed k-row matrix whose columns have at most
+    t ones each; _null_vector's docstring proves the bound."""
+    return k * min(k, t).bit_length() // 2 + 2
+
+
+def _null_vector(work: list[int], ncols: int, w: int) -> list[int]:
+    """Integer null vector of a wide 0/1 matrix given as packed rows: a
+    positive multiple of the canonical one (Gauss-Jordan, columns left to
+    right, the first unused row with a nonzero entry as pivot; the first
+    pivotless column j gives coefficient 1 at j and 0 on the other free
+    columns).  The rows are consumed.
 
     The elimination is fraction-free (Bareiss): after each step the work
     matrix is the latest pivot D times the rational Gauss-Jordan matrix,
@@ -71,13 +79,14 @@ def _null_vector(rows: list[int], ncols: int, t: int) -> list[int]:
     keeps that invariant with D > 0 (D = 1 before the first step).  The
     vector is D at j and -work[i][j] at each pivot (i, pc).
 
-    Each work row is one integer: entry c of a matrix with k rows sits in
-    a w-bit field starting at bit w*(ncols-1-c) + 1, column 0 in the top
-    field, and a row update is a few whole-integer operations.
-    Every entry is a minor of order i <= k of the 0/1 input, whose columns
-    have at most t ones each (a column is one element, and its ones are
-    the active sets through it).  By Hadamard's bound taken over columns,
-    each column of a minor has Euclidean norm at most sqrt(min(i, t)), so
+    Each work row is one integer: entry c sits in a w-bit field starting
+    at bit w*(ncols-1-c) + 1, column 0 in the top field, and a row update
+    is a few whole-integer operations.  For a matrix with k rows whose
+    columns have at most t ones each (a column is one element, and its
+    ones are the active sets through it), w = _field_width(k, t) suffices.
+    Every entry is a minor of order i <= k of the 0/1 input.  By
+    Hadamard's bound taken over columns, each column of a minor has
+    Euclidean norm at most sqrt(min(i, t)), so
     |entry| <= min(k, t)^(k/2) < 2^(k*b/2) <= 2^(w-3/2) with
     b = min(k, t).bit_length() and w = k*b//2 + 2.  Fields before a division
     may overflow into their neighbours, but the packed integer is exact,
@@ -89,19 +98,9 @@ def _null_vector(rows: list[int], ncols: int, t: int) -> list[int]:
     makes room), so j's entry is the top of the row rounded to the nearest
     integer: two shifts and an add, whatever the row's length.
     """
-    k = len(rows)
-    w = k * min(k, t).bit_length() // 2 + 2
     top = w * (ncols - 1) + 1  # the lowest bit of column 0's field
-    work = []
-    for m in rows:
-        packed = 0
-        while m:
-            low = m & -m
-            packed |= 1 << top - w * (low.bit_length() - 1)
-            m ^= low
-        work.append(packed)
-    heads = [m & 1 for m in rows]  # each row's entry in the current column
-    pending = list(range(k))
+    heads = [row >> top for row in work]  # each row's entry in the current column
+    pending = list(range(len(work)))
     pivots: list[tuple[int, int]] = []
     prev = 1
     for j in range(ncols):
@@ -148,13 +147,13 @@ def beck_fiala_with_stats(
     """Coloring with discrepancy at most 2*degree(s) - 1, plus the number
     of solver rounds performed."""
     n = s.ground_size
-    t = degree(s)
-    member = s.membership()
+    member = s.membership()  # pruned below to the active sets through v
+    t = max(map(len, member), default=0)
     num = [0] * n  # the iterate x[v] = num[v] / den[v], reduced, den[v] > 0
     den = [1] * n
     frozen = [False] * n
     unfrozen_in = [len(st) for st in s.sets]
-    cover = [len(through) for through in member]  # active sets through v
+    slot = [0] * len(s.sets)  # an active set's row in this round's matrix
     n_unfrozen = n
     rounds = 0
 
@@ -173,7 +172,7 @@ def beck_fiala_with_stats(
     # every set starts active; the first round deactivates those with at
     # most t elements
     active = list(range(len(s.sets)))
-    covered = [v for v in range(n) if member[v]]
+    covered = [v for v in range(n) if member[v]]  # frozen ones dropped lazily
     while n_unfrozen:
         rounds += 1
         still = []
@@ -183,8 +182,8 @@ def beck_fiala_with_stats(
                 continue
             for v in s.sets[i]:
                 if not frozen[v]:
-                    cover[v] -= 1
-                    if not cover[v]:
+                    member[v].remove(i)
+                    if not member[v]:
                         # a stray, in no active set: its canonical basis
                         # vector is a null vector, and the positive max
                         # step lands on the nearest endpoint
@@ -193,20 +192,26 @@ def beck_fiala_with_stats(
         if check_conservation:
             for i in active:
                 assert sum(Fraction(num[v], den[v]) for v in s.sets[i]) == 0
-        covered = [v for v in covered if not frozen[v]]
-        if not covered:
+        if not n_unfrozen:
             break
         r = len(active)
-        cols = covered[: r + 1]
-        row_of = {i: k for k, i in enumerate(active)}
+        cols = []  # the first r + 1 unfrozen covered elements
+        for pos, v in enumerate(covered):
+            if not frozen[v]:
+                cols.append(v)
+                if len(cols) > r:
+                    break
+        covered[: pos + 1] = cols
+        w = _field_width(r, t)
+        top = w * (len(cols) - 1) + 1
+        for k, i in enumerate(active):
+            slot[i] = k
         rows = [0] * r
         for j, v in enumerate(cols):
-            bit = 1 << j
+            bit = 1 << top - w * j
             for i in member[v]:
-                k = row_of.get(i)
-                if k is not None:
-                    rows[k] |= bit
-        nu = _null_vector(rows, len(cols), t)
+                rows[slot[i]] |= bit
+        nu = _null_vector(rows, len(cols), w)
         # the step lam_p / lam_q (lam_q > 0): the largest that keeps every
         # coordinate in [-1, 1], compared by cross-multiplying
         lam_p, lam_q = 0, 0
@@ -251,6 +256,8 @@ def exact_discrepancy(
     abandoned as soon as a fully assigned set reaches the incumbent.
     """
     n = s.ground_size
+    if max_ground < 0:
+        raise ValueError(f"exact discrepancy cap must be non-negative, got {max_ground}")
     if n > max_ground:
         raise ResourceLimitError(f"exact discrepancy capped at ground <= {max_ground}")
     if not s.sets:

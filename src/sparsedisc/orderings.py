@@ -182,6 +182,10 @@ def wcol_exact(g: Graph, d: int, max_n: int = WCOL_EXACT_MAX_N) -> int:
     a branch, so a branch is cut once any count reaches the best value of a
     complete order so far.
     """
+    if d < 0:
+        raise ValueError("radius must be non-negative")
+    if max_n < 0:
+        raise ValueError(f"wcol_exact cap must be non-negative, got {max_n}")
     if g.n > max_n:
         raise ResourceLimitError(f"wcol_exact capped at n <= {max_n}, got n = {g.n}")
     n = g.n

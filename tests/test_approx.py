@@ -130,13 +130,21 @@ class TestVerifyApproximation:
 
     def test_proportional_sample(self):
         s = SetSystem.from_sets(4, [[0, 1, 2, 3]])
-        ok, _, measured = verify_approximation(s, [0, 1], Fraction(0, 1) + 0)
+        ok, _, measured = verify_approximation(s, [0, 1], Fraction(1, 100))
         assert measured == 0 and ok
 
     def test_half_miss(self):
         s = SetSystem.from_sets(2, [[1]])
         ok, worst, measured = verify_approximation(s, [0], Fraction(1, 4))
         assert not ok and worst == 0 and measured == Fraction(1, 2)
+
+    @pytest.mark.parametrize("eps", [Fraction(0), Fraction(-1, 2), Fraction(3, 2), Fraction(2)])
+    def test_bad_eps(self, eps):
+        s = SetSystem.from_sets(2, [[0]])
+        with pytest.raises(ValueError):
+            verify_approximation(s, [0, 1], eps)
+        with pytest.raises(ValueError):
+            verify_net(s, [0, 1], eps)
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):

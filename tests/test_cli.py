@@ -353,6 +353,18 @@ class TestMalformedInputExit2:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "ground set" in err
 
+    @pytest.mark.parametrize("eps", ["2", "0", "3/2"])
+    def test_approx_verify_eps_outside_unit_interval(self, c5, tmp_path, capsys, eps):
+        # verify checks eps as build does, even where the sample would pass
+        sample_file = tmp_path / "sample.txt"
+        sample_file.write_text("0 1 2 3 4")
+        code, out, err = run(
+            capsys, "approx", "verify", "-i", str(c5), "--system", "neighborhood",
+            "--eps", eps, "--sample", str(sample_file),
+        )
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "eps must lie in (0, 1]" in err
+
     @pytest.mark.parametrize(
         "argv, option",
         [
@@ -379,6 +391,23 @@ class TestMalformedInputExit2:
             (
                 ["disc", "herdisc", "-i", "{c5}", "--system", "neighborhood", "--budget", "-5"],
                 "budget must be at least 1",
+            ),
+            (["order", "-i", "{c5}", "--exact-d", "-1"], "radius must be non-negative"),
+            (
+                ["order", "-i", "{c5}", "--exact-d", "1", "--cap-orderings", "-1"],
+                "cap must be non-negative",
+            ),
+            (
+                ["disc", "exact", "-i", "{c5}", "--system", "neighborhood", "--cap-exact-n", "-1"],
+                "cap must be non-negative",
+            ),
+            (
+                ["disc", "herdisc", "-i", "{c5}", "--system", "neighborhood", "--cap-exact-n", "-1"],
+                "cap must be non-negative",
+            ),
+            (
+                ["approx", "build", "-i", "{c5}", "--system", "neighborhood", "--eps", "2"],
+                "eps must lie in (0, 1]",
             ),
         ],
     )

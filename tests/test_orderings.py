@@ -224,6 +224,13 @@ class TestWcolExact:
         with pytest.raises(ResourceLimitError):
             wcol_exact(generate_family("path", [10]), 1)
 
+    @pytest.mark.parametrize("d, max_n", [(-1, 9), (1, -1)])
+    def test_negative_radius_or_cap_rejected(self, d, max_n):
+        # d = -1 would otherwise read as 1 (every root reaches itself) and
+        # a negative cap as a resource limit
+        with pytest.raises(ValueError):
+            wcol_exact(generate_family("path", [3]), d, max_n=max_n)
+
     def test_matches_exhaustive_orders(self, small_corpus):
         # the branch and bound against the minimum of wcol_from_order over
         # every order

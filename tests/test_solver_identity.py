@@ -7,12 +7,16 @@ digest pins the colorings and round counts themselves, and the rational
 reference loop checks them on seeded systems and edge cases.
 """
 import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from oracles import beck_fiala_reference, null_vector_reference
-from sparsedisc.discrepancy import _null_vector, beck_fiala_with_stats
+from sparsedisc.discrepancy import _field_width, _null_vector, beck_fiala_with_stats
 from sparsedisc.graphs import random_degenerate_graph
 from sparsedisc.orderings import degeneracy_order, weak_reach
 from sparsedisc.power_coloring import wreach_star_system
@@ -20,14 +24,19 @@ from sparsedisc.rng import SplitMix64
 from sparsedisc.setsystems import SetSystem, random_system
 
 
-def _masks(rows: list[list[int]]) -> list[int]:
-    """Rows as the bitmasks _null_vector takes: bit j set when entry j is 1."""
-    return [sum(1 << j for j, e in enumerate(row) if e) for row in rows]
+def _packed_null_vector(rows: list[list[int]], ncols: int) -> list[int]:
+    """_null_vector of a 0/1 matrix given as lists: entry (i, c) becomes
+    bit w*(ncols-1-c) + 1 of row i, in fields as wide as the solver makes
+    them for the matrix's row count and column weight."""
+    w = _field_width(len(rows), _col_weight(rows))
+    top = w * (ncols - 1) + 1
+    packed = [sum(1 << top - w * c for c, e in enumerate(row) if e) for row in rows]
+    return _null_vector(packed, ncols, w)
 
 
 def _col_weight(rows: list[list[int]]) -> int:
     """The largest number of ones in a column: the system degree t that
-    the solver passes to _null_vector."""
+    the solver sizes the fields by."""
     return max((sum(col) for col in zip(*rows)), default=0)
 
 
@@ -58,7 +67,7 @@ def _wide_matrix(rng: SplitMix64, max_rows: int = 12) -> tuple[list[list[int]], 
 def _check_against_reference(rows: list[list[int]], ncols: int) -> None:
     ref = null_vector_reference(rows, ncols)
     j = next(k for k, e in enumerate(ref) if e)
-    got = _null_vector(_masks(rows), ncols, _col_weight(rows))
+    got = _packed_null_vector(rows, ncols)
     assert all(type(e) is int for e in got)
     assert len(got) == ncols
     assert all(sum(a * b for a, b in zip(row, got)) == 0 for row in rows)
@@ -120,7 +129,7 @@ class TestNullVector:
             [1, 0, 1, 1, 0],
             [1, 1, 1, 0, 1],
         ]
-        assert _null_vector(_masks(rows), 5, _col_weight(rows)) == [-1, -1, -1, 2, 3]
+        assert _packed_null_vector(rows, 5) == [-1, -1, -1, 2, 3]
         assert null_vector_reference(rows, 5) == [Fraction(k, 3) for k in (-1, -1, -1, 2, 3)]
 
     def test_zero_entry_rows_rescaled_by_a_fraction(self):
@@ -133,12 +142,12 @@ class TestNullVector:
             [0, 0, 1, 0, 1, 1],
             [0, 0, 0, 0, 1, 0],
         ]
-        assert _null_vector(_masks(rows), 6, _col_weight(rows)) == [-1, 1, -1, 1, 0, 1]
+        assert _packed_null_vector(rows, 6) == [-1, 1, -1, 1, 0, 1]
         assert null_vector_reference(rows, 6) == [-1, 1, -1, 1, 0, 1]
 
     def test_square_rejected(self):
         with pytest.raises(AssertionError):
-            _null_vector(_masks([[1, 0], [0, 1]]), 2, 1)
+            _packed_null_vector([[1, 0], [0, 1]], 2)
 
 
 def _large_degree4(n: int, rng: SplitMix64) -> SetSystem:
@@ -188,6 +197,23 @@ def test_wide_rounds_frozen():
     assert hashlib.sha256(f"{signs}|{rounds}".encode()).hexdigest() == FROZEN_DIGEST_N300
 
 
+def test_scaling_script_smallest_rungs():
+    # the digests that scripts/solver_scaling.py prints are the evidence
+    # of byte-identical colorings quoted for solver changes
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, str(root / "scripts" / "solver_scaling.py"), "--sizes", "200", "300"],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    ).stdout
+    rows = [line.split() for line in out.splitlines()[1:]]
+    assert [(n, rounds, digest) for n, _, rounds, _, digest in rows] == [
+        ("200", "131", "e68a81e41613"),
+        ("300", "236", FROZEN_DIGEST_N300[:12]),
+    ]
+
+
 class TestMatchesReference:
     def _check(self, s: SetSystem) -> tuple[tuple[int, ...], int]:
         chi, rounds = beck_fiala_with_stats(s, check_conservation=True)
@@ -198,6 +224,33 @@ class TestMatchesReference:
         rng = SplitMix64(8080)
         for _ in range(300):
             self._check(random_system(rng, max_ground=120))
+
+    def test_wide_random_systems(self):
+        # ground sizes 300-500, as the approx benchmark's random systems
+        # reach: long covered lists whose window prefix is compacted
+        rng = SplitMix64(5050)
+        checked = 0
+        while checked < 40:
+            s = random_system(rng)
+            if s.ground_size >= 300:
+                self._check(s)
+                checked += 1
+
+    def test_stray_between_window_columns(self):
+        # degree 2.  Round 1 freezes 1 and 3.  In round 2 the set {1, 2, 3, 6}
+        # deactivates and 2 becomes a stray (+1, its iterate is 0) while the
+        # window is columns 0, 4, 5: the frozen 1 and 3 and the stray 2 all
+        # sit between window columns
+        s = SetSystem.from_sets(7, [[0, 1, 3, 4, 5, 6], [0, 4, 5], [1, 2, 3, 6], [2]])
+        assert self._check(s) == ((-1, -1, 1, 1, 1, 1, 1), 3)
+
+    def test_calls_leave_the_system_unchanged(self):
+        # the solver prunes a private copy of the membership lists
+        s = _large_degree4(100, SplitMix64(6060))
+        member = s.membership()
+        first = beck_fiala_with_stats(s)
+        assert s.membership() == member
+        assert beck_fiala_with_stats(s) == first
 
     def test_no_sets(self):
         assert self._check(SetSystem.from_sets(4, [])) == ((1, 1, 1, 1), 0)
