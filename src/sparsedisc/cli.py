@@ -71,8 +71,9 @@ def _read_gamma(path: str) -> dict[tuple[int, int], int]:
     return gamma
 
 
-def _required(args: argparse.Namespace, option: str) -> str:
-    """The value of an option that the chosen kind needs."""
+def _required(args: argparse.Namespace, option: str) -> str | list[str]:
+    """The value of an option that the chosen kind needs: a path, or the
+    paths of an option given once per file."""
     value = getattr(args, option)
     if value is None:
         raise ParseError(f"{args.verb} {args.kind} needs --{option}")
@@ -182,8 +183,9 @@ def cmd_color(args: argparse.Namespace) -> int:
         sys.stdout.write(cert.to_json() + "\n")
         return EXIT_OK
     if args.kind == "qf":
+        paths = _required(args, "formula")
         m = _read_structure(args.input)
-        phis = [_read_formula(path) for path in args.formula]
+        phis = [_read_formula(path) for path in paths]
         chi, bound = pointer.qf_color(m, phis)
         _maybe_write_coloring(chi, args.output)
         achieved = [
@@ -244,8 +246,17 @@ def cmd_approx(args: argparse.Namespace) -> int:
 # ---------- argument parsing ----------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose errors are one line, as every other usage error is:
+    `error: ...` on stderr and exit 2, without the usage block.  The verbs'
+    parsers are of this class too."""
+
+    def error(self, message: str):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="sparsedisc",
         description="low-discrepancy colorings of graph-derived set systems",
     )
@@ -280,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", choices=["json", "neighborhood", "power"], default="json")
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--order")
-    p.add_argument("--formula", action="append", default=[])
+    p.add_argument("--formula", action="append")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_color)
 

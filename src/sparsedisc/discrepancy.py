@@ -18,6 +18,23 @@ built once, straight into the packed form that the elimination reads.
 The elimination keeps each row as one integer, in fields of a width
 proven by Hadamard's bound over the columns (each has at most t ones), so
 a row update is a few whole-integer operations.
+
+The elimination is carried from round to round.  A fresh one (Bareiss)
+runs over the window and a buffer of the next r unfrozen covered
+elements, r being the number of active sets.  While no set deactivates,
+the rows stay the same, and a round only loses the columns that the last
+step froze, all in the last vector's support.  So the next round deletes
+them, releases the pivot rows of the basic ones, and resumes the greedy
+left-to-right scan at the old free column, with one exchange pivot per
+column that has become independent (`_Tableau.carry`): about
+(frozen basic columns) * r row updates instead of about f * r, f being
+the free column's index.  Each pivot is an exact Bareiss step, the basic
+columns stay the greedy independent prefix of the window, and the first
+dependent column is the new free column, so the vector is a positive
+multiple of the canonical one and the colorings and round counts are
+those of a fresh elimination.  A round eliminates afresh when a set
+deactivates (a row leaves; strays freeze only then) or when fewer than
+r + 1 tableau columns are unfrozen.
 """
 from __future__ import annotations
 
@@ -61,84 +78,155 @@ def eval_discrepancy(s: SetSystem, chi: Coloring) -> tuple[int, Optional[int]]:
 
 def _field_width(k: int, t: int) -> int:
     """Bits per field of a packed k-row matrix whose columns have at most
-    t ones each; _null_vector's docstring proves the bound."""
+    t ones each; _Tableau's docstring proves the bound."""
     return k * min(k, t).bit_length() // 2 + 2
 
 
-def _null_vector(work: list[int], ncols: int, w: int) -> list[int]:
-    """Integer null vector of a wide 0/1 matrix given as packed rows: a
-    positive multiple of the canonical one (Gauss-Jordan, columns left to
-    right, the first unused row with a nonzero entry as pivot; the first
-    pivotless column j gives coefficient 1 at j and 0 on the other free
-    columns).  The rows are consumed.
+class _Tableau:
+    """Fraction-free Gauss-Jordan tableau of a wide 0/1 matrix given as
+    packed rows, scanned left to right for the canonical null vector, and
+    kept so that the next solver round can resume the scan.  The rows are
+    consumed.
 
-    The elimination is fraction-free (Bareiss): after each step the work
-    matrix is the latest pivot D times the rational Gauss-Jordan matrix,
-    every entry is a minor of the input, and every division is exact.  A
-    pivot row whose entry is negative is negated before it is used, which
-    keeps that invariant with D > 0 (D = 1 before the first step).  The
-    vector is D at j and -work[i][j] at each pivot (i, pc).
+    The canonical null vector: columns left to right, each one that is
+    independent of the columns before it becomes basic, up to the first
+    dependent column f.  The vector has 1 at f, minus f's coordinates in
+    the basic columns on them, and 0 everywhere else.  `vector` returns a
+    positive multiple of it.
 
-    Each work row is one integer: entry c sits in a w-bit field starting
-    at bit w*(ncols-1-c) + 1, column 0 in the top field, and a row update
-    is a few whole-integer operations.  For a matrix with k rows whose
-    columns have at most t ones each (a column is one element, and its
-    ones are the active sets through it), w = _field_width(k, t) suffices.
-    Every entry is a minor of order i <= k of the 0/1 input.  By
+    Invariant: the basis is a set B of columns with a set R of pivot rows,
+    |R| = |B|, and the work matrix is D times the rational Gauss-Jordan
+    matrix of (R, B), where D = |det A[R, B]| > 0 (D = 1 for the empty
+    basis).  By Cramer's rule every entry of it is, up to sign, a minor of
+    the input: of order |B| on a pivot row, and of order |B| + 1 (a Schur
+    complement) on the other rows.  So every division below is exact.  A
+    pivot row's own entry in its basic column is D; it is stored as 0.
+
+    Packing: each work row is one integer, entry c in a w-bit field
+    starting at bit w*(ncols-1-c) + 1, column 0 in the top field, and a
+    row update is a few whole-integer operations.  For a matrix with k
+    rows whose columns have at most t ones each (a column is one element,
+    and its ones are the active sets through it), w = _field_width(k, t)
+    suffices.  Every entry is a minor of order i <= k of the 0/1 input.  By
     Hadamard's bound taken over columns, each column of a minor has
     Euclidean norm at most sqrt(min(i, t)), so
     |entry| <= min(k, t)^(k/2) < 2^(k*b/2) <= 2^(w-3/2) with
-    b = min(k, t).bit_length() and w = k*b//2 + 2.  Fields before a division
-    may overflow into their neighbours, but the packed integer is exact,
-    and each field is a multiple of the last pivot, so dividing the whole
-    row by it is exact.  Gauss-Jordan clears the pivot columns of the other
-    rows, and a pivot row's own field is cleared once used, so all fields
-    left of the current column j are 0; the fields right of it add up to
-    less than half the unit of j's field in magnitude (the spare low bit
-    makes room), so j's entry is the top of the row rounded to the nearest
+    b = min(k, t).bit_length() and w = k*b//2 + 2.  Fields before a
+    division may overflow into their neighbours, but the packed integer is
+    exact, and each field is a multiple of D, so dividing the whole row by
+    it is exact.  The scan keeps every field left of its current column j
+    at 0 (those columns are basic, and Gauss-Jordan clears them in every
+    row, or they were deleted), and the fields right of j add up to less
+    than half the unit of j's field in magnitude (the spare low bit makes
+    room), so j's entry is the top of the row rounded to the nearest
     integer: two shifts and an add, whatever the row's length.
+
+    A step of the scan at column j.  Column j's entries on the pivot rows
+    are D times its coordinates in the basis, and its entries on the rows
+    outside R are all 0 iff it lies in the span of B.  So j is independent
+    of the live basic columns iff its entry is nonzero on some spare row:
+    a row outside R, or the released pivot row of a deleted column (see
+    `carry`).  Then that row is the pivot, its entry p made positive by
+    negating the row; every other row becomes (p*row - row[j]*pivot row)
+    / D, and D becomes p.  This is one Bareiss step, and it keeps the
+    invariant.  If the pivot row is outside R, the basis grows by
+    (row, j), and p = |det A[R + row, B + j]| (a Schur complement).  If it
+    is the pivot row of a deleted column b, j takes b's place (an exchange
+    pivot), and p = |det A[R, B - b + j]| by Cramer's rule.
     """
-    top = w * (ncols - 1) + 1  # the lowest bit of column 0's field
-    heads = [row >> top for row in work]  # each row's entry in the current column
-    pending = list(range(len(work)))
-    pivots: list[tuple[int, int]] = []
-    prev = 1
-    for j in range(ncols):
-        for sel in pending:
-            if heads[sel]:
-                break
-        else:
-            nu = [0] * ncols
-            nu[j] = prev
-            for i, pc in pivots:
-                nu[pc] = -heads[i]
-            return nu
-        if j == ncols - 1:
-            break
-        pending.remove(sel)
-        pos = top - w * j
-        nxt = pos - w - 1  # (row >> nxt) + 1 >> 1 reads column j + 1
-        srow, piv = work[sel], heads[sel]
-        if piv < 0:
-            srow, piv = -srow, -piv
-        work[sel] = heads[sel] = 0  # the pivot row is rewritten below
-        for i, row in enumerate(work):
-            f = heads[i]
-            if f:
-                row = (row if piv == 1 else piv * row) - f * srow
-                if prev != 1:
-                    row //= prev
-                work[i] = row
-            elif piv != prev:
-                row = piv * row // prev
-                work[i] = row
-            heads[i] = (row >> nxt) + 1 >> 1
-        row = srow - (piv << pos)
-        work[sel] = row
-        heads[sel] = (row >> nxt) + 1 >> 1
-        prev = piv
-        pivots.append((sel, j))
-    raise AssertionError("wide matrix must have a free column")
+
+    __slots__ = ("work", "w", "top", "ncols", "spare", "pivots", "prev", "free", "heads")
+
+    def __init__(self, work: list[int], ncols: int, w: int):
+        self.work, self.w, self.ncols = work, w, ncols
+        self.top = w * (ncols - 1) + 1  # the lowest bit of column 0's field
+        self.spare = list(range(len(work)))  # rows without a live basic column
+        self.pivots: dict[int, int] = {}  # live basic column -> its pivot row
+        self.prev = 1  # D
+        self._scan(0)
+
+    def _scan(self, j: int) -> None:
+        """Pivot on each column from j on that is independent of the live
+        basic columns, and stop at the first one that is not: the free
+        column."""
+        work, w, spare, pivots, prev = self.work, self.w, self.spare, self.pivots, self.prev
+        pos, last = self.top - w * j, self.ncols - 1
+        heads = [(row >> pos - 1) + 1 >> 1 for row in work]  # entries in column j
+        while True:
+            for sel in spare:
+                if heads[sel]:
+                    break
+            else:
+                self.prev, self.free, self.heads = prev, j, heads
+                return
+            if j == last:
+                raise AssertionError("wide matrix must have a free column")
+            spare.remove(sel)
+            nxt = pos - w - 1  # (row >> nxt) + 1 >> 1 reads column j + 1
+            srow, piv = work[sel], heads[sel]
+            if piv < 0:
+                srow, piv = -srow, -piv
+            work[sel] = heads[sel] = 0  # the pivot row is rewritten below
+            for i, row in enumerate(work):
+                f = heads[i]
+                if f:
+                    row = (row if piv == 1 else piv * row) - f * srow
+                    if prev != 1:
+                        row //= prev
+                    work[i] = row
+                elif piv != prev:
+                    row = piv * row // prev
+                    work[i] = row
+                heads[i] = (row >> nxt) + 1 >> 1
+            row = srow - (piv << pos)
+            work[sel] = row
+            heads[sel] = (row >> nxt) + 1 >> 1
+            prev = piv
+            pivots[j] = sel
+            j += 1
+            pos -= w
+
+    def vector(self) -> list[tuple[int, int]]:
+        """The canonical null vector's support, as (column, coefficient)
+        pairs scaled by D > 0: D at the free column, and minus the free
+        column's entry on each basic column's pivot row."""
+        heads, support = self.heads, [(self.free, self.prev)]
+        for c, i in self.pivots.items():
+            support.append((c, -heads[i]))
+        return support
+
+    def carry(self, deleted: list[int]) -> None:
+        """Delete the columns of the last vector's support that its step
+        froze (the rows stay the same) and move the scan on to the
+        canonical null vector of the remaining columns.
+
+        A deleted basic column's pivot row is released to the spare rows:
+        the basis keeps the column, so the invariant still holds, but the
+        column no longer counts for independence.  A column is in the span
+        of the live basic columns iff its entries on the spare rows are all
+        0.  So the greedy scan of the remaining columns keeps the live
+        basic columns (a subset of an independent prefix is independent,
+        and every column left of the free column f is basic or deleted)
+        and resumes at f, or after it if f is deleted, in which case f's
+        field is first subtracted from every row, so that the fields left
+        of the scan stay 0.  Each column that is now independent costs one
+        exchange or growing pivot, and the first dependent column is the
+        new free column: the vector is again a positive multiple of the
+        canonical one.  Entries stay minors of the input with the deleted
+        columns kept in it, so the field width still bounds them.
+        """
+        work, pivots, f = self.work, self.pivots, self.free
+        j = f
+        for c in deleted:
+            if c == f:
+                pos = self.top - self.w * f
+                for i, h in enumerate(self.heads):
+                    if h:
+                        work[i] -= h << pos
+                j = f + 1
+            else:
+                self.spare.append(pivots.pop(c))
+        self._scan(j)
 
 
 def beck_fiala_with_stats(
@@ -173,6 +261,7 @@ def beck_fiala_with_stats(
     # most t elements
     active = list(range(len(s.sets)))
     covered = [v for v in range(n) if member[v]]  # frozen ones dropped lazily
+    tab = None  # the elimination, carried from round to round
     while n_unfrozen:
         rounds += 1
         still = []
@@ -188,6 +277,7 @@ def beck_fiala_with_stats(
                         # vector is a null vector, and the positive max
                         # step lands on the nearest endpoint
                         freeze(v, 1 if num[v] >= 0 else -1)
+        deactivated = len(still) < len(active)
         active = still
         if check_conservation:
             for i in active:
@@ -195,28 +285,35 @@ def beck_fiala_with_stats(
         if not n_unfrozen:
             break
         r = len(active)
-        cols = []  # the first r + 1 unfrozen covered elements
-        for pos, v in enumerate(covered):
-            if not frozen[v]:
-                cols.append(v)
-                if len(cols) > r:
-                    break
-        covered[: pos + 1] = cols
-        w = _field_width(r, t)
-        top = w * (len(cols) - 1) + 1
-        for k, i in enumerate(active):
-            slot[i] = k
-        rows = [0] * r
-        for j, v in enumerate(cols):
-            bit = 1 << top - w * j
-            for i in member[v]:
-                rows[slot[i]] |= bit
-        nu = _null_vector(rows, len(cols), w)
+        if tab is None or deactivated or alive <= r:
+            # a fresh elimination over the window and a buffer of the next
+            # r unfrozen covered elements: the first 2r + 1 of them
+            cols = []
+            for pos, v in enumerate(covered):
+                if not frozen[v]:
+                    cols.append(v)
+                    if len(cols) > 2 * r:
+                        break
+            covered[: pos + 1] = cols
+            w = _field_width(r, t)
+            top = w * (len(cols) - 1) + 1
+            for k, i in enumerate(active):
+                slot[i] = k
+            rows = [0] * r
+            for j, v in enumerate(cols):
+                bit = 1 << top - w * j
+                for i in member[v]:
+                    rows[slot[i]] |= bit
+            tab = _Tableau(rows, len(cols), w)
+            alive = len(cols)
+        else:
+            tab.carry(gone)
+        support = tab.vector()
         # the step lam_p / lam_q (lam_q > 0): the largest that keeps every
         # coordinate in [-1, 1], compared by cross-multiplying
         lam_p, lam_q = 0, 0
-        for j, v in enumerate(cols):
-            c = nu[j]
+        for j, c in support:
+            v = cols[j]
             if c > 0:
                 p, q = den[v] - num[v], den[v] * c
             elif c < 0:
@@ -228,17 +325,19 @@ def beck_fiala_with_stats(
         assert lam_q and lam_p > 0
         g = gcd(lam_p, lam_q)
         lam_p, lam_q = lam_p // g, lam_q // g
-        before = n_unfrozen
-        for j, v in enumerate(cols):
-            c = nu[j]
+        gone = []  # the tableau columns frozen by this step
+        for j, c in support:
             if c:
+                v = cols[j]
                 a = num[v] * lam_q + lam_p * c * den[v]
                 b = den[v] * lam_q
                 g = gcd(a, b)
                 num[v], den[v] = a // g, b // g
                 if den[v] == 1 and abs(num[v]) == 1:
                     freeze(v, num[v])
-        assert n_unfrozen < before, "the maximal step must freeze at least one variable"
+                    gone.append(j)
+        alive -= len(gone)
+        assert gone, "the maximal step must freeze at least one variable"
     return Coloring(tuple(num)), rounds
 
 

@@ -383,6 +383,39 @@ class TestMalformedInputExit2:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and f"needs {option}" in err
 
+    def test_color_qf_needs_formula(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text('{"n": 3}')
+        code, out, err = run(capsys, "color", "qf", "-i", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: color qf needs --formula\n"
+
+    @pytest.mark.parametrize(
+        "argv, words",
+        [
+            # -1/2 reads as an option, so --eps has no value
+            (
+                ["approx", "build", "-i", "{c5}", "--system", "neighborhood", "--eps", "-1/2"],
+                "argument --eps: expected one argument",
+            ),
+            (["color", "power", "--d", "x"], "argument --d: invalid int value: 'x'"),
+            (["order", "--bogus"], "the following arguments are required: -i/--input"),
+        ],
+    )
+    def test_argparse_errors_are_one_line(self, c5, capsys, argv, words):
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(c5=c5) for a in argv])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert err == f"error: {words}\n"
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["order", "--help"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 0 and err == ""
+        assert out.startswith("usage: sparsedisc order")
+
     @pytest.mark.parametrize(
         "argv, words",
         [

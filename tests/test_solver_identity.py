@@ -16,7 +16,8 @@ from pathlib import Path
 import pytest
 
 from oracles import beck_fiala_reference, null_vector_reference
-from sparsedisc.discrepancy import _field_width, _null_vector, beck_fiala_with_stats
+from sparsedisc import discrepancy
+from sparsedisc.discrepancy import _field_width, _Tableau, beck_fiala_with_stats
 from sparsedisc.graphs import random_degenerate_graph
 from sparsedisc.orderings import degeneracy_order, weak_reach
 from sparsedisc.power_coloring import wreach_star_system
@@ -25,13 +26,16 @@ from sparsedisc.setsystems import SetSystem, random_system
 
 
 def _packed_null_vector(rows: list[list[int]], ncols: int) -> list[int]:
-    """_null_vector of a 0/1 matrix given as lists: entry (i, c) becomes
-    bit w*(ncols-1-c) + 1 of row i, in fields as wide as the solver makes
-    them for the matrix's row count and column weight."""
+    """The null vector of a fresh _Tableau of a 0/1 matrix given as lists:
+    entry (i, c) becomes bit w*(ncols-1-c) + 1 of row i, in fields as wide
+    as the solver makes them for the matrix's row count and column weight."""
     w = _field_width(len(rows), _col_weight(rows))
     top = w * (ncols - 1) + 1
     packed = [sum(1 << top - w * c for c, e in enumerate(row) if e) for row in rows]
-    return _null_vector(packed, ncols, w)
+    nu = [0] * ncols
+    for c, e in _Tableau(packed, ncols, w).vector():
+        nu[c] = e
+    return nu
 
 
 def _col_weight(rows: list[list[int]]) -> int:
@@ -204,14 +208,112 @@ def test_scaling_script_smallest_rungs():
     path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, PYTHONPATH=path)
     out = subprocess.run(
-        [sys.executable, str(root / "scripts" / "solver_scaling.py"), "--sizes", "200", "300"],
+        [sys.executable, str(root / "scripts" / "solver_scaling.py"),
+         "--sizes", "200", "300", "400"],
         env=env, capture_output=True, text=True, timeout=300, check=True,
     ).stdout
     rows = [line.split() for line in out.splitlines()[1:]]
     assert [(n, rounds, digest) for n, _, rounds, _, digest in rows] == [
         ("200", "131", "e68a81e41613"),
         ("300", "236", FROZEN_DIGEST_N300[:12]),
+        ("400", "305", "f14cdad9d3ba"),
     ]
+
+
+@pytest.fixture()
+def tableau_log(monkeypatch):
+    """The solver's tableaux, logged: ("fresh", rows, columns) for each
+    fresh elimination, and ("carry", old free column, deleted columns,
+    whether the old free column became basic, released rows still spare
+    after the scan) for each carried round."""
+    log = []
+
+    class Recording(_Tableau):
+        __slots__ = ()
+
+        def __init__(self, work, ncols, w):
+            super().__init__(work, ncols, w)
+            log.append(("fresh", len(work), ncols))
+
+        def carry(self, deleted):
+            free, basic = self.free, dict(self.pivots)
+            super().carry(deleted)
+            idle = [basic[c] for c in deleted if c != free and basic[c] in self.spare]
+            log.append(("carry", free, tuple(deleted), free in self.pivots, idle))
+
+    monkeypatch.setattr(discrepancy, "_Tableau", Recording)
+    return log
+
+
+class TestCarriedTableau:
+    """Each way a carried round can go, on a hand-built system whose
+    coloring and rounds must equal the reference loop's, which rebuilds
+    every round from scratch."""
+
+    def _check(self, n: int, sets: list[list[int]]) -> None:
+        s = SetSystem.from_sets(n, sets)
+        chi, rounds = beck_fiala_with_stats(s, check_conservation=True)
+        assert (chi.values, rounds) == beck_fiala_reference(s)
+
+    def test_basic_column_freezes_and_free_column_enters(self, tableau_log):
+        # round 1's step freezes basic column 1 (pivot row 2); round 2
+        # carries the tableau, the old free column 3 takes row 2 (an
+        # exchange pivot), and column 4 is the new free column
+        self._check(6, [[0, 3, 5], [1, 2, 3, 5], [0, 2, 4]])
+        assert tableau_log == [("fresh", 3, 6), ("carry", 3, (1,), True, [])]
+
+    def test_two_basic_columns_freeze(self, tableau_log):
+        # round 2 drops a set and eliminates afresh; its step freezes basic
+        # columns 0 and 1 together.  Round 3 carries: the old free column
+        # 2 takes released row 0, and no column takes row 1
+        self._check(7, [[0, 2, 3, 4, 5, 6], [0, 1, 3, 4], [1, 2, 3, 4, 5, 6]])
+        assert tableau_log == [
+            ("fresh", 3, 7), ("fresh", 2, 5), ("carry", 2, (0, 1), True, [1])
+        ]
+
+    def test_free_column_freezes(self, tableau_log):
+        # round 1's step freezes only the free column 3; round 2 clears its
+        # field and resumes the scan at column 4, the new free column
+        self._check(6, [[0, 2, 5], [1, 2, 5], [0, 1, 3, 4]])
+        assert tableau_log == [("fresh", 3, 6), ("carry", 3, (3,), False, [])]
+
+    def test_released_row_no_column_takes(self, tableau_log):
+        # round 1's step freezes the free column 2 and basic column 0; in
+        # round 2 row 0 is released, column 3 is 0 on it, so column 3 is
+        # the new free column and row 0 stays spare
+        self._check(6, [[1, 3], [0, 2, 4, 5]])
+        assert tableau_log == [
+            ("fresh", 2, 5), ("carry", 2, (2, 0), False, [0]), ("fresh", 1, 2)
+        ]
+
+    def test_buffer_runs_out(self, tableau_log):
+        # rounds 1 and 2 each freeze two of the five tableau columns; in
+        # round 3 no set deactivates, but one column is left, fewer than
+        # r + 1 = 3, so the elimination starts afresh on elements 1, 5, 6
+        # and 7, three of them past the old tableau
+        self._check(8, [[0, 2, 3, 4, 6, 7], [1, 5]])
+        assert tableau_log == [
+            ("fresh", 2, 5), ("carry", 2, (2, 0), False, []), ("fresh", 2, 4), ("fresh", 1, 2)
+        ]
+
+    def test_deactivation_forces_fresh_elimination(self, tableau_log):
+        # round 2 carries (column 2 takes the free row 1, column 3 the
+        # released row 0) and its step freezes the last of {0, 1, 3, 4};
+        # round 3 deactivates that set, so the tableau is rebuilt, one row
+        # smaller
+        self._check(6, [[0, 1, 3, 4], [2, 5]])
+        assert tableau_log == [
+            ("fresh", 2, 5), ("carry", 1, (1, 0), False, []), ("fresh", 1, 2)
+        ]
+
+    def test_most_rounds_carried(self, tableau_log):
+        # the n = 300 system of FROZEN_DIGEST_N300: of its 236 rounds, 45
+        # eliminate afresh, 190 carry the tableau, and the last one only
+        # freezes strays
+        chi, rounds = beck_fiala_with_stats(_large_degree4(300, SplitMix64(1)))
+        assert rounds == 236
+        assert sum(e[0] == "fresh" for e in tableau_log) == 45
+        assert sum(e[0] == "carry" for e in tableau_log) == 190
 
 
 class TestMatchesReference:
