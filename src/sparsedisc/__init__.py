@@ -19,7 +19,6 @@ from .graphs import (
     graph_power,
     hadamard,
     read_edge_list,
-    subdivide,
     sylvester_graph,
     write_edge_list,
 )
@@ -34,7 +33,6 @@ from .orderings import (
 )
 from .setsystems import (
     SetSystem,
-    bipartite_double,
     degree,
     edge_color_system,
     intersection_closure,
@@ -49,7 +47,6 @@ __all__ = [
     "Orientation",
     "SetSystem",
     "beck_fiala",
-    "bipartite_double",
     "degeneracy_order",
     "degree",
     "edge_color_system",
@@ -64,7 +61,6 @@ __all__ = [
     "orient_along",
     "read_edge_list",
     "spectral_lower_bound",
-    "subdivide",
     "sylvester_graph",
     "trace",
     "wcol_exact",

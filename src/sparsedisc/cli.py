@@ -101,6 +101,14 @@ def _build_system(kind: str, args: argparse.Namespace) -> setsystems.SetSystem:
     raise ParseError(f"unknown system kind {kind!r}")
 
 
+def _add_system_input(p: argparse.ArgumentParser) -> None:
+    """The options of a verb that reads its set system through
+    _build_system: the --input path, its --system kind and the radius --d."""
+    p.add_argument("-i", "--input", required=True)
+    p.add_argument("--system", choices=["json", "neighborhood", "power"], default="json")
+    p.add_argument("--d", type=int, default=1)
+
+
 def _read_order(path: str, n: int) -> orderings.LinearOrder:
     """An order file: every vertex of the n-vertex graph exactly once,
     earliest first, separated by whitespace."""
@@ -287,9 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("color", help="run a coloring pipeline")
     p.add_argument("kind", choices=["beck-fiala", "power", "qf"])
-    p.add_argument("-i", "--input", required=True)
-    p.add_argument("--system", choices=["json", "neighborhood", "power"], default="json")
-    p.add_argument("--d", type=int, default=1)
+    _add_system_input(p)
     p.add_argument("--order")
     p.add_argument("--formula", action="append")
     p.add_argument("-o", "--output")
@@ -297,9 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("disc", help="evaluate or certify discrepancy")
     p.add_argument("kind", choices=["eval", "exact", "herdisc", "spectral"])
-    p.add_argument("-i", "--input", required=True)
-    p.add_argument("--system", choices=["json", "neighborhood", "power"], default="json")
-    p.add_argument("--d", type=int, default=1)
+    _add_system_input(p)
     p.add_argument("--coloring")
     p.add_argument("--budget", type=int, default=4096)
     p.add_argument("--cap-exact-n", type=int, default=disc_mod.EXACT_MAX_GROUND)
@@ -308,9 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("approx", help="build or verify epsilon approximations")
     p.add_argument("kind", choices=["build", "verify"])
-    p.add_argument("-i", "--input", required=True)
-    p.add_argument("--system", choices=["json", "neighborhood", "power"], default="json")
-    p.add_argument("--d", type=int, default=1)
+    _add_system_input(p)
     p.add_argument("--eps", required=True)
     p.add_argument("--sample")
     p.set_defaults(func=cmd_approx)

@@ -70,9 +70,6 @@ class Eq:
         return f"{self.left.render()}={self.right.render()}"
 
 
-Atom = Union[Pred, Eq]
-
-
 @dataclass(frozen=True)
 class Not:
     child: "Node"

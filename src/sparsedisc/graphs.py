@@ -1,7 +1,9 @@
 """Simple undirected graphs: representation, I/O, d-balls (one BFS per
 vertex, serving both graph powers and the power certificate), powers,
-subdivisions, and the generator families used as fixtures (including the
-Sylvester bipartite graphs that exhibit sqrt(n) neighborhood discrepancy).
+and the generator families used as fixtures (including the Sylvester
+bipartite graphs that exhibit sqrt(n) neighborhood discrepancy).  Every
+vertex count read or generated, and every generated candidate edge count,
+is checked against INPUT_CAP before anything is built.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from typing import IO, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .errors import ParseError, ResourceLimitError
+from .errors import INPUT_CAP, ParseError, ResourceLimitError, check_input_size
 from .rng import SplitMix64
 
 HADAMARD_MAX_P = 13  # 2^26 matrix entries is the desk-scale cap
@@ -96,6 +98,7 @@ def read_edge_list(stream: IO[str]) -> Graph:
                 raise ParseError(f"bad vertex count at line {lineno}") from None
             if n < 0:
                 raise ParseError(f"negative vertex count at line {lineno}")
+            check_input_size("edge-list vertex count", n)
             continue
         if len(parts) != 2:
             raise ParseError(f"malformed edge at line {lineno}")
@@ -155,27 +158,6 @@ def graph_power(g: Graph, d: int) -> Graph:
     return Graph(g.n, tuple(tuple(sorted(b)) for b in balls(g, d)))
 
 
-def subdivide(g: Graph, r: int) -> Graph:
-    """Replace each edge by a path through r fresh vertices.
-
-    Fresh vertices are appended in edge-sorted order, path vertices
-    consecutive, so fixtures are reproducible.
-    """
-    if r < 0:
-        raise ValueError("subdivision count must be non-negative")
-    if r == 0:
-        return g
-    edges = g.edges()
-    total = g.n + r * len(edges)
-    out: list[tuple[int, int]] = []
-    nxt = g.n
-    for u, v in edges:
-        chain = [u] + list(range(nxt, nxt + r)) + [v]
-        nxt += r
-        out.extend(zip(chain, chain[1:]))
-    return Graph.from_edges(total, out)
-
-
 def hadamard(p: int) -> np.ndarray:
     """The 2^p x 2^p int8 matrix with +-1 entries and orthogonal rows, by
     the Kronecker-product recursion H_{p+1} = H_1 (x) H_p, H_0 = (1)."""
@@ -197,6 +179,7 @@ def sylvester_graph(p: int) -> Graph:
     """
     h = hadamard(p)
     m = 1 << p
+    _check_family_size(2 * m, m * (m + 1) // 2)  # the +1 entries of h
     edges = [(int(i), int(m + j)) for i, j in zip(*np.nonzero(h == 1))]
     return Graph.from_edges(2 * m, edges)
 
@@ -205,22 +188,41 @@ def _family_arity_error(name: str, params: list[int]) -> ValueError:
     return ValueError(f"bad parameters {params} for family {name!r}")
 
 
+def _check_family_size(vertices: int, candidate_edges: int) -> None:
+    check_input_size("generated vertex count", vertices)
+    check_input_size("generated candidate edge count", candidate_edges)
+
+
+def _subset_count(n: int, d: int) -> int:
+    """C(n, d), or the first C(n, i) past INPUT_CAP on the way to it: C(n, i)
+    grows with i up to n / 2, so an early stop is already over the cap."""
+    count = 1
+    for i in range(min(d, n - d)):
+        if count > INPUT_CAP:
+            break
+        count = count * (n - i) // (i + 1)
+    return count
+
+
 def generate_family(name: str, params: list[int], seed: int = 0) -> Graph:
     """Deterministic generator for the named graph family."""
     if name == "path":
         if len(params) != 1 or params[0] < 0:
             raise _family_arity_error(name, params)
         n = params[0]
+        _check_family_size(n, n)
         return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
     if name == "cycle":
         if len(params) != 1 or params[0] < 3:
             raise _family_arity_error(name, params)
         n = params[0]
+        _check_family_size(n, n)
         return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
     if name == "grid":
         if len(params) != 2 or min(params) < 1:
             raise _family_arity_error(name, params)
         rows, cols = params
+        _check_family_size(rows * cols, 2 * rows * cols)
         edges = []
         for r in range(rows):
             for c in range(cols):
@@ -233,16 +235,19 @@ def generate_family(name: str, params: list[int], seed: int = 0) -> Graph:
         if len(params) != 1 or params[0] < 0:
             raise _family_arity_error(name, params)
         n = params[0]
+        _check_family_size(n, n * (n - 1) // 2)
         return Graph.from_edges(n, list(combinations(range(n), 2)))
     if name == "complete_bipartite":
         if len(params) != 2 or min(params) < 0:
             raise _family_arity_error(name, params)
         a, b = params
+        _check_family_size(a + b, a * b)
         return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
     if name == "gnp":
         if len(params) != 3 or params[0] < 0 or params[2] <= 0 or not 0 <= params[1] <= params[2]:
             raise _family_arity_error(name, params)
         n, num, den = params
+        _check_family_size(n, n * (n - 1) // 2)
         rng = SplitMix64(seed)
         edges = [(u, v) for u, v in combinations(range(n), 2) if rng.bernoulli(num, den)]
         return Graph.from_edges(n, edges)
@@ -250,6 +255,8 @@ def generate_family(name: str, params: list[int], seed: int = 0) -> Graph:
         if len(params) != 2 or params[0] < 0 or not 0 <= params[1] <= params[0]:
             raise _family_arity_error(name, params)
         n, d = params
+        count = _subset_count(n, d)
+        _check_family_size(n + count, d * count)
         subsets = list(combinations(range(n), d))
         edges = [(u, n + i) for i, sub in enumerate(subsets) for u in sub]
         return Graph.from_edges(n + len(subsets), edges)

@@ -58,7 +58,6 @@ class Orientation:
     """One arc per undirected edge; out_neighbors[v] sorted."""
 
     out_neighbors: tuple[tuple[int, ...], ...]
-    max_out_degree: int
 
     def in_neighbors(self) -> list[list[int]]:
         n = len(self.out_neighbors)
@@ -113,7 +112,7 @@ def orient_along(g: Graph, order: LinearOrder) -> Orientation:
     outs = tuple(
         tuple(sorted(w for w in g.adjacency[v] if pos[w] < pos[v])) for v in range(g.n)
     )
-    return Orientation(outs, max((len(o) for o in outs), default=0))
+    return Orientation(outs)
 
 
 def _root_levels(

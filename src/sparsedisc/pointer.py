@@ -5,8 +5,8 @@ discrepancy bound.
 Every variable is a column of one row table, y1..y_k first, then x1,
 x2, ...: `_term` maps a term over the rows through numpy index arrays and
 `_truth` gives a boolean vector over them.  A definable system is one
-truth table over all (parameter, object) rows, and every definable set,
-rho, guard and psi in this module goes through that one evaluator.
+truth table over all (parameter, object) rows, and every definable set
+and rho in this module goes through that one evaluator.
 
 A quantifier-free partitioned formula is normalized to DNF; each conjunct
 splits into object-only literals (rho), parameter-only literals (the
@@ -14,11 +14,13 @@ guard), and cross equalities word(x_i) = word(y_j).  Naming the parameter
 side of each positive cross z_r yields a psi of the canonical form
 AND_r (word_r(x_{i_r}) = z_r); negated crosses each become a single-slot
 psi subtracted in the assembly.  z_r is only notation: the assembly reads
-it as its parameter term.  The psi systems have degree 1 (the z-tuple of
-a member is determined by the member), so the union system of all rho
-and psi systems has degree at most t, the number of those systems; its
-intersection closure has degree at most 2^t, and a solver coloring of
-the closure is within the constant 2^(2k+t+1) on every definable set.
+it as its parameter term (`tests/oracles.assemble` rebuilds each defined
+set from the plans so, one point at a time).  The psi systems have
+degree 1 (the z-tuple of a member is determined by the member), so the
+union system of all rho and psi systems has degree at most t, the number
+of those systems; its intersection closure has degree at most 2^t, and a
+solver coloring of the closure is within the constant 2^(2k+t+1) on
+every definable set.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from .discrepancy import Coloring, beck_fiala
-from .errors import ParseError, ResourceLimitError
+from .errors import ParseError, ResourceLimitError, check_input_size
 from .formulas import And, Eq, Node, Not, Or, Pred, QFFormula, Term, parse_formula
 from .graphs import Graph
 from .orderings import degeneracy_order, orient_along
@@ -81,6 +83,7 @@ class PointerStructure:
         n = data.get("n")
         if type(n) is not int or n < 0:
             raise ParseError("n must be a non-negative integer")
+        check_input_size("structure domain size n", n)
         functions, predicates = data.get("functions", {}), data.get("predicates", {})
         for field, table in (("functions", functions), ("predicates", predicates)):
             if not isinstance(table, dict) or not all(
@@ -138,11 +141,6 @@ def _table(n: int, k: int) -> np.ndarray:
     return cells.reshape(k, n**k).T
 
 
-def _check_domain(m: PointerStructure, values: tuple) -> None:
-    if any(not 0 <= v < m.domain_size for v in values):
-        raise ValueError(f"tuple entry outside the domain 0..{m.domain_size - 1}")
-
-
 def _term(m: PointerStructure, t: Term, table: np.ndarray, y_arity: int) -> np.ndarray:
     """The value of t at every row of the table, whose first y_arity
     columns are y1..y_k and whose other columns are x1, x2, ..."""
@@ -176,7 +174,8 @@ def eval_formula(m: PointerStructure, phi: QFFormula, a: tuple, b: tuple) -> boo
         raise ValueError("tuple arities do not match the formula")
     _check_signature(m, phi.root)
     row = (*b, *a)
-    _check_domain(m, row)
+    if any(not 0 <= v < m.domain_size for v in row):
+        raise ValueError(f"tuple entry outside the domain 0..{m.domain_size - 1}")
     return bool(_truth(m, phi.root, np.array([row], dtype=np.intp), phi.y_arity)[0])
 
 
@@ -364,27 +363,6 @@ def qf_decompose(phi: QFFormula) -> PsiDecomposition:
 
 def _conjunction(literals: Iterable[Literal]) -> And:
     return And(tuple(atom if pos else Not(atom) for pos, atom in literals))
-
-
-def assemble(m: PointerStructure, dec: PsiDecomposition, b: tuple) -> set[int]:
-    """The set defined by the original formula at parameter b, rebuilt
-    from the decomposition; ground indices flattened as in defined_system."""
-    if len(b) != dec.y_arity:
-        raise ValueError("parameter tuple arity mismatch")
-    _check_domain(m, b)
-    xs = _table(m.domain_size, dec.x_arity)
-    table = np.hstack([np.full((len(xs), dec.y_arity), b, dtype=xs.dtype), xs])
-    out = np.zeros(len(xs), dtype=bool)
-    for plan in dec.assembly:
-        psi = dec.psis[plan.psi_index] if plan.psi_index is not None else ()
-        # each psi slot word(x_i) = z_r, with z_r read as its parameter term
-        crosses = [(True, x, y) for x, y in zip(psi, plan.psi_params)]
-        crosses += [(False, dec.psis[p][0], y) for p, y in plan.negatives]
-        literals = plan.guard + dec.rhos[plan.rho_index] + tuple(
-            (pos, Eq(Term("x", i, xw), Term("y", j, yw))) for pos, (xw, i), (yw, j) in crosses
-        )
-        out |= _truth(m, _conjunction(literals), table, dec.y_arity)
-    return set(np.flatnonzero(out).tolist())
 
 
 # ---------- the constant-bound coloring ----------

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from operator import lt
 from typing import Iterable
 
-from .errors import ParseError, ResourceLimitError
+from .errors import ParseError, ResourceLimitError, check_input_size
 from .graphs import Graph
-from .orderings import degeneracy_order
 from .rng import SplitMix64
 
 CLOSURE_CAP = 10**5
@@ -65,6 +64,7 @@ class SetSystem:
         n, sets = data.get("ground_size"), data.get("sets")
         if type(n) is not int or n < 0:
             raise ParseError("ground_size must be a non-negative integer")
+        check_input_size("ground_size", n)
         if not isinstance(sets, list) or not all(
             isinstance(st, list) and all(type(v) is int for v in st) for st in sets
         ):
@@ -85,42 +85,17 @@ def neighborhood_system(g: Graph) -> SetSystem:
     return SetSystem.from_sets(g.n, g.adjacency)
 
 
-def _edge_key(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
-
-
-def _check_gamma(g: Graph, gamma: dict[tuple[int, int], int]) -> None:
-    for u, v in g.edges():
-        c = gamma.get((u, v))
-        if c not in (1, 2):
-            raise ValueError(f"edge ({u},{v}) missing from the 2-coloring")
-
-
 def edge_color_system(g: Graph, gamma: dict[tuple[int, int], int]) -> SetSystem:
-    """The 1-neighborhoods and 2-neighborhoods of a 2-edge-coloring."""
-    _check_gamma(g, gamma)
+    """The 1-neighborhoods and 2-neighborhoods of a 2-edge-coloring, whose
+    keys are the edges (u, v) with u < v."""
+    for u, v in g.edges():
+        if gamma.get((u, v)) not in (1, 2):
+            raise ValueError(f"edge ({u},{v}) missing from the 2-coloring")
     sets = []
     for v in range(g.n):
         for color in (1, 2):
-            sets.append([u for u in g.adjacency[v] if gamma[_edge_key(u, v)] == color])
+            sets.append([u for u in g.adjacency[v] if gamma[min(u, v), max(u, v)] == color])
     return SetSystem.from_sets(g.n, sets)
-
-
-def bipartite_double(g: Graph, gamma: dict[tuple[int, int], int]) -> Graph:
-    """Bipartite carrier graph with parts V and V x {1,2}: u is adjacent to
-    (v,i), encoded as n + 2v + (i-1), iff {u,v} is an edge of color i.
-    Every colored neighborhood becomes an ordinary neighborhood here, and
-    the degeneracy never goes up.
-    """
-    _check_gamma(g, gamma)
-    edges = []
-    for u, v in g.edges():
-        i = gamma[_edge_key(u, v)]
-        edges.append((u, g.n + 2 * v + (i - 1)))
-        edges.append((v, g.n + 2 * u + (i - 1)))
-    doubled = Graph.from_edges(3 * g.n, edges)
-    assert degeneracy_order(doubled)[1] <= degeneracy_order(g)[1]
-    return doubled
 
 
 def trace(s: SetSystem, subset: Iterable[int]) -> tuple[SetSystem, tuple[int, ...]]:
@@ -158,11 +133,12 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def intersection_closure(s: SetSystem, cap: int = CLOSURE_CAP) -> SetSystem:
+def intersection_closure(s: SetSystem) -> SetSystem:
     """The ground set plus every nonempty intersection of members.  Such an
     intersection contains some element v, so it is an intersection of sets
     through v: the closure is the ground plus, for each v, the at most
-    2^degree(s) intersections of subfamilies of the sets through v."""
+    2^degree(s) intersections of subfamilies of the sets through v.  More
+    than CLOSURE_CAP sets raise ResourceLimitError."""
     ground_mask = (1 << s.ground_size) - 1
     masks = [sum(1 << v for v in st) for st in s.sets]
     closed: set[int] = {ground_mask}
@@ -170,10 +146,10 @@ def intersection_closure(s: SetSystem, cap: int = CLOSURE_CAP) -> SetSystem:
         meets = {ground_mask}
         for i in through:
             meets |= {c & masks[i] for c in meets}
-            if len(meets) > cap:  # meets lies in the closure, so it is over the cap
+            if len(meets) > CLOSURE_CAP:  # meets lies in the closure, so it is over the cap
                 break
         closed |= meets
-        if len(closed) > cap:
+        if len(closed) > CLOSURE_CAP:
             raise ResourceLimitError("intersection closure over the size cap")
     out = SetSystem.from_sets(s.ground_size, (_bits(mask) for mask in closed))
     t = degree(s)

@@ -8,8 +8,10 @@ round, positive semidefiniteness by principal minors, formula
 truth one point at a time by recursion, and intersection closures by
 enumerating every subfamily.  They are the second route of every
 dual-route check.
-Small constructions that only the tests need (bipartiteness, weakly
-induced substructures) live here too, not in the library.
+Small constructions that only the tests need live here too, not in the
+library: bipartiteness, subdivisions, the bipartite doubling of an
+edge-colored graph, weakly induced substructures, and the assembly of a
+defined set from its decomposition, evaluated by `eval_brute`.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from typing import Iterable
 
 from sparsedisc.formulas import And, Eq, Node, Not, Or, Pred, Term
 from sparsedisc.graphs import Graph
-from sparsedisc.pointer import PointerStructure
+from sparsedisc.pointer import PointerStructure, PsiDecomposition
 from sparsedisc.setsystems import SetSystem
 
 
@@ -84,6 +86,33 @@ def is_bipartite(g: Graph) -> bool:
                         return False
             frontier = nxt
     return True
+
+
+def subdivide(g: Graph, r: int) -> Graph:
+    """Replace each edge by a path through r fresh vertices.
+
+    Fresh vertices are appended in edge-sorted order, path vertices
+    consecutive, so fixtures are reproducible.
+    """
+    edges = []
+    fresh = g.n
+    for u, v in g.edges():
+        chain = [u, *range(fresh, fresh + r), v]
+        fresh += r
+        edges.extend(zip(chain, chain[1:]))
+    return Graph.from_edges(fresh, edges)
+
+
+def bipartite_double(g: Graph, gamma: dict[tuple[int, int], int]) -> Graph:
+    """Bipartite carrier graph with parts V and V x {1,2}: u is adjacent to
+    (v,i), encoded as n + 2v + (i-1), iff {u,v} is an edge of color i, so
+    every colored neighborhood of g is an ordinary neighborhood here."""
+    edges = []
+    for u, v in g.edges():
+        i = gamma[(u, v)]
+        edges.append((u, g.n + 2 * v + (i - 1)))
+        edges.append((v, g.n + 2 * u + (i - 1)))
+    return Graph.from_edges(3 * g.n, edges)
 
 
 def girth(g: Graph) -> int | None:
@@ -184,6 +213,33 @@ def eval_brute(m: PointerStructure, node: Node, a: tuple, b: tuple) -> bool:
     if isinstance(node, Or):
         return any(eval_brute(m, ch, a, b) for ch in node.children)
     raise TypeError(node)
+
+
+def assemble(m: PointerStructure, dec: PsiDecomposition, b: tuple) -> set[int]:
+    """The set defined at parameter b, rebuilt from the decomposition: an
+    x-tuple is a member iff, for some plan, its guard, its rho, each psi
+    slot word(x_i) = z_r and the negation of each subtracted single-slot
+    psi hold, every z_r read as its parameter term.  Each literal is
+    decided by eval_brute at the one point; x-tuples are flattened to
+    their lexicographic index, as defined_system flattens them."""
+    plans = []
+    for plan in dec.assembly:
+        psi = dec.psis[plan.psi_index] if plan.psi_index is not None else ()
+        crosses = [(True, x, y) for x, y in zip(psi, plan.psi_params)]
+        crosses += [(False, dec.psis[p][0], y) for p, y in plan.negatives]
+        plans.append(
+            plan.guard
+            + dec.rhos[plan.rho_index]
+            + tuple(
+                (pos, Eq(Term("x", i, xw), Term("y", j, yw)))
+                for pos, (xw, i), (yw, j) in crosses
+            )
+        )
+    return {
+        index
+        for index, a in enumerate(product(range(m.domain_size), repeat=dec.x_arity))
+        if any(all(eval_brute(m, atom, a, b) == pos for pos, atom in lits) for lits in plans)
+    }
 
 
 def closure_brute(s: SetSystem) -> set[tuple[int, ...]]:

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import product
 from math import ceil
 
-from oracles import disc_brute, herdisc_brute
+from oracles import assemble, bipartite_double, disc_brute, herdisc_brute, subdivide
 from sparsedisc.approx import epsilon_approximation, verify_net
 from sparsedisc.discrepancy import (
     Coloring,
@@ -23,13 +23,11 @@ from sparsedisc.formulas import Or as FOr
 from sparsedisc.graphs import (
     generate_family,
     random_degenerate_graph,
-    subdivide,
     sylvester_graph,
 )
 from sparsedisc.orderings import degeneracy_order, wcol_exact
 from sparsedisc.pointer import (
     PointerStructure,
-    assemble,
     defined_system,
     eval_formula,
     from_degenerate_graph,
@@ -47,7 +45,6 @@ from sparsedisc.setsystems import (
     SetSystem,
     degree,
     edge_color_system,
-    bipartite_double,
     neighborhood_system,
     random_system,
     trace,

@@ -485,3 +485,54 @@ class TestMalformedInputExit2:
         code, out, _ = run(capsys, "order", "-i", str(p20), "--d", "4")
         assert code == 0 and len(calls) == 1
         assert json.loads(out)["wcol_from_order"] == {"1": 2, "2": 3, "3": 4, "4": 5}
+
+
+class TestInputCaps:
+    """A size named by outside input is checked against INPUT_CAP before
+    anything of that size is allocated: exit 3 with one line, not a
+    MemoryError traceback."""
+
+    def _refused(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and err.startswith("resource limit: ")
+        assert "over the input cap 10000000" in err
+
+    def test_edge_list_header(self, tmp_path, capsys):
+        path = tmp_path / "big.edges"
+        path.write_text("n 1000000000\n0 1\n")
+        self._refused(capsys, "order", "-i", str(path))
+
+    def test_set_system_ground_size(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text('{"ground_size": 1000000000, "sets": [[0, 1]]}')
+        self._refused(capsys, "color", "beck-fiala", "-i", str(path))
+
+    def test_structure_domain_size(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text('{"n": 1000000000, "functions": {}, "predicates": {}}')
+        formula = tmp_path / "phi.txt"
+        formula.write_text("x1=y1")
+        self._refused(capsys, "color", "qf", "-i", str(path), "--formula", str(formula))
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ["path", "10000001"],
+            ["grid", "3000", "3000"],
+            ["complete", "5000"],
+            ["complete_bipartite", "4000", "4000"],
+            ["gnp", "5000", "1", "2"],
+            ["all_d_subsets", "1000000", "500000"],
+            ["all_d_subsets", "100", "5"],
+            ["sylvester", "13"],
+        ],
+    )
+    def test_gen_request(self, capsys, params):
+        self._refused(capsys, "gen", *params)
+
+    def test_under_the_cap_still_runs(self, tmp_path, capsys):
+        # C(16, 8) = 12870 subsets: under the cap, so generated as before
+        path = tmp_path / "subsets.edges"
+        code, out, _ = run(capsys, "gen", "all_d_subsets", "16", "8", "-o", str(path))
+        assert code == 0 and json.loads(out)["n"] == 16 + 12870

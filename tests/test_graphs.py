@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bfs_distances, girth, is_bipartite
+from oracles import bfs_distances, girth, is_bipartite, subdivide
 from sparsedisc.errors import ParseError, ResourceLimitError
 from sparsedisc.graphs import (
     Graph,
@@ -13,7 +13,6 @@ from sparsedisc.graphs import (
     graph_power,
     hadamard,
     read_edge_list,
-    subdivide,
     sylvester_graph,
     write_edge_list,
 )

@@ -71,7 +71,7 @@ class TestOrientAlong:
         g = generate_family("path", [3])
         o = orient_along(g, natural(3))
         assert o.out_neighbors == ((), (0,), (1,))
-        assert o.max_out_degree == 1
+        assert max(map(len, o.out_neighbors)) == 1
 
     def test_triangle_out_degrees(self):
         g = generate_family("complete", [3])
@@ -81,7 +81,7 @@ class TestOrientAlong:
     def test_grid_degeneracy_order(self):
         g = generate_family("grid", [4, 4])
         order, d = degeneracy_order(g)
-        assert orient_along(g, order).max_out_degree == d == 2
+        assert max(map(len, orient_along(g, order).out_neighbors)) == d == 2
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
@@ -91,7 +91,7 @@ class TestOrientAlong:
         for seed in range(6):
             g = generate_family("gnp", [14, 1, 3], seed=seed)
             order, d = degeneracy_order(g)
-            assert orient_along(g, order).max_out_degree == d
+            assert max(map(len, orient_along(g, order).out_neighbors)) == d
 
     def test_in_plus_out_is_adjacency(self):
         g = generate_family("gnp", [10, 1, 2], seed=1)

