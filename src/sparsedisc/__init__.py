@@ -24,7 +24,6 @@ from .graphs import (
 )
 from .orderings import (
     LinearOrder,
-    Orientation,
     degeneracy_order,
     orient_along,
     wcol_exact,
@@ -44,7 +43,6 @@ __all__ = [
     "Coloring",
     "Graph",
     "LinearOrder",
-    "Orientation",
     "SetSystem",
     "beck_fiala",
     "degeneracy_order",

@@ -63,10 +63,10 @@ def _read_gamma(path: str) -> dict[tuple[int, int], int]:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ParseError(f"malformed color line {lineno}")
-            u, v, c = (int(p) for p in parts)
+            try:
+                u, v, c = map(int, line.split())
+            except ValueError:
+                raise ParseError(f"malformed color line {lineno}") from None
             gamma[(min(u, v), max(u, v))] = c
     return gamma
 
@@ -149,7 +149,7 @@ def cmd_order(args: argparse.Namespace) -> int:
     order, dgn = orderings.degeneracy_order(g)
     # every radius from one pass; an empty graph has no weak-reach sets,
     # so its wcol is 0 where the profile's M_i is 1
-    profile = power_coloring.reach_profile(orderings.weak_reach(g, order, args.d), args.d)
+    profile = orderings.reach_profile(orderings.weak_reach(g, order, args.d), args.d)
     report = {
         "n": g.n,
         "degeneracy": dgn,

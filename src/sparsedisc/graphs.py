@@ -158,13 +158,17 @@ def graph_power(g: Graph, d: int) -> Graph:
     return Graph(g.n, tuple(tuple(sorted(b)) for b in balls(g, d)))
 
 
-def hadamard(p: int) -> np.ndarray:
-    """The 2^p x 2^p int8 matrix with +-1 entries and orthogonal rows, by
-    the Kronecker-product recursion H_{p+1} = H_1 (x) H_p, H_0 = (1)."""
+def _check_order_exponent(p: int) -> None:
     if p < 0:
         raise ValueError("order exponent must be non-negative")
     if p > HADAMARD_MAX_P:
         raise ResourceLimitError(f"hadamard order exponent {p} exceeds cap {HADAMARD_MAX_P}")
+
+
+def hadamard(p: int) -> np.ndarray:
+    """The 2^p x 2^p int8 matrix with +-1 entries and orthogonal rows, by
+    the Kronecker-product recursion H_{p+1} = H_1 (x) H_p, H_0 = (1)."""
+    _check_order_exponent(p)
     h1 = np.array([[1, 1], [1, -1]], dtype=np.int8)
     h = np.array([[1]], dtype=np.int8)
     for _ in range(p):
@@ -176,10 +180,12 @@ def sylvester_graph(p: int) -> Graph:
     """Bipartite graph whose bi-adjacency is hadamard(p) with -1 -> 0.
 
     Vertex convention: rows are 0..2^p-1, columns are 2^p..2^{p+1}-1.
+    The sizes depend only on p, so they are checked before h is built.
     """
-    h = hadamard(p)
+    _check_order_exponent(p)
     m = 1 << p
     _check_family_size(2 * m, m * (m + 1) // 2)  # the +1 entries of h
+    h = hadamard(p)
     edges = [(int(i), int(m + j)) for i, j in zip(*np.nonzero(h == 1))]
     return Graph.from_edges(2 * m, edges)
 

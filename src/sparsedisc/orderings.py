@@ -1,5 +1,6 @@
 """Linear orders on graphs: smallest-last degeneracy orders, orientations
-of bounded out-degree, weak reachability, and weak coloring numbers.
+of bounded out-degree, weak reachability, reach profiles and weak
+coloring numbers.
 
 Weak reachability is computed in one pass for all vertices and radii: a
 bounded BFS from each root z through the vertices ranked after z finds
@@ -8,8 +9,9 @@ polynomial method; Nadara, Pilipczuk, Rabinovich, Reidl and Siebertz,
 *Empirical evaluation of approaches for computing weak coloring
 numbers*).  The pass is root-major: levels[z][i] lists the vertices at
 BFS depth i from z, so every consumer (the reach profile, the weak-reach
-stars, wcol) reads it without a transpose.  The per-root BFS is the only
-weak-reach kernel: the exact weak coloring number runs it too, in a
+stars, wcol, and at radius 1 the in-neighborhoods of the orientation
+along the order) reads it without a transpose.  The per-root BFS is the
+only weak-reach kernel: the exact weak coloring number runs it too, in a
 branch and bound over order prefixes, because a root's BFS depends only
 on which vertices are placed before it.
 """
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, zip_longest
 from typing import Sequence
 
 from .errors import ResourceLimitError
@@ -51,21 +53,6 @@ class LinearOrder:
 
     def serialize(self) -> str:
         return " ".join(str(v) for v in self.sequence())
-
-
-@dataclass(frozen=True)
-class Orientation:
-    """One arc per undirected edge; out_neighbors[v] sorted."""
-
-    out_neighbors: tuple[tuple[int, ...], ...]
-
-    def in_neighbors(self) -> list[list[int]]:
-        n = len(self.out_neighbors)
-        inc: list[list[int]] = [[] for _ in range(n)]
-        for u, outs in enumerate(self.out_neighbors):
-            for v in outs:
-                inc[v].append(u)
-        return [sorted(x) for x in inc]
 
 
 def degeneracy_order(g: Graph) -> tuple[LinearOrder, int]:
@@ -104,15 +91,14 @@ def degeneracy_order(g: Graph) -> tuple[LinearOrder, int]:
     return LinearOrder.from_sequence(list(reversed(removal))), degeneracy
 
 
-def orient_along(g: Graph, order: LinearOrder) -> Orientation:
-    """Each edge points from the later vertex in the order to the earlier."""
+def orient_along(g: Graph, order: LinearOrder) -> tuple[tuple[int, ...], ...]:
+    """Each edge points from the later vertex in the order to the earlier:
+    the sorted out-neighbors of every vertex.  A vertex's in-neighbors are
+    its later neighbors, level 1 of its `weak_reach` levels."""
     if len(order.position) != g.n:
         raise ValueError("order size does not match graph")
     pos = order.position
-    outs = tuple(
-        tuple(sorted(w for w in g.adjacency[v] if pos[w] < pos[v])) for v in range(g.n)
-    )
-    return Orientation(outs)
+    return tuple(tuple(w for w in g.adjacency[v] if pos[w] < pos[v]) for v in range(g.n))
 
 
 def _root_levels(
@@ -161,6 +147,20 @@ def weak_reach(g: Graph, order: LinearOrder, d: int) -> list[list[list[int]]]:
     adj = g.adjacency
     seen = [-1] * g.n
     return [_root_levels(adj, pos, z, d, seen) for z in range(g.n)]
+
+
+def reach_profile(levels: list[list[list[int]]], d: int) -> tuple[int, ...]:
+    """M_i = max_v |WReach_i[v]| for i = 0..d (M_0 is always 1), read from
+    the root-major levels of `weak_reach(g, order, d)`: one count per
+    vertex, grown by each depth across all roots.  M_i for i past the
+    deepest level found equals M at that level."""
+    counts: Counter[int] = Counter()
+    profile = []
+    for layers in zip_longest(*levels, fillvalue=()):
+        counts.update(chain.from_iterable(layers))
+        profile.append(max(counts.values(), default=1))
+    profile = profile or [1]
+    return tuple(profile + profile[-1:] * (d + 1 - len(profile)))
 
 
 def wcol_from_order(g: Graph, order: LinearOrder, d: int) -> int:

@@ -201,10 +201,10 @@ def from_degenerate_graph(g: Graph) -> tuple[PointerStructure, QFFormula]:
     points at the other."""
     order, dgn = degeneracy_order(g)
     d = max(1, dgn)
-    orientation = orient_along(g, order)
+    outs = orient_along(g, order)
     functions = {f"f{i}": list(range(g.n)) for i in range(1, d + 1)}
     for v in range(g.n):
-        for i, w in enumerate(orientation.out_neighbors[v], start=1):
+        for i, w in enumerate(outs[v], start=1):
             functions[f"f{i}"][v] = w
     m = PointerStructure(g.n, {k: tuple(v) for k, v in functions.items()}, {})
     clauses = " | ".join(f"f{i}(x1)=y1 | f{i}(y1)=x1" for i in range(1, d + 1))

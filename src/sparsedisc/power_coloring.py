@@ -7,33 +7,30 @@ order L, color it with the constructive solver, and certify the bound
 Every neighborhood of G^d decomposes into at most M_{d-1} star sets plus
 a remainder inside one weak-reach set, which is where the bound comes from.
 One weak-reach pass (`orderings.weak_reach`, root-major BFS levels) feeds
-both the reach profile and the star system; each root's stars are the
-sorted prefixes of its BFS list, one per level, so no star is built twice.
-The achieved discrepancy is summed straight from the BFS balls of
-`graphs.balls`, without building G^d.  POWER_STAR_CAP bounds n*d before
-any pass (the reach profile has d + 1 entries) and the
-star system's incidences before it is built.
+both the reach profile (`orderings.reach_profile`) and the star system;
+each root's stars are the sorted prefixes of its BFS list, one per level,
+so no star is built twice.  The achieved discrepancy is summed straight
+from the BFS balls of `graphs.balls`, without building G^d.
+POWER_STAR_CAP bounds n*d before any pass (the reach profile has d + 1
+entries) and the incidences of the stars built so far, as they are built.
 
 For d = 1 there is a leaner pipeline: color the in-neighborhood system of
-a bounded out-degree orientation; out-neighborhoods add at most deg(G)
-per set, giving discrepancy strictly below 3*deg(G).
+the orientation along the order, whose out-degree is at most deg(G).  A
+vertex's in-neighbors are its later neighbors, radius 1 of its weak-reach
+levels.  Out-neighborhoods add at most deg(G) per set, giving discrepancy
+strictly below 3*deg(G).
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from operator import add
 from typing import Optional
 
 from .discrepancy import Coloring, beck_fiala
 from .errors import ResourceLimitError
 from .graphs import Graph, balls
-from .orderings import (
-    LinearOrder,
-    degeneracy_order,
-    orient_along,
-    weak_reach,
-)
+# by name: perfbench/tracing.py wraps reach_profile and weak_reach here
+from .orderings import LinearOrder, degeneracy_order, reach_profile, weak_reach
 from .setsystems import SetSystem
 
 # unused here; perfbench/tracing.py wraps them by attribute name
@@ -86,51 +83,21 @@ def wreach_star_system(levels: list[list[list[int]]], d: int) -> SetSystem:
     """
     if d < 1:
         raise ValueError("radius must be at least 1")
-    n = len(levels)
-    # the (z, i) stars with i past the largest radius found repeat the
-    # (z, top) star, so the incidences counted here are those of radii up
-    # to top: the pair (u, z) at radius r lies in the stars of radii
-    # max(r, 1)..top, and each root has one pair at radius 0 (z itself)
-    top = max(1, max(map(len, levels), default=1) - 1)
-    pairs = radii = 0
-    for lv in levels:
-        for i, layer in enumerate(lv):
-            pairs += len(layer)
-            radii += i * len(layer)
-    size = (top + 1) * pairs - radii - n
-    if size > POWER_STAR_CAP:
-        raise ResourceLimitError(
-            f"star system capped at {POWER_STAR_CAP} incidences, needs {size}"
-        )
     stars: list[tuple[int, ...]] = []
+    size = 0
     for lv in levels:
         star = lv[0]
-        for layer in lv[1:]:
+        # a root whose BFS is only [z] still has its radius-1 star {z}
+        for layer in lv[1:] or [[]]:
             star = sorted(star + layer)
             stars.append(tuple(star))
-        if len(lv) == 1:
-            stars.append(tuple(star))
+            size += len(star)
+            if size > POWER_STAR_CAP:
+                raise ResourceLimitError(
+                    f"star system capped at {POWER_STAR_CAP} incidences, needs at least {size}"
+                )
     stars.sort()
-    return SetSystem(n, tuple(stars))
-
-
-def reach_profile(levels: list[list[list[int]]], d: int) -> tuple[int, ...]:
-    """M_i = max_v |WReach_i| for i = 0..d (M_0 is always 1), read from the
-    root-major levels of `weak_reach(g, order, d)`.  The counts are sized
-    by the deepest level found; M_i for i past it equals M at that level."""
-    n = len(levels)
-    depth = max(map(len, levels), default=1)
-    counts = [[0] * n for _ in range(depth)]
-    for lv in levels:
-        for c, layer in zip(counts, lv):
-            for v in layer:
-                c[v] += 1
-    profile = []
-    size = [0] * n
-    for c in counts:
-        size = list(map(add, size, c))
-        profile.append(max(size, default=1))
-    return tuple(profile + profile[-1:] * (d + 1 - depth))
+    return SetSystem(len(levels), tuple(stars))
 
 
 def power_coloring(
@@ -158,11 +125,11 @@ def power_coloring(
 
 def in_neighborhood_system(g: Graph, order: Optional[LinearOrder] = None) -> SetSystem:
     """In-neighborhoods under the orientation along the order (defaults to
-    the degeneracy order); its degree is the orientation's max out-degree."""
+    the degeneracy order): each vertex's later neighbors, level 1 of its
+    `weak_reach` levels.  Its degree is the orientation's max out-degree."""
     if order is None:
         order, _ = degeneracy_order(g)
-    orientation = orient_along(g, order)
-    return SetSystem.from_sets(g.n, orientation.in_neighbors())
+    return SetSystem.from_sets(g.n, (lv[1] for lv in weak_reach(g, order, 1) if len(lv) > 1))
 
 
 def orientation_coloring(g: Graph) -> tuple[Coloring, int]:

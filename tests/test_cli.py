@@ -226,6 +226,24 @@ class TestSystemAndApprox:
         assert code == 0
         assert json.loads(out)["sets"] == [[0], [0, 1], [1], [2]]
 
+    @pytest.mark.parametrize(
+        "gamma, message",
+        [
+            ("0 1 2\n0 2 x\n1 2 1\n", "error: malformed color line 2\n"),
+            ("0 1 2\n0 2 3\n1 2 1\n", "error: edge (0,2) has color 3, not 1 or 2\n"),
+        ],
+    )
+    def test_edge_color_bad_colors(self, tmp_path, capsys, gamma, message):
+        path = tmp_path / "k3.edges"
+        run(capsys, "gen", "complete", "3", "-o", str(path))
+        colors = tmp_path / "gamma.txt"
+        colors.write_text(gamma)
+        code, out, err = run(
+            capsys, "system", "edge-color", "-i", str(path), "--colors", str(colors)
+        )
+        assert code == 2 and out == ""
+        assert err == message
+
     def test_approx_build_and_verify(self, tmp_path, capsys):
         path = tmp_path / "g.edges"
         run(capsys, "gen", "grid", "8", "8", "-o", str(path))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import bfs_distances, girth, is_bipartite, subdivide
+from sparsedisc import graphs
 from sparsedisc.errors import ParseError, ResourceLimitError
 from sparsedisc.graphs import (
     Graph,
@@ -185,6 +186,16 @@ class TestSylvester:
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             sylvester_graph(14)
+
+    def test_size_checked_before_the_matrix(self, monkeypatch):
+        # p = 13 is under the hadamard cap, but its 2^13 (2^13 + 1) / 2
+        # edges are over INPUT_CAP: refused without building the matrix
+        def unbuilt(p):
+            raise AssertionError("hadamard built before the size check")
+
+        monkeypatch.setattr(graphs, "hadamard", unbuilt)
+        with pytest.raises(ResourceLimitError):
+            sylvester_graph(13)
 
 
 class TestGenerateFamily:

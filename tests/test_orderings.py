@@ -15,6 +15,8 @@ from sparsedisc.orderings import (
     wcol_from_order,
     weak_reach,
 )
+from sparsedisc.power_coloring import in_neighborhood_system
+from sparsedisc.setsystems import SetSystem
 
 from conftest import shuffled_order, wreach_rows
 
@@ -69,19 +71,19 @@ class TestDegeneracy:
 class TestOrientAlong:
     def test_path_natural(self):
         g = generate_family("path", [3])
-        o = orient_along(g, natural(3))
-        assert o.out_neighbors == ((), (0,), (1,))
-        assert max(map(len, o.out_neighbors)) == 1
+        outs = orient_along(g, natural(3))
+        assert outs == ((), (0,), (1,))
+        assert max(map(len, outs)) == 1
 
     def test_triangle_out_degrees(self):
         g = generate_family("complete", [3])
-        o = orient_along(g, natural(3))
-        assert sorted(len(x) for x in o.out_neighbors) == [0, 1, 2]
+        outs = orient_along(g, natural(3))
+        assert sorted(len(x) for x in outs) == [0, 1, 2]
 
     def test_grid_degeneracy_order(self):
         g = generate_family("grid", [4, 4])
         order, d = degeneracy_order(g)
-        assert max(map(len, orient_along(g, order).out_neighbors)) == d == 2
+        assert max(map(len, orient_along(g, order))) == d == 2
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
@@ -91,14 +93,19 @@ class TestOrientAlong:
         for seed in range(6):
             g = generate_family("gnp", [14, 1, 3], seed=seed)
             order, d = degeneracy_order(g)
-            assert max(map(len, orient_along(g, order).out_neighbors)) == d
+            assert max(map(len, orient_along(g, order))) == d
 
     def test_in_plus_out_is_adjacency(self):
+        # the out-neighbors of v and its in-neighborhood split N(v), so the
+        # in-neighborhood system is the system of the N(v) - out(v)
         g = generate_family("gnp", [10, 1, 2], seed=1)
-        o = orient_along(g, natural(10))
-        ins = o.in_neighbors()
-        for v in range(10):
-            assert sorted(list(o.out_neighbors[v]) + ins[v]) == list(g.adjacency[v])
+        for order in (natural(10), shuffled_order(10, 1)):
+            outs = orient_along(g, order)
+            rests = []
+            for v in range(10):
+                assert set(outs[v]) <= set(g.adjacency[v])
+                rests.append(set(g.adjacency[v]) - set(outs[v]))
+            assert in_neighborhood_system(g, order) == SetSystem.from_sets(10, rests)
 
 
 class TestWeakReach:

@@ -10,6 +10,7 @@ from sparsedisc.graphs import Graph, generate_family, graph_power, random_degene
 from sparsedisc.orderings import (
     LinearOrder,
     degeneracy_order,
+    reach_profile,
     wcol_from_order,
     weak_reach,
 )
@@ -17,7 +18,6 @@ from sparsedisc.power_coloring import (
     in_neighborhood_system,
     orientation_coloring,
     power_coloring,
-    reach_profile,
     wreach_star_system,
 )
 from sparsedisc.rng import SplitMix64
@@ -41,6 +41,9 @@ class TestViewsMatchOracle:
             for i in range(d + 1)
         )
         assert reach_profile(weak_reach(g, order, d), d) == expected
+
+    def test_reach_profile_no_vertices(self):
+        assert reach_profile(weak_reach(Graph(0, ()), natural(0), 3), 3) == (1, 1, 1, 1)
 
     @given(st.integers(0, 2**32), st.integers(1, 3))
     @settings(max_examples=25, deadline=None)
@@ -96,15 +99,16 @@ class TestWreachStarSystem:
             wreach_star_system(weak_reach(generate_family("path", [3]), natural(3), 0), 0)
 
     def test_incidence_cap(self, monkeypatch):
-        # the path of 4 in its natural order: vertex u weakly reaches every
-        # z <= u at radius u - z, and sum over those pairs of
-        # 3 + 1 - max(u - z, 1) is 26 star incidences at d = 3
+        # the path of 4 in its natural order: root z's BFS runs along
+        # z, z + 1, ..., 3, so its stars have sizes 2..4 - z, and root 3
+        # has the one star {3}: 9 + 5 + 2 + 1 = 17 incidences at d = 3
         g = generate_family("path", [4])
         full = wreach_star_system(weak_reach(g, natural(4), 3), 3)
-        monkeypatch.setattr(power_module, "POWER_STAR_CAP", 26)
+        assert sum(map(len, full.sets)) == 17
+        monkeypatch.setattr(power_module, "POWER_STAR_CAP", 17)
         assert wreach_star_system(weak_reach(g, natural(4), 3), 3) == full
-        monkeypatch.setattr(power_module, "POWER_STAR_CAP", 25)
-        with pytest.raises(ResourceLimitError, match="needs 26"):
+        monkeypatch.setattr(power_module, "POWER_STAR_CAP", 16)
+        with pytest.raises(ResourceLimitError, match="needs at least 17"):
             wreach_star_system(weak_reach(g, natural(4), 3), 3)
 
 
@@ -245,6 +249,18 @@ class TestCertificateOracle:
 
 
 class TestOrientationColoring:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_in_neighborhoods_match_brute(self, seed):
+        # vertex 11 is isolated; its in-neighborhood is empty
+        g = Graph.from_edges(12, generate_family("gnp", [11, 1, 3], seed=seed).edges())
+        order = shuffled_order(g.n, seed)
+        pos = order.position
+        later = [{w for w in g.adjacency[v] if pos[w] > pos[v]} for v in range(g.n)]
+        assert in_neighborhood_system(g, order) == SetSystem.from_sets(g.n, later)
+
+    def test_in_neighborhoods_no_vertices(self):
+        assert in_neighborhood_system(Graph(0, ()), natural(0)) == SetSystem(0, ())
+
     def test_in_neighborhood_degree_bounded_by_degeneracy(self):
         for seed in range(8):
             g = generate_family("gnp", [20, 1, 5], seed=seed)
