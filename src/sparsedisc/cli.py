@@ -67,7 +67,10 @@ def _read_gamma(path: str) -> dict[tuple[int, int], int]:
                 u, v, c = map(int, line.split())
             except ValueError:
                 raise ParseError(f"malformed color line {lineno}") from None
-            gamma[(min(u, v), max(u, v))] = c
+            edge = (min(u, v), max(u, v))
+            if edge in gamma:
+                raise ParseError(f"repeated edge ({edge[0]},{edge[1]}) at color line {lineno}")
+            gamma[edge] = c
     return gamma
 
 

@@ -10,20 +10,30 @@ polynomial method; Nadara, Pilipczuk, Rabinovich, Reidl and Siebertz,
 numbers*).  The pass is root-major: levels[z][i] lists the vertices at
 BFS depth i from z, so every consumer (the reach profile, the weak-reach
 stars, wcol, and at radius 1 the in-neighborhoods of the orientation
-along the order) reads it without a transpose.  The per-root BFS is the
-only weak-reach kernel: the exact weak coloring number runs it too, in a
-branch and bound over order prefixes, because a root's BFS depends only
-on which vertices are placed before it.
+along the order) reads it without a transpose.  The exact weak coloring
+number runs the per-root BFS too, in a branch and bound over order
+prefixes, because a root's BFS depends only on which vertices are placed
+before it.
+
+The weak coloring number of one order needs only the sizes |WReach_d[v]|,
+so up to graphs.MASK_MAX_N vertices it is counted by the bit-parallel
+kernel `graphs._reach_masks` instead: bit pos[z] stands for root z, and
+z enters WReach_i[v] exactly when some neighbor u of v holds z in
+WReach_{i-1}[u] and pos[z] < pos[v].  Above that size the masks cost
+more than the BFS (their work grows like d * m * n / 64), and the count is
+read from the reach profile of one BFS pass.
 """
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, zip_longest
 from typing import Sequence
 
+from . import graphs  # MASK_MAX_N is read at call time, so one setting serves every reader
 from .errors import ResourceLimitError
-from .graphs import Graph
+from .graphs import Graph, _reach_masks
 
 WCOL_EXACT_MAX_N = 9
 
@@ -59,36 +69,29 @@ def degeneracy_order(g: Graph) -> tuple[LinearOrder, int]:
     """Smallest-last order: repeatedly remove a minimum-degree vertex
     (ties to the lowest index); the reversed removal sequence is the order
     and the max degree at removal time is exactly the degeneracy.
+
+    One heap keyed by (current degree, vertex) with lazy deletion: a
+    vertex is pushed again whenever its degree drops, and an entry whose
+    degree is no longer current is skipped when popped.
     """
-    adj = [set(nbrs) for nbrs in g.adjacency]
-    alive = set(range(g.n))
-    # bucket queue over current degrees
+    degs = [len(nbrs) for nbrs in g.adjacency]
+    alive = [True] * g.n
+    heap = [(k, v) for v, k in enumerate(degs)]
+    heapq.heapify(heap)
     removal: list[int] = []
     degeneracy = 0
-    degs = [len(a) for a in adj]
-    buckets: list[set[int]] = [set() for _ in range(g.n + 1)]
-    for v in alive:
-        buckets[degs[v]].add(v)
-    cursor = 0
-    for _ in range(g.n):
-        while cursor < len(buckets) and not buckets[cursor]:
-            cursor += 1
-        v = min(buckets[cursor])
-        buckets[cursor].discard(v)
-        degeneracy = max(degeneracy, degs[v])
+    while heap:
+        k, v = heapq.heappop(heap)
+        if not alive[v] or k != degs[v]:
+            continue
+        alive[v] = False
         removal.append(v)
-        alive.discard(v)
-        for w in adj[v]:
-            if w in alive:
-                buckets[degs[w]].discard(w)
+        degeneracy = max(degeneracy, k)
+        for w in g.adjacency[v]:
+            if alive[w]:
                 degs[w] -= 1
-                buckets[degs[w]].add(w)
-                if degs[w] < cursor:
-                    cursor = degs[w]
-        for w in adj[v]:
-            adj[w].discard(v)
-        adj[v].clear()
-    return LinearOrder.from_sequence(list(reversed(removal))), degeneracy
+                heapq.heappush(heap, (degs[w], w))
+    return LinearOrder.from_sequence(removal[::-1]), degeneracy
 
 
 def orient_along(g: Graph, order: LinearOrder) -> tuple[tuple[int, ...], ...]:
@@ -127,6 +130,13 @@ def _root_levels(
     return levels
 
 
+def _check_reach_args(g: Graph, order: LinearOrder, d: int) -> None:
+    if d < 0:
+        raise ValueError("radius must be non-negative")
+    if len(order.position) != g.n:
+        raise ValueError("order size does not match graph")
+
+
 def weak_reach(g: Graph, order: LinearOrder, d: int) -> list[list[list[int]]]:
     """Weak reachability of every vertex at every radius up to d, in one pass.
 
@@ -139,10 +149,7 @@ def weak_reach(g: Graph, order: LinearOrder, d: int) -> list[list[list[int]]]:
     O(sum_v |WReach_d[v]| * deg) total cost.  Trailing empty levels are
     not stored: len(levels[z]) - 1 is the depth of z's BFS.
     """
-    if d < 0:
-        raise ValueError("radius must be non-negative")
-    if len(order.position) != g.n:
-        raise ValueError("order size does not match graph")
+    _check_reach_args(g, order, d)
     pos = order.position
     adj = g.adjacency
     seen = [-1] * g.n
@@ -165,10 +172,20 @@ def reach_profile(levels: list[list[list[int]]], d: int) -> tuple[int, ...]:
 
 def wcol_from_order(g: Graph, order: LinearOrder, d: int) -> int:
     """max_v |WReach_d[v]|; an upper bound on the weak coloring number
-    realized by this particular order.  |WReach_d[v]| is the number of
-    roots whose levels hold v."""
-    counts = Counter(chain.from_iterable(chain.from_iterable(weak_reach(g, order, d))))
-    return max(counts.values(), default=0)
+    realized by this particular order.
+
+    Up to graphs.MASK_MAX_N vertices, v's weak reach is one int of rank
+    bits: it starts as its own bit and each round ORs in its neighbors'
+    bits of ranks below pos[v].  Above, it is M_d of the reach profile."""
+    _check_reach_args(g, order, d)
+    if g.n > graphs.MASK_MAX_N:
+        # a path has fewer than n edges, so M_d stops growing at d = n - 1
+        # and the profile, which has d + 1 entries, need not be longer
+        d = min(d, g.n)
+        return reach_profile(weak_reach(g, order, d), d)[d] if g.n else 0
+    pos = order.position
+    masks = _reach_masks(g.adjacency, [1 << p for p in pos], d, [(1 << p) - 1 for p in pos])
+    return max((m.bit_count() for m in masks), default=0)
 
 
 def wcol_exact(g: Graph, d: int, max_n: int = WCOL_EXACT_MAX_N) -> int:

@@ -10,7 +10,12 @@ One weak-reach pass (`orderings.weak_reach`, root-major BFS levels) feeds
 both the reach profile (`orderings.reach_profile`) and the star system;
 each root's stars are the sorted prefixes of its BFS list, one per level,
 so no star is built twice.  The achieved discrepancy is summed straight
-from the BFS balls of `graphs.balls`, without building G^d.
+from the d-balls, without building G^d.  Up to graphs.MASK_MAX_N
+vertices the balls are the bit masks of `graphs._reach_masks` (one int of
+vertex bits per vertex), and a ball's signed sum is
+2*|B & plus| - |B|, where plus holds the vertices colored +1.  Above that
+size the masks cost more than a BFS, and the sums walk the BFS balls of
+`graphs.balls`.
 POWER_STAR_CAP bounds n*d before any pass (the reach profile has d + 1
 entries) and the incidences of the stars built so far, as they are built.
 
@@ -28,7 +33,8 @@ from typing import Optional
 
 from .discrepancy import Coloring, beck_fiala
 from .errors import ResourceLimitError
-from .graphs import Graph, balls
+from . import graphs  # MASK_MAX_N is read at call time, so one setting serves every reader
+from .graphs import Graph, _reach_masks, balls
 # by name: perfbench/tracing.py wraps reach_profile and weak_reach here
 from .orderings import LinearOrder, degeneracy_order, reach_profile, weak_reach
 from .setsystems import SetSystem
@@ -100,6 +106,19 @@ def wreach_star_system(levels: list[list[list[int]]], d: int) -> SetSystem:
     return SetSystem(len(levels), tuple(stars))
 
 
+def _max_ball_sum(g: Graph, d: int, values: tuple[int, ...]) -> int:
+    """max over v of |sum of values over the vertices at distance 1..d|."""
+    if g.n > graphs.MASK_MAX_N:
+        return max((abs(sum([values[w] for w in b])) for b in balls(g, d)), default=0)
+    plus = sum(1 << v for v, x in enumerate(values) if x > 0)
+    masks = _reach_masks(g.adjacency, [1 << v for v in range(g.n)], d)
+    # each mask holds v itself, whose value is taken back out
+    return max(
+        (abs(2 * (m & plus).bit_count() - m.bit_count() - x) for m, x in zip(masks, values)),
+        default=0,
+    )
+
+
 def power_coloring(
     g: Graph, d: int, order: Optional[LinearOrder] = None
 ) -> tuple[Coloring, PowerColoringCertificate]:
@@ -117,8 +136,7 @@ def power_coloring(
     profile = reach_profile(levels, d)
     chi = beck_fiala(wreach_star_system(levels, d))
     bound = (2 * d * profile[d - 1] + 1) * profile[d]
-    values = chi.values
-    achieved = max((abs(sum([values[w] for w in b])) for b in balls(g, d)), default=0)
+    achieved = _max_ball_sum(g, d, chi.values)
     cert = PowerColoringCertificate(d, order, profile, bound, achieved)
     return chi, cert
 

@@ -87,12 +87,16 @@ def neighborhood_system(g: Graph) -> SetSystem:
 
 def edge_color_system(g: Graph, gamma: dict[tuple[int, int], int]) -> SetSystem:
     """The 1-neighborhoods and 2-neighborhoods of a 2-edge-coloring, whose
-    keys are the edges (u, v) with u < v."""
-    for u, v in g.edges():
+    keys are the edges (u, v) with u < v, and no other pairs."""
+    edges = g.edges()
+    for u, v in edges:
         if (u, v) not in gamma:
             raise ValueError(f"edge ({u},{v}) missing from the 2-coloring")
         if gamma[u, v] not in (1, 2):
             raise ValueError(f"edge ({u},{v}) has color {gamma[u, v]}, not 1 or 2")
+    if len(gamma) > len(edges):
+        u, v = min(gamma.keys() - set(edges))
+        raise ValueError(f"({u},{v}) is colored but is not an edge")
     sets = []
     for v in range(g.n):
         for color in (1, 2):

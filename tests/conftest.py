@@ -5,6 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from sparsedisc import graphs
 from sparsedisc.graphs import Graph, generate_family
 from sparsedisc.orderings import LinearOrder
 from sparsedisc.rng import SplitMix64
@@ -26,6 +27,16 @@ def wreach_rows(levels: list[list[list[int]]]) -> list[dict[int, int]]:
             for v in layer:
                 rows[v][z] = i
     return rows
+
+
+@pytest.fixture(params=["mask", "bfs"])
+def route(request, monkeypatch) -> str:
+    """Run a test once per bounded-reach route: the bit masks at the
+    default size rule, then the BFS, forced for every graph (the empty one
+    too) by setting graphs.MASK_MAX_N to -1."""
+    if request.param == "bfs":
+        monkeypatch.setattr(graphs, "MASK_MAX_N", -1)
+    return request.param
 
 
 @pytest.fixture(scope="session")

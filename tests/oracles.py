@@ -1,7 +1,8 @@
 """Independent brute-force oracles used by the tests.
 
 These deliberately share no algorithmic code with the package: exhaustive
-enumeration, plain BFS, the plain rational Gauss-Jordan elimination
+enumeration, plain BFS, smallest-last orders by scanning every vertex at
+each removal, the plain rational Gauss-Jordan elimination
 that the solver's fraction-free null vector must agree with up to a
 positive scale, the rounding solver as a rational loop rebuilt every
 round, positive semidefiniteness by principal minors, formula
@@ -175,6 +176,25 @@ def degeneracy_brute(g: Graph) -> int:
             ss = set(sub)
             best = max(best, min(sum(1 for w in g.adjacency[v] if w in ss) for v in sub))
     return best
+
+
+def smallest_last_brute(g: Graph) -> tuple[list[int], int]:
+    """The smallest-last order (earliest first) and the degeneracy, in
+    O(n^2): each step scans every remaining vertex for the least current
+    degree (the first one found, so ties go to the lowest index) and
+    removes it; the order is the removal sequence reversed."""
+    degree = [len(nbrs) for nbrs in g.adjacency]
+    remaining = [True] * g.n
+    removal = []
+    degeneracy = 0
+    for _ in range(g.n):
+        v = min((u for u in range(g.n) if remaining[u]), key=lambda u: degree[u])
+        degeneracy = max(degeneracy, degree[v])
+        removal.append(v)
+        remaining[v] = False
+        for w in g.adjacency[v]:
+            degree[w] -= 1
+    return removal[::-1], degeneracy
 
 
 def weakly_induced(m: PointerStructure, subset: Iterable[int]) -> PointerStructure:

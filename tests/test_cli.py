@@ -231,6 +231,8 @@ class TestSystemAndApprox:
         [
             ("0 1 2\n0 2 x\n1 2 1\n", "error: malformed color line 2\n"),
             ("0 1 2\n0 2 3\n1 2 1\n", "error: edge (0,2) has color 3, not 1 or 2\n"),
+            ("0 1 1\n0 2 1\n1 2 1\n1 0 2\n", "error: repeated edge (0,1) at color line 4\n"),
+            ("0 1 2\n0 2 1\n1 2 1\n0 77 1\n", "error: (0,77) is colored but is not an edge\n"),
         ],
     )
     def test_edge_color_bad_colors(self, tmp_path, capsys, gamma, message):

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import degeneracy_brute, wcol_brute, wreach_brute
+from oracles import degeneracy_brute, smallest_last_brute, wcol_brute, wreach_brute
+from sparsedisc import graphs, orderings
 from sparsedisc.errors import ResourceLimitError
-from sparsedisc.graphs import Graph, generate_family, random_degenerate_graph
+from sparsedisc.graphs import Graph, generate_family, random_degenerate_graph, sylvester_graph
 from sparsedisc.orderings import (
     LinearOrder,
     degeneracy_order,
@@ -53,6 +54,16 @@ class TestDegeneracy:
         for seed in range(6):
             g = generate_family("gnp", [7, 1, 2], seed=seed)
             assert degeneracy_order(g)[1] == degeneracy_brute(g)
+
+    def test_order_matches_smallest_last_oracle(self, small_corpus):
+        corpus = [g for _, g in small_corpus]
+        corpus += [Graph(0, ()), Graph(4, ((),) * 4), sylvester_graph(4)]
+        corpus += [generate_family("grid", [7, 9]), generate_family("complete_bipartite", [5, 9])]
+        corpus += [generate_family("gnp", [40, 1, 6], seed=seed) for seed in range(6)]
+        corpus += [random_degenerate_graph(300, p, seed) for p in (3, 6) for seed in range(2)]
+        for g in corpus:
+            order, dgn = degeneracy_order(g)
+            assert (order.sequence(), dgn) == smallest_last_brute(g)
 
     def test_subgraph_monotone(self):
         for seed in range(8):
@@ -203,6 +214,84 @@ class TestWcolFromOrder:
                 assert wcol_from_order(g, natural(g.n), d) >= exact
                 heur = degeneracy_order(g)[0]
                 assert wcol_from_order(g, heur, d) >= exact
+
+
+def _route_corpus() -> list[tuple[Graph, LinearOrder]]:
+    """Graphs under natural and shuffled orders, with the edge cases of
+    both routes: no vertices, isolated vertices, disconnected parts."""
+    out = [(Graph(0, ()), natural(0)), (Graph(5, ((),) * 5), shuffled_order(5, 1))]
+    parts = Graph.from_edges(9, [(0, 1), (1, 2), (2, 0), (4, 5), (5, 6), (6, 7)])
+    out.append((parts, shuffled_order(9, 2)))
+    for seed in range(4):
+        g = random_degenerate_graph(30, 3, seed)
+        out += [(g, degeneracy_order(g)[0]), (g, shuffled_order(g.n, seed))]
+        g = generate_family("gnp", [14, 1, 4], seed=seed)
+        out += [(g, natural(g.n)), (g, shuffled_order(g.n, seed + 10))]
+    g = generate_family("grid", [5, 6])
+    out += [(g, natural(g.n)), (g, shuffled_order(g.n, 7))]
+    return out
+
+
+class TestWcolRoutes:
+    """The bit-mask route of wcol_from_order against the BFS route and
+    against the path-enumeration oracle."""
+
+    def test_routes_agree(self, monkeypatch):
+        corpus = _route_corpus()
+        radii = (0, 1, 2, 3, 4, 60)  # 60 is past every diameter here
+        masks = [[wcol_from_order(g, order, d) for d in radii] for g, order in corpus]
+        monkeypatch.setattr(graphs, "MASK_MAX_N", -1)
+        assert masks == [[wcol_from_order(g, order, d) for d in radii] for g, order in corpus]
+        assert masks[0] == [0] * len(radii)
+        assert masks[1] == [1] * len(radii)
+
+    def test_matches_path_enumeration_oracle(self, route):
+        for g, order in _route_corpus()[:6]:
+            for d in range(4):
+                sizes = [len(wreach_brute(g, order.position, d, v)) for v in range(g.n)]
+                assert wcol_from_order(g, order, d) == max(sizes, default=0)
+
+    def test_best_order_is_wcol_brute(self, route, small_corpus):
+        for name, g in small_corpus:
+            if g.n > 6:
+                continue
+            for d in (1, 2, 3):
+                best = min(
+                    wcol_from_order(g, LinearOrder.from_sequence(list(p)), d)
+                    for p in permutations(range(g.n))
+                )
+                assert best == wcol_brute(g, d), name
+
+    def test_radius_far_past_the_diameter(self, route):
+        # both routes stop once a round (a BFS level) adds nothing
+        g = generate_family("path", [20])
+        order = shuffled_order(20, 4)
+        assert wcol_from_order(g, order, 10**9) == wcol_from_order(g, order, 19)
+
+    def test_size_rule(self, monkeypatch):
+        # n = MASK_MAX_N + 1 takes the BFS route; raising the constant by
+        # one sends it to the masks, with the same answer
+        g = random_degenerate_graph(graphs.MASK_MAX_N + 1, 3, 11)
+        order = shuffled_order(g.n, 11)
+        mask_calls = []
+
+        def spy(*args):
+            mask_calls.append(args[2])
+            return graphs._reach_masks(*args)
+
+        monkeypatch.setattr(orderings, "_reach_masks", spy)
+        bfs = [wcol_from_order(g, order, d) for d in (1, 2)]
+        assert mask_calls == []
+        monkeypatch.setattr(graphs, "MASK_MAX_N", g.n)
+        assert [wcol_from_order(g, order, d) for d in (1, 2)] == bfs
+        assert mask_calls == [1, 2]
+
+    def test_rejects_bad_arguments(self, route):
+        g = generate_family("path", [3])
+        with pytest.raises(ValueError, match="non-negative"):
+            wcol_from_order(g, natural(3), -1)
+        with pytest.raises(ValueError, match="order size"):
+            wcol_from_order(g, natural(4), 2)
 
 
 class TestWcolExact:

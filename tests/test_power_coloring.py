@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import bfs_distances, wreach_brute
+from sparsedisc import graphs
 from sparsedisc import power_coloring as power_module
 from sparsedisc.discrepancy import beck_fiala, eval_discrepancy
 from sparsedisc.errors import ResourceLimitError
@@ -239,13 +240,46 @@ def _certificate_corpus() -> list[Graph]:
 
 
 class TestCertificateOracle:
-    """cert.achieved against ball sums from an independent BFS."""
+    """cert.achieved against ball sums from an independent BFS, on both
+    routes that sum it: the bit masks and the BFS balls."""
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_achieved_matches_ball_sums(self, d):
-        for g in _certificate_corpus():
+        for g in _certificate_corpus() + [Graph(0, ()), Graph(3, ((),) * 3)]:
             chi, cert = power_coloring(g, d)
             assert cert.achieved == _ball_sums_max(g, d, chi.values)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_bfs_route_matches_ball_sums(self, d, monkeypatch):
+        # -1 sends every graph, the empty one too, to the BFS balls
+        monkeypatch.setattr(graphs, "MASK_MAX_N", -1)
+        self.test_achieved_matches_ball_sums(d)
+
+    def test_routes_agree(self, monkeypatch):
+        corpus = _certificate_corpus() + [generate_family("path", [30])]
+        radii = (1, 2, 3, 40)  # 40 is past every diameter here
+        masks = [power_coloring(g, d)[1] for g in corpus for d in radii]
+        monkeypatch.setattr(graphs, "MASK_MAX_N", -1)
+        assert masks == [power_coloring(g, d)[1] for g in corpus for d in radii]
+
+    def test_size_rule(self, monkeypatch):
+        # n = MASK_MAX_N + 1 sums the BFS balls; raising the constant by
+        # one sends it to the masks, with the same sums
+        g = random_degenerate_graph(graphs.MASK_MAX_N + 1, 3, 12)
+        rng = SplitMix64(12)
+        values = tuple(rng.randrange(2) * 2 - 1 for _ in range(g.n))
+        mask_calls = []
+
+        def spy(*args):
+            mask_calls.append(args[2])
+            return graphs._reach_masks(*args)
+
+        monkeypatch.setattr(power_module, "_reach_masks", spy)
+        bfs = [power_module._max_ball_sum(g, d, values) for d in (1, 2, 3)]
+        assert mask_calls == []
+        monkeypatch.setattr(graphs, "MASK_MAX_N", g.n)
+        assert [power_module._max_ball_sum(g, d, values) for d in (1, 2, 3)] == bfs
+        assert mask_calls == [1, 2, 3]
 
 
 class TestOrientationColoring:

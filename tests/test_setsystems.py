@@ -103,6 +103,11 @@ class TestEdgeColorSystem:
         with pytest.raises(ValueError):
             edge_color_system(g, {(0, 1): 1})
 
+    def test_non_edge(self):
+        g = generate_family("path", [3])
+        with pytest.raises(ValueError, match="\\(0,2\\) is colored but is not an edge"):
+            edge_color_system(g, {(0, 1): 1, (1, 2): 2, (0, 2): 1})
+
 
 class TestBipartiteDouble:
     def test_single_edge(self):
