@@ -15,7 +15,7 @@ from typing import Optional
 from . import approx as approx_mod
 from . import discrepancy as disc_mod
 from . import graphs, orderings, pointer, power_coloring, setsystems
-from .errors import ParseError, ResourceLimitError
+from .errors import ParseError, ResourceLimitError, check_input_size
 from .formulas import QFFormula, parse_formula
 
 EXIT_OK = 0
@@ -148,6 +148,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_order(args: argparse.Namespace) -> int:
     if args.d < 0:
         raise ParseError(f"--d must be non-negative, got {args.d}")
+    check_input_size("--d", args.d)  # the report has d entries
     g = _read_graph(args.input)
     order, dgn = orderings.degeneracy_order(g)
     # every radius from one pass; an empty graph has no weak-reach sets,

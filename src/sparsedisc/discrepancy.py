@@ -6,18 +6,22 @@ active-set constraint matrix, and freeze variables as they hit +-1.  A set
 is active while it has more than t unfrozen elements (t = system degree),
 so every set's color sum is exactly zero while it is active and can drift
 by less than 2 per unfrozen element afterwards: the final discrepancy is
-at most 2t - 1.  The null vector comes from fraction-free integer
-elimination and the iterate is held as reduced integer pairs num/den, so
-the arithmetic is exact throughout; floating point would break the
-strictness of that argument.  A round pays only for what it uses: the
-solver prunes its own copy of the membership lists to the active sets, so
-an element becomes a stray (in no active set) when its list empties, its
-window is the first unfrozen elements of a covered list whose frozen
-entries are dropped as the window passes them, and each constraint row is
-built once, straight into the packed form that the elimination reads.
-The elimination keeps each row as one integer, in fields of a width
-proven by Hadamard's bound over the columns (each has at most t ones), so
-a row update is a few whole-integer operations.
+at most 2t - 1.  So a set of at most t elements is never active, and it
+never enters the solver's lists: they hold only the sets larger than t,
+and every element in none of them is a stray (in no active set) from the
+start, frozen to +1 because its iterate is 0, as round 1 would freeze it.
+On weak-reach star systems that leaves out most sets and incidences.  The
+null vector comes from fraction-free integer elimination and the iterate
+is held as reduced integer pairs num/den, so the arithmetic is exact
+throughout; floating point would break the strictness of that argument.
+A round pays only for what it uses: the solver prunes its membership
+lists to the active sets, so an element becomes a stray when its list
+empties, its window is the first unfrozen elements of a covered list
+whose frozen entries are dropped as the window passes them, and each
+constraint row is built once, straight into the packed form that the
+elimination reads.  The elimination keeps each row as one integer, in
+fields of a width proven by Hadamard's bound over the columns (each has
+at most t ones), so a row update is a few whole-integer operations.
 
 The elimination is carried from round to round.  A fresh one (Bareiss)
 runs over the window and a buffer of the next r unfrozen covered
@@ -47,7 +51,7 @@ import numpy as np
 
 from .errors import ParseError, ResourceLimitError
 from .rng import SplitMix64
-from .setsystems import SetSystem, trace
+from .setsystems import SetSystem, degree, trace
 
 EXACT_MAX_GROUND = 24
 SPECTRAL_MAX_GROUND = 128  # the exact PSD check is O(n^3) on big integers
@@ -235,15 +239,27 @@ def beck_fiala_with_stats(
     """Coloring with discrepancy at most 2*degree(s) - 1, plus the number
     of solver rounds performed."""
     n = s.ground_size
-    member = s.membership()  # pruned below to the active sets through v
-    t = max(map(len, member), default=0)
-    num = [0] * n  # the iterate x[v] = num[v] / den[v], reduced, den[v] > 0
+    t = degree(s)
+    # a set of at most t elements is never active: round 1 deactivates it
+    # before anything is frozen, so it never enters these lists
+    active = [i for i, st in enumerate(s.sets) if len(st) > t]
+    member: list[list[int]] = [[] for _ in range(n)]  # pruned to the active sets through v
+    for i in active:
+        for v in s.sets[i]:
+            member[v].append(i)
+    covered = [v for v in range(n) if member[v]]  # frozen ones dropped lazily
+    # every other element is a stray in round 1, frozen to +1 because its
+    # iterate is still 0
+    num = [1] * n  # the iterate x[v] = num[v] / den[v], reduced, den[v] > 0
     den = [1] * n
-    frozen = [False] * n
+    frozen = [True] * n
+    for v in covered:
+        num[v], frozen[v] = 0, False
     unfrozen_in = [len(st) for st in s.sets]
     slot = [0] * len(s.sets)  # an active set's row in this round's matrix
-    n_unfrozen = n
-    rounds = 0
+    n_unfrozen = len(covered)
+    # that round counts even when its strays are all there is to freeze
+    rounds = 0 if covered or not s.sets else 1
 
     def freeze(v: int, sign: int) -> None:
         nonlocal n_unfrozen
@@ -253,14 +269,6 @@ def beck_fiala_with_stats(
         for i in member[v]:
             unfrozen_in[i] -= 1
 
-    for v in range(n):
-        if not member[v]:
-            freeze(v, 1)
-
-    # every set starts active; the first round deactivates those with at
-    # most t elements
-    active = list(range(len(s.sets)))
-    covered = [v for v in range(n) if member[v]]  # frozen ones dropped lazily
     tab = None  # the elimination, carried from round to round
     while n_unfrozen:
         rounds += 1

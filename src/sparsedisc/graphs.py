@@ -18,7 +18,7 @@ n <= MASK_MAX_N and fall back to a BFS above.  On random 3- and
 """
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import combinations
 from typing import IO, Iterable, Iterator, Optional
@@ -313,12 +313,23 @@ def generate_family(name: str, params: list[int], seed: int = 0) -> Graph:
 
 
 def random_degenerate_graph(n: int, d: int, seed: int = 0) -> Graph:
-    """Random d-degenerate graph: vertex i attaches to up to d earlier vertices."""
+    """Random d-degenerate graph: vertex v attaches to up to d earlier
+    vertices, drawn without replacement.  Each draw is an index into the
+    earlier vertices not picked yet, the draws `SplitMix64.sample` makes
+    over range(v); it is mapped to its vertex by stepping over the picked
+    ones, so vertex v costs O(k^2) for its k edges instead of O(v)."""
     rng = SplitMix64(seed)
     edges = []
     for v in range(1, n):
         k = min(v, rng.randrange(d + 1))
-        for u in rng.sample(list(range(v)), k):
+        picked: list[int] = []  # ascending
+        for left in range(v, v - k, -1):
+            u = rng.randrange(left)
+            for p in picked:
+                if p > u:
+                    break
+                u += 1
+            insort(picked, u)
             edges.append((u, v))
     return Graph.from_edges(n, edges)
 

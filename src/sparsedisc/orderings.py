@@ -70,18 +70,21 @@ def degeneracy_order(g: Graph) -> tuple[LinearOrder, int]:
     (ties to the lowest index); the reversed removal sequence is the order
     and the max degree at removal time is exactly the degeneracy.
 
-    One heap keyed by (current degree, vertex) with lazy deletion: a
-    vertex is pushed again whenever its degree drops, and an entry whose
-    degree is no longer current is skipped when popped.
+    One heap with lazy deletion: a vertex is pushed again whenever its
+    degree drops, and an entry whose degree is no longer current is
+    skipped when popped.  The key of vertex v at degree k is the integer
+    k*n + v, which orders like (k, v) because v < n and compares faster
+    than a tuple.
     """
+    n = g.n
     degs = [len(nbrs) for nbrs in g.adjacency]
-    alive = [True] * g.n
-    heap = [(k, v) for v, k in enumerate(degs)]
+    alive = [True] * n
+    heap = [k * n + v for v, k in enumerate(degs)]
     heapq.heapify(heap)
     removal: list[int] = []
     degeneracy = 0
     while heap:
-        k, v = heapq.heappop(heap)
+        k, v = divmod(heapq.heappop(heap), n)
         if not alive[v] or k != degs[v]:
             continue
         alive[v] = False
@@ -90,7 +93,7 @@ def degeneracy_order(g: Graph) -> tuple[LinearOrder, int]:
         for w in g.adjacency[v]:
             if alive[w]:
                 degs[w] -= 1
-                heapq.heappush(heap, (degs[w], w))
+                heapq.heappush(heap, degs[w] * n + w)
     return LinearOrder.from_sequence(removal[::-1]), degeneracy
 
 

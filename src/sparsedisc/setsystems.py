@@ -8,7 +8,9 @@ computation.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from operator import lt
 from typing import Iterable
 
@@ -122,11 +124,7 @@ def trace(s: SetSystem, subset: Iterable[int]) -> tuple[SetSystem, tuple[int, ..
 
 def degree(s: SetSystem) -> int:
     """Maximum number of sets any single ground element lies in."""
-    counts = [0] * s.ground_size
-    for st in s.sets:
-        for v in st:
-            counts[v] += 1
-    return max(counts, default=0)
+    return max(Counter(chain.from_iterable(s.sets)).values(), default=0)
 
 
 def _bits(mask: int) -> list[int]:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from sparsedisc import orderings
+from sparsedisc import errors, orderings
 from sparsedisc.cli import main
 from sparsedisc.graphs import read_edge_list
 from sparsedisc.orderings import weak_reach
@@ -550,6 +550,18 @@ class TestInputCaps:
     )
     def test_gen_request(self, capsys, params):
         self._refused(capsys, "gen", *params)
+
+    def test_order_radius(self, tmp_path, capsys, monkeypatch):
+        # the report has one entry per radius; a lowered cap stands in for
+        # a radius past 10^7, whose profile would not fit in memory
+        path = tmp_path / "p4.edges"
+        run(capsys, "gen", "path", "4", "-o", str(path))
+        monkeypatch.setattr(errors, "INPUT_CAP", 6)
+        code, out, _ = run(capsys, "order", "-i", str(path), "--d", "6")
+        assert code == 0 and len(json.loads(out)["wcol_from_order"]) == 6
+        # refused before the input is read: this path does not exist
+        code, out, err = run(capsys, "order", "-i", str(tmp_path / "none.edges"), "--d", "7")
+        assert (code, out, err) == (3, "", "resource limit: --d over the input cap 6\n")
 
     def test_under_the_cap_still_runs(self, tmp_path, capsys):
         # C(16, 8) = 12870 subsets: under the cap, so generated as before

@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import numpy as np
@@ -13,6 +14,7 @@ from sparsedisc.graphs import (
     generate_family,
     graph_power,
     hadamard,
+    random_degenerate_graph,
     read_edge_list,
     sylvester_graph,
     write_edge_list,
@@ -233,6 +235,24 @@ class TestGenerateFamily:
     def test_bernoulli_outside_unit_interval(self, num, den):
         with pytest.raises(ValueError, match="not in"):
             SplitMix64(0).bernoulli(num, den)
+
+
+# sha256 of the edge lists of random_degenerate_graph(n, d, seed), each
+# vertex's edges drawn as SplitMix64.sample over range(v) draws them: every
+# seeded fixture and benchmark input is built from these edges
+DEGENERATE_DIGEST = "06857cdad58065246629f556b80f9268b1472b78013ad05066d1b262edbe82af"
+
+
+def test_random_degenerate_edges_frozen():
+    h = hashlib.sha256()
+    for n in (0, 1, 2, 50, 300):
+        ds = range(n + 3) if n <= 50 else (0, 1, 2, 3, 5, 8, 17, 64, 150, 299, 300, 301, 302)
+        for d in ds:
+            for seed in (0, 1, 7):
+                g = random_degenerate_graph(n, d, seed)
+                assert all(sum(u < v for u in g.adjacency[v]) <= d for v in range(n))
+                h.update(f"{n} {d} {seed} {g.edges()}\n".encode())
+    assert h.hexdigest() == DEGENERATE_DIGEST
 
 
 @given(st.integers(4, 30), st.integers(0, 2**32))

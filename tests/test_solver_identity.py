@@ -22,7 +22,7 @@ from sparsedisc.graphs import random_degenerate_graph
 from sparsedisc.orderings import degeneracy_order, weak_reach
 from sparsedisc.power_coloring import wreach_star_system
 from sparsedisc.rng import SplitMix64
-from sparsedisc.setsystems import SetSystem, random_system
+from sparsedisc.setsystems import SetSystem, degree, random_system
 
 
 def _packed_null_vector(rows: list[list[int]], ncols: int) -> list[int]:
@@ -375,3 +375,121 @@ class TestMatchesReference:
 
     def test_single_set(self):
         assert self._check(SetSystem.from_sets(5, [[0, 1, 2, 3, 4]])) == ((-1, 1, -1, 1, 1), 3)
+
+
+def _star_system(n: int, p: int, seed: int, d: int) -> SetSystem:
+    """The weak-reach star system of power_coloring at radius d, on a
+    random p-degenerate graph in its degeneracy order."""
+    g = random_degenerate_graph(n, p, seed)
+    order, _ = degeneracy_order(g)
+    return wreach_star_system(weak_reach(g, order, d), d)
+
+
+def _within_degree(rng: SplitMix64) -> SetSystem:
+    """A random system with no set larger than its degree: 2n sets of 1 to
+    3 elements over n elements, so the degree is almost surely past 3."""
+    n = 10 + rng.randrange(30)
+    sets = [rng.sample(list(range(n)), 1 + rng.randrange(3)) for _ in range(2 * n)]
+    s = SetSystem.from_sets(n, sets)
+    assert max(map(len, s.sets)) <= degree(s)
+    return s
+
+
+def _drop_small_sets(s: SetSystem, keep_every: int) -> SetSystem:
+    """s without its sets of at most t = degree(s) elements, except the
+    sets through one element of degree t, which keep the degree at t, and
+    every keep_every-th of the others."""
+    t = degree(s)
+    v = next(v for v, through in enumerate(s.membership()) if len(through) == t)
+    small = [st for st in s.sets if len(st) <= t and v not in st]
+    dropped = set(small) - set(small[::keep_every])
+    out = SetSystem.from_sets(s.ground_size, (st for st in s.sets if st not in dropped))
+    assert degree(out) == t
+    return out
+
+
+class TestSetsWithinDegree:
+    """A set of at most t elements (t = the degree) is never active, so
+    the solver leaves it out of its lists, and every element in none of
+    the larger sets is frozen to +1 before round 1, as round 1 would."""
+
+    def _check(self, s: SetSystem) -> tuple[tuple[int, ...], int]:
+        chi, rounds = beck_fiala_with_stats(s, check_conservation=True)
+        assert (chi.values, rounds) == beck_fiala_reference(s)
+        return chi.values, rounds
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_star_systems(self, d):
+        for n, p, seed in ((60, 3, 0), (60, 3, 1), (130, 5, 0), (130, 5, 2)):
+            s = _star_system(n, p, seed, d)
+            t = degree(s)
+            # most stars have at most t elements, and some more
+            assert 0 < sum(len(st) > t for st in s.sets) < len(s.sets) / 2
+            self._check(s)
+
+    def test_all_sets_within_degree(self):
+        # every element is a stray in round 1, so that one round colors
+        # everything +1
+        rng = SplitMix64(7070)
+        for _ in range(40):
+            s = _within_degree(rng)
+            assert self._check(s) == ((1,) * s.ground_size, 1)
+
+    def test_all_but_one_set_within_degree(self):
+        rng = SplitMix64(7171)
+        for _ in range(40):
+            small = _within_degree(rng)
+            n = small.ground_size
+            big = rng.sample(list(range(n)), degree(small) + 2)
+            s = SetSystem.from_sets(n, [*small.sets, big])
+            t = degree(s)
+            assert [st for st in s.sets if len(st) > t] == [tuple(sorted(big))]
+            values, _ = self._check(s)
+            assert all(values[v] == 1 for v in range(n) if v not in big)
+
+    def test_dropping_sets_within_degree(self):
+        # while t stays the same, the sets of at most t elements do not
+        # change the coloring or the round count
+        rng = SplitMix64(7272)
+        systems = [random_system(rng, max_ground=120) for _ in range(60)]
+        systems += [_star_system(130, 5, seed, d) for seed in (0, 1) for d in (2, 3)]
+        systems += [_within_degree(rng) for _ in range(10)]
+        dropped_any = 0
+        for s in systems:
+            first = beck_fiala_with_stats(s)
+            for keep_every in (2, len(s.sets) + 1):
+                smaller = _drop_small_sets(s, keep_every)
+                dropped_any += len(smaller.sets) < len(s.sets)
+                assert beck_fiala_with_stats(smaller) == first
+        assert dropped_any > len(systems)
+
+    def test_small_sets_never_walked(self, monkeypatch):
+        # once the degree is counted, the solver walks no set of at most t
+        # elements, not even the ones of exactly t
+        walks = []
+        armed = False
+
+        class Watched(tuple):
+            def __iter__(self):
+                if armed:
+                    walks.append(self)
+                return super().__iter__()
+
+        def degree_then_arm(system: SetSystem) -> int:
+            nonlocal armed
+            t = degree(system)
+            armed = True
+            return t
+
+        monkeypatch.setattr(discrepancy, "degree", degree_then_arm)
+        for n, p, seed, d in ((60, 3, 0, 2), (60, 3, 2, 3), (130, 5, 2, 2)):
+            s = _star_system(n, p, seed, d)
+            t = degree(s)
+            assert any(len(st) == t for st in s.sets)
+            expected = beck_fiala_reference(s)
+            watched = SetSystem(s.ground_size, tuple(Watched(st) for st in s.sets))
+            walks.clear()
+            armed = False
+            chi, rounds = beck_fiala_with_stats(watched, check_conservation=True)
+            assert (chi.values, rounds) == expected
+            assert walks and min(map(len, walks)) > t
