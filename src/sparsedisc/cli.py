@@ -15,7 +15,7 @@ from typing import Optional
 from . import approx as approx_mod
 from . import discrepancy as disc_mod
 from . import graphs, orderings, pointer, power_coloring, setsystems
-from .errors import ParseError, ResourceLimitError, check_input_size
+from .errors import ParseError, ResourceLimitError
 from .formulas import QFFormula, parse_formula
 
 EXIT_OK = 0
@@ -24,6 +24,8 @@ EXIT_RESOURCE = 3
 EXIT_INVARIANT = 4
 
 GEN_FAMILIES = graphs.FAMILIES + ("sylvester",)
+# the order report holds one wcol entry per radius: 12 MB of JSON at 10^6
+ORDER_MAX_D = 10**6
 
 
 def _emit(payload: dict) -> None:
@@ -148,7 +150,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_order(args: argparse.Namespace) -> int:
     if args.d < 0:
         raise ParseError(f"--d must be non-negative, got {args.d}")
-    check_input_size("--d", args.d)  # the report has d entries
+    if args.d > ORDER_MAX_D:
+        raise ResourceLimitError(f"--d over the order report's cap {ORDER_MAX_D}")
     g = _read_graph(args.input)
     order, dgn = orderings.degeneracy_order(g)
     # every radius from one pass; an empty graph has no weak-reach sets,
@@ -333,7 +336,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         _log(f"resource limit: {exc}")
         return EXIT_RESOURCE
     except (ParseError, ValueError, KeyError, OSError) as exc:
-        _log(f"error: {exc}")
+        # str() of a KeyError is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        _log(f"error: {message}")
         return EXIT_USAGE
     except AssertionError as exc:
         _log(f"internal invariant violated: {exc}")

@@ -14,6 +14,9 @@ On weak-reach star systems that leaves out most sets and incidences.  The
 null vector comes from fraction-free integer elimination and the iterate
 is held as reduced integer pairs num/den, so the arithmetic is exact
 throughout; floating point would break the strictness of that argument.
+The solver is a generator of rounds, `_rounds`, which yields the live
+iterate after each round's deactivations; its two entry points,
+`beck_fiala_with_stats` and `beck_fiala`, drain it and count the rounds.
 A round pays only for what it uses: the solver prunes its membership
 lists to the active sets, so an element becomes a stray when its list
 empties, its window is the first unfrozen elements of a covered list
@@ -45,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import IO, Optional
+from typing import IO, Iterator, Optional
 
 import numpy as np
 
@@ -233,11 +236,12 @@ class _Tableau:
         self._scan(j)
 
 
-def beck_fiala_with_stats(
-    s: SetSystem, *, check_conservation: bool = False
-) -> tuple[Coloring, int]:
-    """Coloring with discrepancy at most 2*degree(s) - 1, plus the number
-    of solver rounds performed."""
+def _rounds(s: SetSystem) -> Iterator[tuple[list[int], list[int], list[int]]]:
+    """The solver, one yield per round: the live lists (active, num, den)
+    after the round's deactivations, where the iterate is
+    x[v] = num[v] / den[v] and every active set's sum of it is exactly 0.
+    A system whose sets all have at most t elements yields once, for the
+    round that would freeze its strays.  Drained, num is the coloring."""
     n = s.ground_size
     t = degree(s)
     # a set of at most t elements is never active: round 1 deactivates it
@@ -258,8 +262,9 @@ def beck_fiala_with_stats(
     unfrozen_in = [len(st) for st in s.sets]
     slot = [0] * len(s.sets)  # an active set's row in this round's matrix
     n_unfrozen = len(covered)
-    # that round counts even when its strays are all there is to freeze
-    rounds = 0 if covered or not s.sets else 1
+    if not covered and s.sets:
+        # that round counts even when its strays are all there is to freeze
+        yield active, num, den
 
     def freeze(v: int, sign: int) -> None:
         nonlocal n_unfrozen
@@ -271,7 +276,6 @@ def beck_fiala_with_stats(
 
     tab = None  # the elimination, carried from round to round
     while n_unfrozen:
-        rounds += 1
         still = []
         for i in active:
             if unfrozen_in[i] > t:
@@ -287,9 +291,7 @@ def beck_fiala_with_stats(
                         freeze(v, 1 if num[v] >= 0 else -1)
         deactivated = len(still) < len(active)
         active = still
-        if check_conservation:
-            for i in active:
-                assert sum(Fraction(num[v], den[v]) for v in s.sets[i]) == 0
+        yield active, num, den
         if not n_unfrozen:
             break
         r = len(active)
@@ -346,11 +348,19 @@ def beck_fiala_with_stats(
                     gone.append(j)
         alive -= len(gone)
         assert gone, "the maximal step must freeze at least one variable"
+
+
+def beck_fiala_with_stats(s: SetSystem) -> tuple[Coloring, int]:
+    """Coloring with discrepancy at most 2*degree(s) - 1, plus the number
+    of solver rounds performed."""
+    num, rounds = [1] * s.ground_size, 0  # no round: every element a stray
+    for rounds, (_, num, _) in enumerate(_rounds(s), 1):
+        pass
     return Coloring(tuple(num)), rounds
 
 
-def beck_fiala(s: SetSystem, *, check_conservation: bool = False) -> Coloring:
-    return beck_fiala_with_stats(s, check_conservation=check_conservation)[0]
+def beck_fiala(s: SetSystem) -> Coloring:
+    return beck_fiala_with_stats(s)[0]
 
 
 def exact_discrepancy(

@@ -141,12 +141,10 @@ def power_coloring(
     return chi, cert
 
 
-def in_neighborhood_system(g: Graph, order: Optional[LinearOrder] = None) -> SetSystem:
-    """In-neighborhoods under the orientation along the order (defaults to
-    the degeneracy order): each vertex's later neighbors, level 1 of its
-    `weak_reach` levels.  Its degree is the orientation's max out-degree."""
-    if order is None:
-        order, _ = degeneracy_order(g)
+def in_neighborhood_system(g: Graph, order: LinearOrder) -> SetSystem:
+    """In-neighborhoods under the orientation along the order: each
+    vertex's later neighbors, level 1 of its `weak_reach` levels.  Its
+    degree is the orientation's max out-degree."""
     return SetSystem.from_sets(g.n, (lv[1] for lv in weak_reach(g, order, 1) if len(lv) > 1))
 
 

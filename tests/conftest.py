@@ -1,14 +1,17 @@
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from sparsedisc import graphs
+from sparsedisc import discrepancy, graphs
+from sparsedisc.discrepancy import Coloring
 from sparsedisc.graphs import Graph, generate_family
 from sparsedisc.orderings import LinearOrder
 from sparsedisc.rng import SplitMix64
+from sparsedisc.setsystems import SetSystem
 
 
 def shuffled_order(n: int, seed: int) -> LinearOrder:
@@ -16,6 +19,17 @@ def shuffled_order(n: int, seed: int) -> LinearOrder:
     seq = list(range(n))
     SplitMix64(seed).shuffle(seq)
     return LinearOrder.from_sequence(seq)
+
+
+def conserving_beck_fiala(s: SetSystem) -> tuple[Coloring, int]:
+    """beck_fiala_with_stats(s), drained from the solver's own rounds, with
+    the Beck-Fiala invariant asserted after each one: every active set's
+    exact color sum is 0."""
+    num, rounds = [1] * s.ground_size, 0
+    for rounds, (active, num, den) in enumerate(discrepancy._rounds(s), 1):
+        for i in active:
+            assert sum(Fraction(num[v], den[v]) for v in s.sets[i]) == 0, (rounds, i)
+    return Coloring(tuple(num)), rounds
 
 
 def wreach_rows(levels: list[list[list[int]]]) -> list[dict[int, int]]:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from sparsedisc import errors, orderings
+from sparsedisc import cli, orderings
 from sparsedisc.cli import main
 from sparsedisc.graphs import read_edge_list
 from sparsedisc.orderings import weak_reach
@@ -188,6 +188,22 @@ class TestSystemAndApprox:
         code, out, err = self._defined(tmp_path, capsys, structure, text)
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("verb", [["system", "defined"], ["color", "qf"]])
+    @pytest.mark.parametrize(
+        "text, message",
+        [("A(x1) | g(x1)=y1", "unknown function 'g'"), ("!A(x1) & Q(y1)", "unknown predicate 'Q'")],
+    )
+    def test_unknown_symbol_message_unquoted(self, tmp_path, capsys, verb, text, message):
+        # the KeyError's message itself, not the repr that str() gives it
+        struct = tmp_path / "m.json"
+        struct.write_text(
+            json.dumps({"n": 3, "functions": {"f": [1, 2, 0]}, "predicates": {"A": [0, 1, 2]}})
+        )
+        formula = tmp_path / "phi.txt"
+        formula.write_text(text)
+        code, out, err = run(capsys, *verb, "-i", str(struct), "--formula", str(formula))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_defined_unknown_symbol_on_empty_domain_exit_2(self, tmp_path, capsys):
         structure = {"n": 0, "functions": {}, "predicates": {}}
@@ -552,16 +568,18 @@ class TestInputCaps:
         self._refused(capsys, "gen", *params)
 
     def test_order_radius(self, tmp_path, capsys, monkeypatch):
-        # the report has one entry per radius; a lowered cap stands in for
-        # a radius past 10^7, whose profile would not fit in memory
+        # the report has one entry per radius, so --d has a cap of its own,
+        # ORDER_MAX_D = 10^6; a lowered cap stands in for it, as a report
+        # near 10^6 radii takes hundreds of MB to build
+        assert cli.ORDER_MAX_D == 10**6
         path = tmp_path / "p4.edges"
         run(capsys, "gen", "path", "4", "-o", str(path))
-        monkeypatch.setattr(errors, "INPUT_CAP", 6)
+        monkeypatch.setattr(cli, "ORDER_MAX_D", 6)
         code, out, _ = run(capsys, "order", "-i", str(path), "--d", "6")
         assert code == 0 and len(json.loads(out)["wcol_from_order"]) == 6
         # refused before the input is read: this path does not exist
         code, out, err = run(capsys, "order", "-i", str(tmp_path / "none.edges"), "--d", "7")
-        assert (code, out, err) == (3, "", "resource limit: --d over the input cap 6\n")
+        assert (code, out, err) == (3, "", "resource limit: --d over the order report's cap 6\n")
 
     def test_under_the_cap_still_runs(self, tmp_path, capsys):
         # C(16, 8) = 12870 subsets: under the cap, so generated as before

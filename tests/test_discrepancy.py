@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 import numpy as np
 
+from conftest import conserving_beck_fiala
 from oracles import disc_brute, eval_disc_brute, herdisc_brute, psd_brute
+from sparsedisc import discrepancy
 from sparsedisc.discrepancy import (
     Coloring,
     _is_psd,
@@ -94,12 +96,12 @@ class TestEvalDiscrepancy:
 class TestBeckFiala:
     def test_singletons(self):
         s = SetSystem.from_sets(3, [[0], [1], [2]])
-        chi = beck_fiala(s, check_conservation=True)
+        chi = conserving_beck_fiala(s)[0]
         assert eval_discrepancy(s, chi)[0] <= 1
 
     def test_c5(self):
         s = c5_system()
-        chi = beck_fiala(s, check_conservation=True)
+        chi = conserving_beck_fiala(s)[0]
         assert eval_discrepancy(s, chi)[0] <= 3
 
     def test_random_degree_three_50_elements(self):
@@ -117,7 +119,7 @@ class TestBeckFiala:
         s = SetSystem.from_sets(50, sets)
         t = degree(s)
         assert t <= 3
-        chi = beck_fiala(s, check_conservation=True)
+        chi = conserving_beck_fiala(s)[0]
         assert eval_discrepancy(s, chi)[0] <= 2 * t - 1
 
     def test_guarantee_random_batch(self):
@@ -125,7 +127,7 @@ class TestBeckFiala:
         for _ in range(120):
             s = random_system(rng, max_ground=60, max_degree=6, max_sets=12)
             t = degree(s)
-            chi = beck_fiala(s, check_conservation=True)
+            chi = conserving_beck_fiala(s)[0]
             d, _ = eval_discrepancy(s, chi)
             assert d <= max(2 * t - 1, 0)
 
@@ -214,21 +216,29 @@ class TestHerdiscSearch:
             s = random_system(rng, max_ground=10, max_degree=3, max_sets=6)
             assert herdisc_search(s, budget=2048)[0] >= exact_discrepancy(s)[0]
 
-    def test_lower_bound_when_budget_small(self):
-        rng = SplitMix64(32)
-        s = random_system(rng, max_ground=18, max_degree=4, max_sets=10)
-        val, witness = herdisc_search(s, budget=40)
-        assert val <= herdisc_brute(s)
-        traced_val = exact_discrepancy(
-            SetSystem.from_sets(
-                len(witness),
-                (
-                    {sorted(witness).index(v) for v in st_ if v in set(witness)}
-                    for st_ in s.sets
-                ),
-            )
-        )[0]
-        assert traced_val == val
+    def test_lower_bound_when_budget_small(self, monkeypatch):
+        # 2^8 subsets exceed the budget, so the search runs its random
+        # subsets and greedy flips; the whole ground has discrepancy 0 and
+        # herdisc is 2, so a search that never moves off it fails
+        s = SetSystem.from_sets(8, [[0, 2, 4, 6], [1, 2], [1, 5], [2, 5, 6, 7]])
+        budget = 40
+        whole, hereditary = exact_discrepancy(s)[0], herdisc_brute(s)
+        assert (whole, hereditary) == (0, 2)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return exact_discrepancy(*args)
+
+        monkeypatch.setattr(discrepancy, "exact_discrepancy", counted)
+        val, witness = herdisc_search(s, budget=budget)
+        assert 0 < len(calls) <= budget
+        pos = {v: i for i, v in enumerate(sorted(witness))}
+        traced = SetSystem.from_sets(
+            len(pos), ({pos[v] for v in st_ if v in pos} for st_ in s.sets)
+        )
+        assert disc_brute(traced) == val
+        assert whole < val <= hereditary
 
 
 class TestSpectralLowerBound:

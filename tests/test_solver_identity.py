@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import conserving_beck_fiala
 from oracles import beck_fiala_reference, null_vector_reference
 from sparsedisc import discrepancy
 from sparsedisc.discrepancy import _field_width, _Tableau, beck_fiala_with_stats
@@ -252,7 +253,7 @@ class TestCarriedTableau:
 
     def _check(self, n: int, sets: list[list[int]]) -> None:
         s = SetSystem.from_sets(n, sets)
-        chi, rounds = beck_fiala_with_stats(s, check_conservation=True)
+        chi, rounds = conserving_beck_fiala(s)
         assert (chi.values, rounds) == beck_fiala_reference(s)
 
     def test_basic_column_freezes_and_free_column_enters(self, tableau_log):
@@ -318,7 +319,7 @@ class TestCarriedTableau:
 
 class TestMatchesReference:
     def _check(self, s: SetSystem) -> tuple[tuple[int, ...], int]:
-        chi, rounds = beck_fiala_with_stats(s, check_conservation=True)
+        chi, rounds = conserving_beck_fiala(s)
         assert (chi.values, rounds) == beck_fiala_reference(s)
         return chi.values, rounds
 
@@ -414,7 +415,7 @@ class TestSetsWithinDegree:
     the larger sets is frozen to +1 before round 1, as round 1 would."""
 
     def _check(self, s: SetSystem) -> tuple[tuple[int, ...], int]:
-        chi, rounds = beck_fiala_with_stats(s, check_conservation=True)
+        chi, rounds = conserving_beck_fiala(s)
         assert (chi.values, rounds) == beck_fiala_reference(s)
         return chi.values, rounds
 
@@ -490,6 +491,6 @@ class TestSetsWithinDegree:
             watched = SetSystem(s.ground_size, tuple(Watched(st) for st in s.sets))
             walks.clear()
             armed = False
-            chi, rounds = beck_fiala_with_stats(watched, check_conservation=True)
+            chi, rounds = conserving_beck_fiala(watched)
             assert (chi.values, rounds) == expected
             assert walks and min(map(len, walks)) > t

@@ -1,4 +1,4 @@
-"""The library ships no name that only the tests use.
+"""The library ships no name or option that only the tests use.
 
 Every public module-level def, class or assignment in the package (other
 than the re-exports of `__init__.py`) must be loaded somewhere in the
@@ -7,6 +7,10 @@ excluded.  A load is a name read in Load context, an attribute, an import
 alias, or an equal string constant (the benchmark tracer names the
 functions it wraps by string).  A name's own definition does not count as
 a load of it.
+
+Every keyword-only parameter of a package function must likewise be passed
+by name somewhere in the program.  A function that hands its own
+parameter on unchanged (`k=k`) only forwards it, so that does not count.
 """
 import ast
 from pathlib import Path
@@ -55,8 +59,12 @@ def _loaded(node: ast.AST) -> set[str]:
     return out
 
 
+def _program_trees() -> dict[Path, ast.Module]:
+    return {path: ast.parse(path.read_text(), str(path)) for path in _program_files()}
+
+
 def unused_public_names() -> list[str]:
-    trees = {path: ast.parse(path.read_text(), str(path)) for path in _program_files()}
+    trees = _program_trees()
     # loads per top-level statement, so a definition can skip its own
     loads = [(stmt, _loaded(stmt)) for tree in trees.values() for stmt in tree.body]
     unused = []
@@ -67,6 +75,48 @@ def unused_public_names() -> list[str]:
             if not any(name in names for other, names in loads if other is not stmt):
                 unused.append(f"{path.stem}.{name}")
     return sorted(unused)
+
+
+def _keyword_only(tree: ast.Module) -> list[tuple[str, str]]:
+    """(function, parameter) for every keyword-only parameter defined."""
+    return [
+        (fn.name, a.arg)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for a in fn.args.kwonlyargs
+    ]
+
+
+def _passed_keywords(tree: ast.Module) -> set[str]:
+    """Every keyword a call passes, except a parameter of the enclosing
+    function forwarded unchanged."""
+    out: set[str] = set()
+
+    def visit(node: ast.AST, params: set[str]) -> None:
+        if isinstance(node, ast.FunctionDef):
+            a = node.args
+            params = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
+        if isinstance(node, ast.Call):
+            for kw in node.keywords:
+                value = kw.value
+                if not (isinstance(value, ast.Name) and value.id == kw.arg and kw.arg in params):
+                    out.add(kw.arg)
+        for child in ast.iter_child_nodes(node):
+            visit(child, params)
+
+    visit(tree, set())
+    return out
+
+
+def unset_keyword_parameters(trees: dict[Path, ast.Module]) -> list[str]:
+    passed = set().union(*map(_passed_keywords, trees.values()))
+    return sorted(
+        f"{path.stem}.{fn}({arg}=)"
+        for path, tree in trees.items()
+        if path.parent == PACKAGE
+        for fn, arg in _keyword_only(tree)
+        if arg not in passed
+    )
 
 
 def test_every_public_name_is_used_by_the_program():
@@ -83,3 +133,19 @@ def test_the_scan_sees_the_package():
         for name in _defined(ast.parse(path.read_text()))
     }
     assert {"graphs.read_edge_list", "pointer.qf_color", "setsystems.CLOSURE_CAP"} <= names
+
+
+def test_every_keyword_only_parameter_is_set_by_the_program():
+    assert unset_keyword_parameters(_program_trees()) == []
+
+
+def test_the_keyword_scan_sees_the_package_and_skips_forwarding():
+    trees = _program_trees()
+    assert ("herdisc_search", "exact_cap") in _keyword_only(trees[PACKAGE / "discrepancy.py"])
+    # a wrapper that only forwards its keyword sets it for neither function
+    forwarded = "def f(*, k=0):\n    return k\ndef g(*, k=0):\n    return f(k=k)\n"
+    module = PACKAGE / "m.py"
+    assert unset_keyword_parameters({module: ast.parse(forwarded)}) == ["m.f(k=)", "m.g(k=)"]
+    # a call that sets it, here from another name, sets both
+    setting = forwarded + "def h(x):\n    return g(k=x)\n"
+    assert unset_keyword_parameters({module: ast.parse(setting)}) == []
