@@ -6,22 +6,40 @@ is checked against INPUT_CAP before anything is built.
 
 Bounded reach has two kernels.  `balls` runs one BFS per vertex and
 lists each d-ball; it builds graph powers at every size.  `_reach_masks`
-moves every source at once: each vertex holds one Python int of source
-bits, and a round ORs in the neighbors' ints.  Its memory grows like n^2
-bits and its work like d * m * n / 64 word operations, so the readers that
-only need ball sizes or signed ball sums (the power certificate here, the
-per-order weak coloring number in `orderings`) use it only while
-n <= MASK_MAX_N and fall back to a BFS above.  On random 3- and
-6-degenerate graphs the masks were at least 1.17x faster at every radius
-1..4 at n = 2048; at n = 4096 the BFS already won the ball sums at radius
-1, and at n = 8192 both readers at radius 1.
+moves every source at once: the masks are an n x ceil(n/64) uint64
+matrix, one row of source bits per vertex, and a round gathers the
+neighbors' rows and ORs each vertex's run together with numpy, over the
+adjacency in compressed sparse rows (`Graph.neighbor_arrays`, built on
+first use).  Its memory grows like n^2 bits and its work like
+d * m * n / 64 word operations, so the readers that only need ball sizes
+or signed ball sums (the power certificate here, the per-order weak
+coloring number in `orderings`) use it only while n <= MASK_MAX_N and
+fall back to a BFS above.  BFS time / mask time on
+random_degenerate_graph(n, p, 0), from scripts/reach_kernel_ratios.py
+(best of 3 calls; above 1 the masks win):
+
+    n     p  reader    r=1    r=2    r=3    r=4
+    1024  3  wcol     1.97   1.90   3.15   3.85
+    1024  3  balls    2.15   3.15   6.42  16.33
+    1024  6  wcol     1.73   3.69  11.36  23.27
+    1024  6  balls    2.73   6.15  18.66  61.81
+    2048  3  wcol     0.71   0.94   1.26   2.38
+    2048  3  balls    1.05   1.14   2.29   6.98
+    2048  6  wcol     0.61   1.21   3.14   8.06
+    2048  6  balls    0.96   2.04  10.31  22.76
+
+MASK_MAX_N is the largest size of the script's table (n = 512, 1024,
+2048, 4096) at which the masks win every cell.  At n = 2048 the BFS won
+radius 1 of wcol in four of five runs; at n = 4096 it wins both readers
+at radii 1 and 2.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from itertools import combinations
-from typing import IO, Iterable, Iterator, Optional
+from functools import cached_property
+from itertools import chain, combinations
+from typing import IO, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -29,7 +47,7 @@ from .errors import INPUT_CAP, ParseError, ResourceLimitError, check_input_size
 from .rng import SplitMix64
 
 HADAMARD_MAX_P = 13  # 2^26 matrix entries is the desk-scale cap
-MASK_MAX_N = 2048  # largest vertex count served by _reach_masks
+MASK_MAX_N = 1024  # largest vertex count served by _reach_masks
 
 FAMILIES = (
     "path",
@@ -80,6 +98,17 @@ class Graph:
             nbrs[u].add(v)
             nbrs[v].add(u)
         return cls(n, tuple(tuple(sorted(s)) for s in nbrs))
+
+    @cached_property
+    def neighbor_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The adjacency in compressed sparse rows, for `_reach_masks`: all
+        neighbor lists end to end, and the offset at which each vertex's
+        list starts.  An isolated vertex lists the one index n, which
+        `_reach_masks` keeps as a row of zeros, so no list is empty."""
+        lists = [nbrs or (self.n,) for nbrs in self.adjacency]
+        degs = np.fromiter(map(len, lists), dtype=np.intp, count=self.n)
+        nbr = np.fromiter(chain.from_iterable(lists), dtype=np.intp, count=int(degs.sum()))
+        return nbr, np.cumsum(degs) - degs
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.adjacency[u] if u < v]
@@ -161,35 +190,47 @@ def balls(g: Graph, d: int) -> Iterator[list[int]]:
         yield ball
 
 
-def _reach_masks(
-    adj: tuple[tuple[int, ...], ...], masks: list[int], d: int, allowed: Optional[list[int]] = None
-) -> list[int]:
+def _word_bits(src: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each bit index b lives in a row of `_reach_masks`: its word
+    b // 64, and that word with only bit b % 64 set."""
+    return src >> 6, np.left_shift(np.uint64(1), (src & 63).astype(np.uint64))
+
+
+def _reach_masks(g: Graph, d: int, pos: Optional[Sequence[int]] = None) -> np.ndarray:
     """Bit-parallel bounded reach from every source at once.
 
-    masks[v] is a Python int whose set bits are the sources v holds at the
-    start (usually one bit of its own).  Each of at most d rounds sets
-    new[v] = masks[v] | (OR of masks[u] over u in N(v)) & allowed[v], all
-    vertices reading the previous round.  After i rounds masks[v] holds its
-    own starting bits and every bit s that reaches v from a vertex starting
-    with s by a walk of length <= i whose later vertices w all have s in
-    allowed[w].  No filter (allowed is None) gives plain i-balls.  The
-    rounds stop early once one changes nothing, so the cost does not grow
-    with d past the point where the reach is complete.  Returns a new
-    list; masks is not changed.
+    Returns an n x ceil(n/64) uint64 matrix: row v holds the source bits
+    of v, bit b in word b // 64 at place b % 64.  Vertex v starts with one
+    bit: bit v, or bit pos[v] when the positions of an order are given.
+    Each of at most d rounds ORs into every row the rows of its neighbors,
+    all read from the previous round; with pos, row v keeps only the bits
+    of ranks below pos[v] (its prefix row).  So after i rounds row v holds
+    bit s exactly when the vertex starting with s reaches v by a walk of
+    length <= i, through vertices that all rank after that source when
+    pos is given.  The rounds stop early once one changes nothing, so the cost
+    does not grow with d past the point where the reach is complete.
     """
-    if allowed is None:
-        allowed = [-1] * len(masks)
+    nbr, starts = g.neighbor_arrays
+    n, words = g.n, -(-g.n // 64)
+    word, bit = _word_bits(np.arange(n) if pos is None else np.asarray(pos, dtype=np.intp))
+    masks = np.zeros((n + 1, words), dtype=np.uint64)  # row n: isolated vertices' neighbor
+    masks[np.arange(n), word] = bit
+    rows = masks[:n]
+    allowed = None
+    if pos is not None:
+        # the prefix row of pos[v]: every word before v's own, and the
+        # bits below v's bit in it
+        allowed = np.take(np.tril(np.full((words, words), ~np.uint64(0)), -1), word, axis=0)
+        allowed[np.arange(n), word] |= bit - np.uint64(1)
     for _ in range(d):
-        new = masks[:]
-        for v, nbrs in enumerate(adj):
-            acc = 0
-            for u in nbrs:
-                acc |= masks[u]
-            new[v] |= acc & allowed[v]
-        if new == masks:
+        acc = np.bitwise_or.reduceat(np.take(masks, nbr, axis=0), starts, axis=0)
+        if allowed is not None:
+            acc &= allowed
+        acc |= rows
+        if np.array_equal(acc, rows):
             break
-        masks = new
-    return masks
+        rows[...] = acc
+    return rows
 
 
 def graph_power(g: Graph, d: int) -> Graph:

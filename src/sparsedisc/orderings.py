@@ -19,17 +19,20 @@ The weak coloring number of one order needs only the sizes |WReach_d[v]|,
 so up to graphs.MASK_MAX_N vertices it is counted by the bit-parallel
 kernel `graphs._reach_masks` instead: bit pos[z] stands for root z, and
 z enters WReach_i[v] exactly when some neighbor u of v holds z in
-WReach_{i-1}[u] and pos[z] < pos[v].  Above that size the masks cost
-more than the BFS (their work grows like d * m * n / 64), and the count is
-read from the reach profile of one BFS pass.
+WReach_{i-1}[u] and pos[z] < pos[v].  The count is the largest row
+popcount.  Above that size the masks cost more than the BFS (their work
+grows like d * m * n / 64), and the count is read from the reach profile
+of one BFS pass.
 """
 from __future__ import annotations
 
-import heapq
 from collections import Counter
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import chain, zip_longest
 from typing import Sequence
+
+import numpy as np
 
 from . import graphs  # MASK_MAX_N is read at call time, so one setting serves every reader
 from .errors import ResourceLimitError
@@ -70,30 +73,42 @@ def degeneracy_order(g: Graph) -> tuple[LinearOrder, int]:
     (ties to the lowest index); the reversed removal sequence is the order
     and the max degree at removal time is exactly the degeneracy.
 
-    One heap with lazy deletion: a vertex is pushed again whenever its
-    degree drops, and an entry whose degree is no longer current is
-    skipped when popped.  The key of vertex v at degree k is the integer
-    k*n + v, which orders like (k, v) because v < n and compares faster
-    than a tuple.
+    One min-heap of vertex indices per degree, with lazy deletion: a
+    vertex is pushed onto the heap of its new degree whenever its degree
+    drops, and a head whose degree is not that heap's is skipped.  A
+    cursor k names the heap to pop.  Every live degree is at least k, and
+    a removal at degree k lowers each live degree by at most one, so after
+    it the cursor moves down by at most one, and up past heaps found
+    empty.  (So the skipped heads are those of removed vertices: a live
+    vertex's older entries sit in heaps above its degree, which the cursor
+    reaches only after the vertex is gone.)
     """
-    n = g.n
-    degs = [len(nbrs) for nbrs in g.adjacency]
-    alive = [True] * n
-    heap = [k * n + v for v, k in enumerate(degs)]
-    heapq.heapify(heap)
+    adj = g.adjacency
+    degs = [len(nbrs) for nbrs in adj]
+    heaps: list[list[int]] = [[] for _ in range(max(degs, default=0) + 1)]
+    for v, k in enumerate(degs):
+        heaps[k].append(v)  # ascending, so already a heap
     removal: list[int] = []
-    degeneracy = 0
-    while heap:
-        k, v = divmod(heapq.heappop(heap), n)
-        if not alive[v] or k != degs[v]:
+    degeneracy = k = 0
+    while len(removal) < g.n:
+        heap = heaps[k]
+        while heap and degs[heap[0]] != k:
+            heappop(heap)
+        if not heap:
+            k += 1
             continue
-        alive[v] = False
+        v = heappop(heap)
+        degs[v] = -1  # removed: matches no heap's degree
         removal.append(v)
-        degeneracy = max(degeneracy, k)
-        for w in g.adjacency[v]:
-            if alive[w]:
-                degs[w] -= 1
-                heapq.heappush(heap, degs[w] * n + w)
+        if k > degeneracy:
+            degeneracy = k
+        for w in adj[v]:
+            dw = degs[w] - 1
+            if dw >= 0:  # w is live, so its degree counted v
+                degs[w] = dw
+                heappush(heaps[dw], w)
+        if k:
+            k -= 1
     return LinearOrder.from_sequence(removal[::-1]), degeneracy
 
 
@@ -177,7 +192,7 @@ def wcol_from_order(g: Graph, order: LinearOrder, d: int) -> int:
     """max_v |WReach_d[v]|; an upper bound on the weak coloring number
     realized by this particular order.
 
-    Up to graphs.MASK_MAX_N vertices, v's weak reach is one int of rank
+    Up to graphs.MASK_MAX_N vertices, v's weak reach is one row of rank
     bits: it starts as its own bit and each round ORs in its neighbors'
     bits of ranks below pos[v].  Above, it is M_d of the reach profile."""
     _check_reach_args(g, order, d)
@@ -186,9 +201,8 @@ def wcol_from_order(g: Graph, order: LinearOrder, d: int) -> int:
         # and the profile, which has d + 1 entries, need not be longer
         d = min(d, g.n)
         return reach_profile(weak_reach(g, order, d), d)[d] if g.n else 0
-    pos = order.position
-    masks = _reach_masks(g.adjacency, [1 << p for p in pos], d, [(1 << p) - 1 for p in pos])
-    return max((m.bit_count() for m in masks), default=0)
+    masks = _reach_masks(g, d, order.position)
+    return int(np.bitwise_count(masks).sum(axis=1).max(initial=0))
 
 
 def wcol_exact(g: Graph, d: int, max_n: int = WCOL_EXACT_MAX_N) -> int:

@@ -8,7 +8,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from sparsedisc import discrepancy, graphs
 from sparsedisc.discrepancy import Coloring
-from sparsedisc.graphs import Graph, generate_family
+from sparsedisc.graphs import Graph, generate_family, random_degenerate_graph
 from sparsedisc.orderings import LinearOrder
 from sparsedisc.rng import SplitMix64
 from sparsedisc.setsystems import SetSystem
@@ -19,6 +19,16 @@ def shuffled_order(n: int, seed: int) -> LinearOrder:
     seq = list(range(n))
     SplitMix64(seed).shuffle(seq)
     return LinearOrder.from_sequence(seq)
+
+
+def word_boundary_graphs() -> list[Graph]:
+    """Graphs at and around the 64-bit word boundaries of the mask kernel
+    (n = 63, 64, 65, 127, 128, 129), one with no edges, and one whose few
+    edges join vertices in different words among isolated vertices."""
+    out = [random_degenerate_graph(n, 3, n) for n in (63, 64, 65, 127, 128, 129)]
+    out.append(Graph(70, ((),) * 70))
+    out.append(Graph.from_edges(130, [(0, 129), (63, 64), (64, 128), (1, 127), (65, 66)]))
+    return out
 
 
 def conserving_beck_fiala(s: SetSystem) -> tuple[Coloring, int]:

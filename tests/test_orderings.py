@@ -19,7 +19,7 @@ from sparsedisc.orderings import (
 from sparsedisc.power_coloring import in_neighborhood_system
 from sparsedisc.setsystems import SetSystem
 
-from conftest import shuffled_order, wreach_rows
+from conftest import shuffled_order, word_boundary_graphs, wreach_rows
 
 natural = lambda n: LinearOrder.from_sequence(list(range(n)))
 
@@ -61,6 +61,10 @@ class TestDegeneracy:
         corpus += [generate_family("grid", [7, 9]), generate_family("complete_bipartite", [5, 9])]
         corpus += [generate_family("gnp", [40, 1, 6], seed=seed) for seed in range(6)]
         corpus += [random_degenerate_graph(300, p, seed) for p in (3, 6) for seed in range(2)]
+        # many ties at every step: the 40x40 grid, K_{5,40}, and the
+        # 4-regular circulant C_60(1, 2)
+        corpus += [generate_family("grid", [40, 40]), generate_family("complete_bipartite", [5, 40])]
+        corpus.append(Graph.from_edges(60, [(i, (i + j) % 60) for i in range(60) for j in (1, 2)]))
         for g in corpus:
             order, dgn = degeneracy_order(g)
             assert (order.sequence(), dgn) == smallest_last_brute(g)
@@ -229,6 +233,8 @@ def _route_corpus() -> list[tuple[Graph, LinearOrder]]:
         out += [(g, natural(g.n)), (g, shuffled_order(g.n, seed + 10))]
     g = generate_family("grid", [5, 6])
     out += [(g, natural(g.n)), (g, shuffled_order(g.n, 7))]
+    for g in word_boundary_graphs():
+        out += [(g, natural(g.n)), (g, shuffled_order(g.n, g.n))]
     return out
 
 
@@ -238,7 +244,7 @@ class TestWcolRoutes:
 
     def test_routes_agree(self, monkeypatch):
         corpus = _route_corpus()
-        radii = (0, 1, 2, 3, 4, 60)  # 60 is past every diameter here
+        radii = (0, 1, 2, 3, 4, 60, 10**9)  # 60 is past every diameter here
         masks = [[wcol_from_order(g, order, d) for d in radii] for g, order in corpus]
         monkeypatch.setattr(graphs, "MASK_MAX_N", -1)
         assert masks == [[wcol_from_order(g, order, d) for d in radii] for g, order in corpus]
@@ -250,6 +256,15 @@ class TestWcolRoutes:
             for d in range(4):
                 sizes = [len(wreach_brute(g, order.position, d, v)) for v in range(g.n)]
                 assert wcol_from_order(g, order, d) == max(sizes, default=0)
+
+    def test_word_boundaries_match_path_enumeration_oracle(self, route):
+        # bits of ranks 63/64 and 127/128 sit in different words
+        for g in word_boundary_graphs():
+            order = shuffled_order(g.n, g.n)
+            for d in range(4):
+                sizes = [len(wreach_brute(g, order.position, d, v)) for v in range(g.n)]
+                assert wcol_from_order(g, order, d) == max(sizes), (g.n, d)
+            assert wcol_from_order(g, order, 10**9) == wcol_from_order(g, order, g.n)
 
     def test_best_order_is_wcol_brute(self, route, small_corpus):
         for name, g in small_corpus:
@@ -275,9 +290,9 @@ class TestWcolRoutes:
         order = shuffled_order(g.n, 11)
         mask_calls = []
 
-        def spy(*args):
-            mask_calls.append(args[2])
-            return graphs._reach_masks(*args)
+        def spy(g, d, pos=None):
+            mask_calls.append(d)
+            return graphs._reach_masks(g, d, pos)
 
         monkeypatch.setattr(orderings, "_reach_masks", spy)
         bfs = [wcol_from_order(g, order, d) for d in (1, 2)]

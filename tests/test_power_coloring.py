@@ -24,7 +24,7 @@ from sparsedisc.power_coloring import (
 from sparsedisc.rng import SplitMix64
 from sparsedisc.setsystems import SetSystem, degree, neighborhood_system, trace
 
-from conftest import shuffled_order
+from conftest import shuffled_order, word_boundary_graphs
 
 natural = lambda n: LinearOrder.from_sequence(list(range(n)))
 
@@ -255,8 +255,21 @@ class TestCertificateOracle:
         monkeypatch.setattr(graphs, "MASK_MAX_N", -1)
         self.test_achieved_matches_ball_sums(d)
 
+    def test_word_boundaries(self, route):
+        # vertex bits 63/64 and 127/128 sit in different words
+        for g in word_boundary_graphs():
+            rng = SplitMix64(g.n)
+            values = tuple(rng.randrange(2) * 2 - 1 for _ in range(g.n))
+            for d in (1, 2, 3, 10**9):
+                expected = _ball_sums_max(g, d, values)
+                assert power_module._max_ball_sum(g, d, values) == expected, (g.n, d)
+            for d in (1, 2):
+                chi, cert = power_coloring(g, d)
+                assert cert.achieved == _ball_sums_max(g, d, chi.values), (g.n, d)
+
     def test_routes_agree(self, monkeypatch):
         corpus = _certificate_corpus() + [generate_family("path", [30])]
+        corpus += word_boundary_graphs()
         radii = (1, 2, 3, 40)  # 40 is past every diameter here
         masks = [power_coloring(g, d)[1] for g in corpus for d in radii]
         monkeypatch.setattr(graphs, "MASK_MAX_N", -1)
@@ -270,9 +283,9 @@ class TestCertificateOracle:
         values = tuple(rng.randrange(2) * 2 - 1 for _ in range(g.n))
         mask_calls = []
 
-        def spy(*args):
-            mask_calls.append(args[2])
-            return graphs._reach_masks(*args)
+        def spy(g, d, pos=None):
+            mask_calls.append(d)
+            return graphs._reach_masks(g, d, pos)
 
         monkeypatch.setattr(power_module, "_reach_masks", spy)
         bfs = [power_module._max_ball_sum(g, d, values) for d in (1, 2, 3)]

@@ -25,6 +25,10 @@ ROOT = Path(__file__).resolve().parent.parent
             ["constant_bound_scan.py", "--sizes", "10", "--seeds", "1"],
             "n     seed  achieved  bound",
         ),
+        (
+            ["reach_kernel_ratios.py", "--sizes", "63", "65", "--repeats", "1"],
+            "n     p  reader    r=1    r=2    r=3    r=4",
+        ),
     ],
 )
 def test_script_runs(argv, header):
