@@ -1,27 +1,28 @@
 #!/usr/bin/env python3
 """Where the bit-mask kernel of bounded reach stops beating the BFS.
 
-Both readers of bounded reach have two routes, chosen by the size rule
+`graphs.reach_sums` has two routes, chosen by the size rule
 graphs.MASK_MAX_N: the bit masks of `graphs._reach_masks` up to that many
-vertices, a BFS above.  The readers are the weak coloring number of the
-smallest-last order (`orderings.wcol_from_order`, "wcol") and the power
-certificate's largest signed ball sum under a seeded random coloring
-(`power_coloring._max_ball_sum`, "balls").  For each size n and parameter
-p this builds `random_degenerate_graph(n, p, seed)`, forces each route by
-setting the size rule, checks that the two routes agree, and prints
-BFS time / mask time at radii 1..4: above 1 the masks win.  Each time is
-the best of --repeats calls, each on a fresh copy of the graph, so the
-masks pay for building their neighbor arrays every time.  The last line
-names the largest n at which the masks win every cell of the table, the
-value the size rule is set to.
+vertices, a BFS above.  It is timed as each of its readers calls it: with
+the positions of the smallest-last order, for the weak coloring number
+("wcol"), and with a seeded random coloring as signs, for the power
+certificate's ball sums ("balls").  For each size n and parameter p this
+builds `random_degenerate_graph(n, p, seed)`, forces each route by setting
+the size rule, checks that the two routes agree, and prints BFS time /
+mask time at radii 1..4: above 1 the masks win.  Each time is the best of
+--repeats calls, each on a fresh copy of the graph, so the masks pay for
+building their neighbor arrays every time.  The last line names the
+largest n at which the masks win every cell of the table, the value the
+size rule is set to.
 """
 import argparse
 import time
 
+import numpy as np
+
 from sparsedisc import graphs
-from sparsedisc.graphs import Graph, random_degenerate_graph
-from sparsedisc.orderings import degeneracy_order, wcol_from_order
-from sparsedisc.power_coloring import _max_ball_sum
+from sparsedisc.graphs import Graph, random_degenerate_graph, reach_sums
+from sparsedisc.orderings import degeneracy_order
 from sparsedisc.rng import SplitMix64
 
 RADII = (1, 2, 3, 4)
@@ -55,17 +56,17 @@ def main() -> None:
             g = random_degenerate_graph(n, p, args.seed)
             order = degeneracy_order(g)[0]
             rng = SplitMix64(args.seed)
-            values = tuple(rng.randrange(2) * 2 - 1 for _ in range(g.n))
+            signs = np.array([rng.randrange(2) * 2 - 1 for _ in range(g.n)], dtype=np.int64)
             readers = {
-                "wcol": lambda h, d: wcol_from_order(h, order, d),
-                "balls": lambda h, d: _max_ball_sum(h, d, values),
+                "wcol": lambda h, d: reach_sums(h, d, order.position),
+                "balls": lambda h, d: reach_sums(h, d, signs=signs),
             }
             for name, reader in readers.items():
                 ratios = []
                 for d in RADII:
                     bfs, expected = timed(reader, g, d, -1, args.repeats)
                     masks, got = timed(reader, g, d, n, args.repeats)
-                    assert got == expected, (n, p, name, d, got, expected)
+                    assert np.array_equal(got, expected), (n, p, name, d)
                     ratios.append(bfs / masks)
                 wins = wins and min(ratios) > 1
                 print(f"{n:<5} {p}  {name:<6}  " + "  ".join(f"{r:5.2f}" for r in ratios))

@@ -4,34 +4,35 @@ bipartite graphs that exhibit sqrt(n) neighborhood discrepancy).  Every
 vertex count read or generated, and every generated candidate edge count,
 is checked against INPUT_CAP before anything is built.
 
-Bounded reach has two kernels.  `balls` runs one BFS per vertex and
-lists each d-ball; it builds graph powers at every size.  `_reach_masks`
-moves every source at once: the masks are an n x ceil(n/64) uint64
-matrix, one row of source bits per vertex, and a round gathers the
+Bounded reach has one BFS and one reader.  `bfs_levels` runs a BFS from
+one root through the vertices ranked after a given rank; weak reach
+(`orderings`), graph powers and the reader run it.  `reach_sums` sums
+signs over the sources that reach each vertex within d steps: with an
+order's positions it counts |WReach_d[v]|, and with a coloring it sums
+the closed d-balls.  Up to MASK_MAX_N vertices it reads `_reach_masks`
+instead, which moves every source at once: an n x ceil(n/64) uint64
+matrix, one row of source bits per vertex, in which a round gathers the
 neighbors' rows and ORs each vertex's run together with numpy, over the
 adjacency in compressed sparse rows (`Graph.neighbor_arrays`, built on
-first use).  Its memory grows like n^2 bits and its work like
-d * m * n / 64 word operations, so the readers that only need ball sizes
-or signed ball sums (the power certificate here, the per-order weak
-coloring number in `orderings`) use it only while n <= MASK_MAX_N and
-fall back to a BFS above.  BFS time / mask time on
-random_degenerate_graph(n, p, 0), from scripts/reach_kernel_ratios.py
-(best of 3 calls; above 1 the masks win):
+first use).  The masks' memory grows like n^2 bits and their work like
+d * m * n / 64 word operations, hence the size rule.  BFS time / mask
+time of `reach_sums` on random_degenerate_graph(n, p, 0), with an
+order's positions (wcol) and with signs (balls), from
+scripts/reach_kernel_ratios.py (best of 3 calls; above 1 the masks win):
 
     n     p  reader    r=1    r=2    r=3    r=4
-    1024  3  wcol     1.97   1.90   3.15   3.85
-    1024  3  balls    2.15   3.15   6.42  16.33
-    1024  6  wcol     1.73   3.69  11.36  23.27
-    1024  6  balls    2.73   6.15  18.66  61.81
-    2048  3  wcol     0.71   0.94   1.26   2.38
-    2048  3  balls    1.05   1.14   2.29   6.98
-    2048  6  wcol     0.61   1.21   3.14   8.06
-    2048  6  balls    0.96   2.04  10.31  22.76
+    1024  3  wcol     1.55   1.44   2.10   3.60
+    1024  3  balls    1.81   2.96   7.64  17.45
+    1024  6  wcol     1.58   3.02   8.21  18.24
+    1024  6  balls    1.84   6.33  29.39  73.94
+    2048  3  wcol     0.65   0.69   0.99   1.58
+    2048  3  balls    1.00   1.15   2.75   7.02
+    2048  6  wcol     0.78   1.09   2.67   7.09
+    2048  6  balls    0.79   2.16  10.32  26.18
 
 MASK_MAX_N is the largest size of the script's table (n = 512, 1024,
-2048, 4096) at which the masks win every cell.  At n = 2048 the BFS won
-radius 1 of wcol in four of five runs; at n = 4096 it wins both readers
-at radii 1 and 2.
+2048, 4096) at which the masks win every cell.  At n = 4096 the BFS wins
+both readers at radius 1.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
-from typing import IO, Iterable, Iterator, Optional, Sequence
+from typing import IO, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -163,31 +164,32 @@ def write_edge_list(g: Graph, stream: IO[str]) -> None:
         stream.write(f"{u} {v}\n")
 
 
-def balls(g: Graph, d: int) -> Iterator[list[int]]:
-    """For each vertex v in turn, the vertices at distance 1..d from v.
+def bfs_levels(
+    adj: Sequence[Sequence[int]], pos: Sequence[int], after: int, z: int, d: int, seen: list[int]
+) -> list[list[int]]:
+    """BFS levels 0..<=d of root z through the vertices w ranked after
+    `after` (pos[w] > after); level 0 is [z].
 
-    One BFS per vertex, all sharing one stamp list (seen[w] == v once v's
-    BFS has reached w); a BFS stops as soon as its frontier is empty, so
-    the cost does not grow with d past the eccentricity.
+    seen[w] == z marks w as reached, z itself included, so roots share one
+    stamp list.  The BFS ends once its frontier is empty, so the cost does
+    not grow with d past the eccentricity.
     """
-    adj = g.adjacency
-    seen = [-1] * g.n
-    for v in range(g.n):
-        seen[v] = v
-        frontier = [v]
-        ball: list[int] = []
-        for _ in range(d):
-            nxt = []
-            for u in frontier:
-                for w in adj[u]:
-                    if seen[w] != v:
-                        seen[w] = v
-                        nxt.append(w)
-            if not nxt:
-                break
-            ball += nxt
-            frontier = nxt
-        yield ball
+    seen[z] = z
+    frontier = [z]
+    levels = [frontier]
+    for _ in range(d):
+        nxt = []
+        for x in frontier:
+            for w in adj[x]:
+                # the stamp first: most edges lead back into the levels found
+                if seen[w] != z and pos[w] > after:
+                    seen[w] = z
+                    nxt.append(w)
+        if not nxt:
+            break
+        levels.append(nxt)
+        frontier = nxt
+    return levels
 
 
 def _word_bits(src: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -233,13 +235,65 @@ def _reach_masks(g: Graph, d: int, pos: Optional[Sequence[int]] = None) -> np.nd
     return rows
 
 
+def reach_sums(
+    g: Graph, d: int, pos: Optional[Sequence[int]] = None, signs: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """For every vertex v, the sum of signs[z] (+-1, or 1 when signs is
+    None) over the sources z that reach v within d steps, v included.
+    With the positions pos of an order, z reaches v only through vertices
+    ranked after z, so without signs the sum is |WReach_d[v]|.
+
+    Up to MASK_MAX_N vertices the sums are row popcounts of `_reach_masks`
+    (2 * |row & plus| - |row| with signs, plus holding the bits of the
+    sources signed +1); above, each source's BFS adds its sign to every
+    vertex it reaches.
+    """
+    if g.n <= MASK_MAX_N:
+        masks = _reach_masks(g, d, pos)
+        size = np.bitwise_count(masks).sum(axis=1, dtype=np.int64)
+        if signs is None:
+            return size
+        src = np.flatnonzero(np.asarray(signs) > 0)
+        if pos is not None:
+            src = np.asarray(pos, dtype=np.intp)[src]
+        plus = np.zeros(masks.shape[1], dtype=np.uint64)
+        np.bitwise_or.at(plus, *_word_bits(src))
+        return 2 * np.bitwise_count(masks & plus).sum(axis=1, dtype=np.int64) - size
+    n, adj = g.n, g.adjacency
+    weights = [1] * n if signs is None else np.asarray(signs).tolist()
+    rank = [0] * n if pos is None else pos
+    sums = [0] * n
+    seen = [-1] * n
+    for z in range(n):
+        s = weights[z]
+        for level in bfs_levels(adj, rank, -1 if pos is None else rank[z], z, d, seen):
+            for v in level:
+                sums[v] += s
+    return np.array(sums, dtype=np.int64)
+
+
 def graph_power(g: Graph, d: int) -> Graph:
-    """G^d: edges between distinct vertices at graph distance <= d."""
+    """G^d: edges between distinct vertices at graph distance <= d.  The
+    incidences are counted as the balls are built, and more than
+    INPUT_CAP of them raise ResourceLimitError."""
     if d < 1:
         raise ValueError("graph power needs d >= 1")
     if d == 1:
         return g
-    return Graph(g.n, tuple(tuple(sorted(b)) for b in balls(g, d)))
+    adj, anywhere, seen = g.adjacency, [0] * g.n, [-1] * g.n
+    rows, size = [], 0
+    for z in range(g.n):
+        ball: list[int] = []
+        for level in bfs_levels(adj, anywhere, -1, z, d, seen)[1:]:
+            ball += level
+        size += len(ball)
+        if size > INPUT_CAP:
+            raise ResourceLimitError(
+                f"graph power capped at {INPUT_CAP} incidences, needs at least {size}"
+            )
+        ball.sort()
+        rows.append(tuple(ball))
+    return Graph(g.n, tuple(rows))
 
 
 def _check_order_exponent(p: int) -> None:

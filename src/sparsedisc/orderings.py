@@ -3,7 +3,8 @@ of bounded out-degree, weak reachability, reach profiles and weak
 coloring numbers.
 
 Weak reachability is computed in one pass for all vertices and radii: a
-bounded BFS from each root z through the vertices ranked after z finds
+bounded BFS (`graphs.bfs_levels`) from each root z through the vertices
+ranked after z finds
 every v that weakly reaches z, with the least radius (the standard
 polynomial method; Nadara, Pilipczuk, Rabinovich, Reidl and Siebertz,
 *Empirical evaluation of approaches for computing weak coloring
@@ -16,13 +17,8 @@ prefixes, because a root's BFS depends only on which vertices are placed
 before it.
 
 The weak coloring number of one order needs only the sizes |WReach_d[v]|,
-so up to graphs.MASK_MAX_N vertices it is counted by the bit-parallel
-kernel `graphs._reach_masks` instead: bit pos[z] stands for root z, and
-z enters WReach_i[v] exactly when some neighbor u of v holds z in
-WReach_{i-1}[u] and pos[z] < pos[v].  The count is the largest row
-popcount.  Above that size the masks cost more than the BFS (their work
-grows like d * m * n / 64), and the count is read from the reach profile
-of one BFS pass.
+which `graphs.reach_sums` counts without listing the sets, by the route
+that the size rule in `graphs` picks.
 """
 from __future__ import annotations
 
@@ -30,13 +26,9 @@ from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import chain, zip_longest
-from typing import Sequence
 
-import numpy as np
-
-from . import graphs  # MASK_MAX_N is read at call time, so one setting serves every reader
 from .errors import ResourceLimitError
-from .graphs import Graph, _reach_masks
+from .graphs import Graph, bfs_levels, reach_sums
 
 WCOL_EXACT_MAX_N = 9
 
@@ -122,32 +114,6 @@ def orient_along(g: Graph, order: LinearOrder) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(w for w in g.adjacency[v] if pos[w] < pos[v]) for v in range(g.n))
 
 
-def _root_levels(
-    adj: tuple[tuple[int, ...], ...], pos: Sequence[int], z: int, d: int, seen: list[int]
-) -> list[list[int]]:
-    """BFS levels 0..<=d of root z in the subgraph induced by z and the
-    vertices ranked after z (pos[w] > pos[z]); level 0 is [z].
-
-    seen[w] == z marks w as reached, so roots share one stamp list.  The
-    BFS ends once its frontier is empty, whatever d is.
-    """
-    rank = pos[z]
-    frontier = [z]
-    levels = [frontier]
-    for _ in range(d):
-        nxt = []
-        for x in frontier:
-            for w in adj[x]:
-                if pos[w] > rank and seen[w] != z:
-                    seen[w] = z
-                    nxt.append(w)
-        if not nxt:
-            break
-        levels.append(nxt)
-        frontier = nxt
-    return levels
-
-
 def _check_reach_args(g: Graph, order: LinearOrder, d: int) -> None:
     if d < 0:
         raise ValueError("radius must be non-negative")
@@ -171,7 +137,7 @@ def weak_reach(g: Graph, order: LinearOrder, d: int) -> list[list[list[int]]]:
     pos = order.position
     adj = g.adjacency
     seen = [-1] * g.n
-    return [_root_levels(adj, pos, z, d, seen) for z in range(g.n)]
+    return [bfs_levels(adj, pos, pos[z], z, d, seen) for z in range(g.n)]
 
 
 def reach_profile(levels: list[list[list[int]]], d: int) -> tuple[int, ...]:
@@ -190,19 +156,9 @@ def reach_profile(levels: list[list[list[int]]], d: int) -> tuple[int, ...]:
 
 def wcol_from_order(g: Graph, order: LinearOrder, d: int) -> int:
     """max_v |WReach_d[v]|; an upper bound on the weak coloring number
-    realized by this particular order.
-
-    Up to graphs.MASK_MAX_N vertices, v's weak reach is one row of rank
-    bits: it starts as its own bit and each round ORs in its neighbors'
-    bits of ranks below pos[v].  Above, it is M_d of the reach profile."""
+    realized by this particular order."""
     _check_reach_args(g, order, d)
-    if g.n > graphs.MASK_MAX_N:
-        # a path has fewer than n edges, so M_d stops growing at d = n - 1
-        # and the profile, which has d + 1 entries, need not be longer
-        d = min(d, g.n)
-        return reach_profile(weak_reach(g, order, d), d)[d] if g.n else 0
-    masks = _reach_masks(g, d, order.position)
-    return int(np.bitwise_count(masks).sum(axis=1).max(initial=0))
+    return int(reach_sums(g, d, order.position).max(initial=0))
 
 
 def wcol_exact(g: Graph, d: int, max_n: int = WCOL_EXACT_MAX_N) -> int:
@@ -238,7 +194,7 @@ def wcol_exact(g: Graph, d: int, max_n: int = WCOL_EXACT_MAX_N) -> int:
             if rank[z] < n:
                 continue
             rank[z] = k
-            reached = list(chain.from_iterable(_root_levels(adj, rank, z, d, [-1] * n)))
+            reached = list(chain.from_iterable(bfs_levels(adj, rank, k, z, d, [-1] * n)))
             for v in reached:
                 counts[v] += 1
             # z's count is final; every other reached vertex is unplaced

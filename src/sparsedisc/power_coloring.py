@@ -10,12 +10,8 @@ One weak-reach pass (`orderings.weak_reach`, root-major BFS levels) feeds
 both the reach profile (`orderings.reach_profile`) and the star system;
 each root's stars are the sorted prefixes of its BFS list, one per level,
 so no star is built twice.  The achieved discrepancy is summed straight
-from the d-balls, without building G^d.  Up to graphs.MASK_MAX_N
-vertices the balls are the bit masks of `graphs._reach_masks` (one row of
-uint64 words of vertex bits per vertex), and a ball's signed sum is
-2*|B & plus| - |B|, where plus holds the vertices colored +1.  Above that
-size the masks cost more than a BFS, and the sums walk the BFS balls of
-`graphs.balls`.
+from the closed d-balls by `graphs.reach_sums`, without building G^d, by
+the route that the size rule in `graphs` picks.
 POWER_STAR_CAP bounds n*d before any pass (the reach profile has d + 1
 entries) and the incidences of the stars built so far, as they are built.
 
@@ -35,8 +31,7 @@ import numpy as np
 
 from .discrepancy import Coloring, beck_fiala
 from .errors import ResourceLimitError
-from . import graphs  # MASK_MAX_N is read at call time, so one setting serves every reader
-from .graphs import Graph, _reach_masks, _word_bits, balls
+from .graphs import Graph, reach_sums
 # by name: perfbench/tracing.py wraps reach_profile and weak_reach here
 from .orderings import LinearOrder, degeneracy_order, reach_profile, weak_reach
 from .setsystems import SetSystem
@@ -110,16 +105,9 @@ def wreach_star_system(levels: list[list[list[int]]], d: int) -> SetSystem:
 
 def _max_ball_sum(g: Graph, d: int, values: tuple[int, ...]) -> int:
     """max over v of |sum of values over the vertices at distance 1..d|."""
-    if g.n > graphs.MASK_MAX_N:
-        return max((abs(sum([values[w] for w in b])) for b in balls(g, d)), default=0)
-    masks = _reach_masks(g, d)
     x = np.array(values, dtype=np.int64)
-    plus = np.zeros(masks.shape[1], dtype=np.uint64)
-    np.bitwise_or.at(plus, *_word_bits(np.flatnonzero(x > 0)))
-    size = np.bitwise_count(masks).sum(axis=1, dtype=np.int64)
-    size_plus = np.bitwise_count(masks & plus).sum(axis=1, dtype=np.int64)
-    # each row holds v itself, whose value is taken back out
-    return int(np.abs(2 * size_plus - size - x).max(initial=0))
+    # each closed ball holds v itself, whose value is taken back out
+    return int(np.abs(reach_sums(g, d, signs=x) - x).max(initial=0))
 
 
 def power_coloring(

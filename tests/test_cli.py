@@ -3,10 +3,10 @@ import json
 
 import pytest
 
-from sparsedisc import cli, orderings
+from sparsedisc import cli, graphs, orderings
 from sparsedisc.cli import main
-from sparsedisc.graphs import read_edge_list
-from sparsedisc.orderings import weak_reach
+from sparsedisc.graphs import Graph, generate_family, random_degenerate_graph, read_edge_list
+from sparsedisc.orderings import LinearOrder, wcol_from_order, weak_reach
 
 
 def run(capsys, *argv):
@@ -158,6 +158,15 @@ class TestSystemAndApprox:
         data = json.loads(out)
         assert data["ground_size"] == 4
 
+    def test_system_power_incidence_cap_exit_3(self, tmp_path, capsys, monkeypatch):
+        # the square of a path of 4 lists 10 incidences
+        path = tmp_path / "p.edges"
+        run(capsys, "gen", "path", "4", "-o", str(path))
+        monkeypatch.setattr(graphs, "INPUT_CAP", 9)
+        code, out, err = run(capsys, "system", "power", "-i", str(path), "--d", "2")
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and "graph power capped at 9 incidences" in err
+
     def test_system_defined(self, tmp_path, capsys):
         struct = tmp_path / "m.json"
         struct.write_text(json.dumps({"n": 3, "functions": {}, "predicates": {}}))
@@ -292,6 +301,24 @@ class TestOrder:
         assert report["degeneracy"] == 2
         assert report["wcol_exact"] == 3
         assert report["wcol_from_order"]["1"] == 3
+
+    def test_wcol_matches_the_library(self, route, tmp_path, capsys):
+        # the report reads wcol from the reach profile; the library reads
+        # it from reach_sums, on the route under test
+        corpus = [Graph(0, ()), Graph(4, ((),) * 4), generate_family("path", [3])]
+        corpus += [generate_family("grid", [3, 4]), random_degenerate_graph(40, 3, 5)]
+        corpus += [Graph.from_edges(9, [(0, 1), (1, 2), (2, 0), (4, 5), (5, 6), (6, 7)])]
+        for i, g in enumerate(corpus):
+            path = tmp_path / f"g{i}.edges"
+            with open(path, "w") as fh:
+                graphs.write_edge_list(g, fh)
+            code, out, _ = run(capsys, "order", "-i", str(path), "--d", "4")
+            assert code == 0
+            report = json.loads(out)
+            order = LinearOrder.from_sequence(report["order"])
+            assert report["wcol_from_order"] == {
+                str(d): wcol_from_order(g, order, d) for d in range(1, 5)
+            }, g
 
     def test_orderings_cap_exit_3(self, tmp_path, capsys):
         path = tmp_path / "p12.edges"

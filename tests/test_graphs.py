@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bfs_distances, girth, is_bipartite, subdivide
+from oracles import bfs_distances, girth, is_bipartite, subdivide, wreach_brute
 from sparsedisc import graphs
 from sparsedisc.errors import ParseError, ResourceLimitError
 from sparsedisc.graphs import (
@@ -15,11 +15,14 @@ from sparsedisc.graphs import (
     graph_power,
     hadamard,
     random_degenerate_graph,
+    reach_sums,
     read_edge_list,
     sylvester_graph,
     write_edge_list,
 )
 from sparsedisc.rng import SplitMix64
+
+from conftest import shuffled_order
 
 
 def parse(text: str) -> Graph:
@@ -119,6 +122,45 @@ class TestGraphPower:
         g = generate_family("gnp", [14, 1, 4], seed=a * 10 + b)
         assert graph_power(graph_power(g, a), b) == graph_power(g, a * b)
 
+    def test_incidence_cap(self, monkeypatch):
+        # the square of a path of 4 lists 2 + 3 + 3 + 2 = 10 incidences
+        g = generate_family("path", [4])
+        full = graph_power(g, 2)
+        monkeypatch.setattr(graphs, "INPUT_CAP", 10)
+        assert graph_power(g, 2) == full
+        monkeypatch.setattr(graphs, "INPUT_CAP", 9)
+        with pytest.raises(ResourceLimitError, match="needs at least 10"):
+            graph_power(g, 2)
+
+
+def _signs(n: int, seed: int) -> np.ndarray:
+    rng = SplitMix64(seed)
+    return np.array([rng.randrange(2) * 2 - 1 for _ in range(n)], dtype=np.int64)
+
+
+class TestReachSums:
+    """reach_sums on both routes against weak reach by path enumeration
+    (with an order's positions) and against BFS distances (without)."""
+
+    def test_matches_oracles(self, route):
+        corpus = [Graph(0, ()), Graph(5, ((),) * 5), generate_family("path", [12])]
+        corpus += [generate_family("grid", [4, 5])]
+        corpus += [random_degenerate_graph(n, 3, n) for n in (30, 65)]
+        for g in corpus:
+            pos = shuffled_order(g.n, g.n).position
+            signs = _signs(g.n, g.n)
+            for d in (0, 1, 2, 3):
+                wreach = [wreach_brute(g, pos, d, v) for v in range(g.n)]
+                balls = [[w for w, r in bfs_distances(g, v).items() if r <= d] for v in range(g.n)]
+                for order, sources in ((pos, wreach), (None, balls)):
+                    assert reach_sums(g, d, order).tolist() == [len(s) for s in sources]
+                    assert reach_sums(g, d, order, signs).tolist() == [
+                        sum(int(signs[z]) for z in s) for s in sources
+                    ], (g.n, d, order is None)
+            # the kernels stop once a round (a BFS level) adds nothing
+            for order in (pos, None):
+                far = reach_sums(g, 10**9, order, signs).tolist()
+                assert far == reach_sums(g, g.n, order, signs).tolist()
 
 class TestSubdivide:
     def test_triangle_once_gives_six_cycle(self):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import degeneracy_brute, smallest_last_brute, wcol_brute, wreach_brute
-from sparsedisc import graphs, orderings
+from sparsedisc import graphs
 from sparsedisc.errors import ResourceLimitError
 from sparsedisc.graphs import Graph, generate_family, random_degenerate_graph, sylvester_graph
 from sparsedisc.orderings import (
@@ -289,17 +289,18 @@ class TestWcolRoutes:
         g = random_degenerate_graph(graphs.MASK_MAX_N + 1, 3, 11)
         order = shuffled_order(g.n, 11)
         mask_calls = []
+        masks = graphs._reach_masks
 
         def spy(g, d, pos=None):
-            mask_calls.append(d)
-            return graphs._reach_masks(g, d, pos)
+            mask_calls.append((d, pos is not None))
+            return masks(g, d, pos)
 
-        monkeypatch.setattr(orderings, "_reach_masks", spy)
+        monkeypatch.setattr(graphs, "_reach_masks", spy)
         bfs = [wcol_from_order(g, order, d) for d in (1, 2)]
         assert mask_calls == []
         monkeypatch.setattr(graphs, "MASK_MAX_N", g.n)
         assert [wcol_from_order(g, order, d) for d in (1, 2)] == bfs
-        assert mask_calls == [1, 2]
+        assert mask_calls == [(1, True), (2, True)]
 
     def test_rejects_bad_arguments(self, route):
         g = generate_family("path", [3])

@@ -275,6 +275,7 @@ class TestCertificateOracle:
         monkeypatch.setattr(graphs, "MASK_MAX_N", -1)
         assert masks == [power_coloring(g, d)[1] for g in corpus for d in radii]
 
+
     def test_size_rule(self, monkeypatch):
         # n = MASK_MAX_N + 1 sums the BFS balls; raising the constant by
         # one sends it to the masks, with the same sums
@@ -282,18 +283,18 @@ class TestCertificateOracle:
         rng = SplitMix64(12)
         values = tuple(rng.randrange(2) * 2 - 1 for _ in range(g.n))
         mask_calls = []
+        masks = graphs._reach_masks
 
         def spy(g, d, pos=None):
-            mask_calls.append(d)
-            return graphs._reach_masks(g, d, pos)
+            mask_calls.append((d, pos is not None))
+            return masks(g, d, pos)
 
-        monkeypatch.setattr(power_module, "_reach_masks", spy)
+        monkeypatch.setattr(graphs, "_reach_masks", spy)
         bfs = [power_module._max_ball_sum(g, d, values) for d in (1, 2, 3)]
         assert mask_calls == []
         monkeypatch.setattr(graphs, "MASK_MAX_N", g.n)
         assert [power_module._max_ball_sum(g, d, values) for d in (1, 2, 3)] == bfs
-        assert mask_calls == [1, 2, 3]
-
+        assert mask_calls == [(1, False), (2, False), (3, False)]
 
 class TestOrientationColoring:
     @pytest.mark.parametrize("seed", range(6))
