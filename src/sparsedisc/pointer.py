@@ -8,6 +8,13 @@ x2, ...: `_term` maps a term over the rows through numpy index arrays and
 truth table over all (parameter, object) rows, and every definable set
 and rho in this module goes through that one evaluator.
 
+Every system here is built in canonical form as it is made, not set by
+set through `SetSystem.from_sets`: `np.nonzero` reads the truth matrix
+row-major, so each parameter's members come out sorted, and a stable
+sort on the value tuple lists each psi fiber in ascending order.  The
+sorted, deduplicated tuples go to the `SetSystem` constructor, which
+still checks them.
+
 A quantifier-free partitioned formula is normalized to DNF; each conjunct
 splits into object-only literals (rho), parameter-only literals (the
 guard), and cross equalities word(x_i) = word(y_j).  Naming the parameter
@@ -20,7 +27,13 @@ degree 1 (the z-tuple of a member is determined by the member), so the
 union system of all rho and psi systems has degree at most t, the number
 of those systems; its intersection closure has degree at most 2^t, and a
 solver coloring of the closure is within the constant 2^(2k+t+1) on
-every definable set.
+every definable set.  The closure grows by pairwise intersections of
+members that meet, since a family holding A & B for every two members
+that meet is closed under every nonempty intersection; it costs one set
+intersection per pair of members that meet (one-element members and the
+ground excepted).  On the adjacency formula the base sets are the
+ground, the singletons and the fibers of each function, so few pairs
+meet through an element.
 """
 from __future__ import annotations
 
@@ -38,9 +51,14 @@ from .graphs import Graph
 from .orderings import degeneracy_order, orient_along
 from .setsystems import SetSystem, intersection_closure
 
-# bounds the rows of defined_system's one table walk, and so every array
-# of that walk: a column, a term's values, a truth vector
-DEFINED_TABLE_CAP = 10**7
+# bounds the cells (rows times variables) of defined_system's one table
+# walk, and so every array of that walk: the table, a column, a term's
+# values, a truth vector; 2 * 10^7 lets every 2-variable table of at most
+# 10^7 rows run
+DEFINED_CELL_CAP = 2 * 10**7
+# the truth matrix is read this many cells at a time, which bounds the
+# index arrays and lists that the read makes next to the sets it keeps
+READ_BLOCK_CELLS = 2**16
 DNF_ATOM_CAP = 12
 
 Word = tuple[str, ...]
@@ -179,20 +197,41 @@ def eval_formula(m: PointerStructure, phi: QFFormula, a: tuple, b: tuple) -> boo
     return bool(_truth(m, phi.root, np.array([row], dtype=np.intp), phi.y_arity)[0])
 
 
+def _cut(flat: list[int], ends: Iterable[int]) -> list[tuple[int, ...]]:
+    """flat cut at each of the non-decreasing ends, as tuples; the empty
+    pieces are dropped."""
+    out, start = [], 0
+    for end in ends:
+        if end > start:
+            out.append(tuple(flat[start:end]))
+            start = end
+    return out
+
+
 def defined_system(m: PointerStructure, phi: QFFormula) -> SetSystem:
     """One set per parameter tuple: {x-tuples satisfying phi}, with
     x-tuples of arity > 1 flattened to lexicographic indices.  One walk of
     the formula covers the capped table of all n^(y+x) rows; row b*n^x + a
     holds (b; a), so the truth vector reshaped to (n^y, n^x) has one row
-    per parameter tuple, in lexicographic order."""
+    per parameter tuple, in lexicographic order.  np.nonzero reads that
+    matrix in row blocks, row-major, so each row's columns come out sorted
+    and the row counts cut them into the sets."""
     _check_signature(m, phi.root)
-    n = m.domain_size
-    if n ** (phi.x_arity + phi.y_arity) > DEFINED_TABLE_CAP:
-        raise ResourceLimitError(f"truth table of n^(x+y) entries over {DEFINED_TABLE_CAP}")
-    table = _table(n, phi.y_arity + phi.x_arity)
-    truth = _truth(m, phi.root, table, phi.y_arity)
-    sets = truth.reshape(n**phi.y_arity, n**phi.x_arity)
-    return SetSystem.from_sets(n**phi.x_arity, (np.flatnonzero(s).tolist() for s in sets))
+    n, k = m.domain_size, phi.x_arity + phi.y_arity
+    if n**k * k > DEFINED_CELL_CAP:
+        raise ResourceLimitError(
+            f"truth table of n^(x+y) rows by x+y columns over {DEFINED_CELL_CAP} cells"
+        )
+    truth = _truth(m, phi.root, _table(n, k), phi.y_arity)
+    width = n**phi.x_arity
+    matrix = truth.reshape(n**phi.y_arity, width)
+    block = max(1, READ_BLOCK_CELLS // max(width, 1))
+    sets = set()
+    for start in range(0, len(matrix), block):
+        part = matrix[start : start + block]
+        _, columns = np.nonzero(part)
+        sets.update(_cut(columns.tolist(), np.cumsum(part.sum(axis=1)).tolist()))
+    return SetSystem(width, tuple(sorted(sets)))
 
 
 def from_degenerate_graph(g: Graph) -> tuple[PointerStructure, QFFormula]:
@@ -370,17 +409,16 @@ def _conjunction(literals: Iterable[Literal]) -> And:
 
 def psi_system_sets(
     m: PointerStructure, psi: tuple[tuple[Word, int], ...]
-) -> list[list[int]]:
+) -> list[tuple[int, ...]]:
     """Nonempty sets of the psi-defined system, grouped by the value
-    tuple; pairwise disjoint because the tuple is a function of the member."""
+    tuple; pairwise disjoint because the tuple is a function of the member.
+    A stable sort on the value tuple lists each fiber in ascending order."""
     xs = _table(m.domain_size, 1)
-    columns = [_term(m, Term("x", 0, w), xs, 0).tolist() for w, _ in psi]
-    fibers: dict[tuple[int, ...], list[int]] = {}
-    for a, c in enumerate(zip(*columns)):
-        fibers.setdefault(c, []).append(a)
-    sets = list(fibers.values())
-    assert sum(len(s) for s in sets) == m.domain_size
-    return sets
+    keys = np.array([_term(m, Term("x", 0, w), xs, 0) for w, _ in psi])
+    order = np.lexsort(keys[::-1])
+    keys = keys[:, order]
+    ends = np.flatnonzero((keys[:, 1:] != keys[:, :-1]).any(axis=0)) + 1
+    return _cut(order.tolist(), [*ends.tolist(), m.domain_size])
 
 
 def definable_closure(
@@ -418,13 +456,14 @@ def definable_closure(
     t = len(rhos) + len(psis)
     n = m.domain_size
     xs = _table(n, 1)
-    base_sets = [
-        np.flatnonzero(_truth(m, _conjunction(rho), xs, 0)).tolist()
+    base = {
+        tuple(np.flatnonzero(_truth(m, _conjunction(rho), xs, 0)).tolist())
         for rho in rhos.values()
-    ]
+    }
+    base.discard(())
     for psi in psis:
-        base_sets.extend(psi_system_sets(m, psi))
-    closure = intersection_closure(SetSystem.from_sets(n, base_sets))
+        base.update(psi_system_sets(m, psi))
+    closure = intersection_closure(SetSystem(n, tuple(sorted(base))))
     return closure, k, t
 
 

@@ -127,38 +127,45 @@ def degree(s: SetSystem) -> int:
     return max(Counter(chain.from_iterable(s.sets)).values(), default=0)
 
 
-def _bits(mask: int) -> list[int]:
-    """The set bits of mask, ascending, one step per set bit."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def intersection_closure(s: SetSystem) -> SetSystem:
-    """The ground set plus every nonempty intersection of members.  Such an
-    intersection contains some element v, so it is an intersection of sets
-    through v: the closure is the ground plus, for each v, the at most
-    2^degree(s) intersections of subfamilies of the sets through v.  More
-    than CLOSURE_CAP sets raise ResourceLimitError."""
-    ground_mask = (1 << s.ground_size) - 1
-    masks = [sum(1 << v for v in st) for st in s.sets]
-    closed: set[int] = {ground_mask}
-    for through in s.membership():
-        meets = {ground_mask}
-        for i in through:
-            meets |= {c & masks[i] for c in meets}
-            if len(meets) > CLOSURE_CAP:  # meets lies in the closure, so it is over the cap
-                break
-        closed |= meets
-        if len(closed) > CLOSURE_CAP:
-            raise ResourceLimitError("intersection closure over the size cap")
-    out = SetSystem.from_sets(s.ground_size, (_bits(mask) for mask in closed))
-    t = degree(s)
-    assert degree(out) <= 2**t or s.ground_size == 0
-    return out
+    """The ground set plus every nonempty intersection of members.
+
+    One worklist: each member is intersected with every earlier member
+    that meets it, and an intersection not yet in the family joins the
+    end.  A family holding A & B for every two members that meet is
+    closed under every nonempty intersection (each partial intersection
+    contains the whole, so it is nonempty and a member).  One-element
+    members and the ground give nothing new, so they are never worked.
+    Input tuples are kept; only new intersections are sorted into tuples.
+    Cost: one frozenset intersection per pair of worked members that
+    meet.  More than CLOSURE_CAP sets, counted as the family grows, raise
+    ResourceLimitError."""
+    n = s.ground_size
+    out = list(s.sets)
+    members = list(map(frozenset, out))
+    seen = set(members)
+    if n and frozenset(range(n)) not in seen:
+        out.append(tuple(range(n)))
+    if len(out) > CLOSURE_CAP:
+        raise ResourceLimitError("intersection closure over the size cap")
+    work = [a for a in members if 1 < len(a) < n]
+    through: list[list[int]] = [[] for _ in range(n)]  # worked members through v
+    for i, a in enumerate(work):  # work grows while it is walked
+        partners = set()
+        for v in a:
+            partners.update(through[v])
+            through[v].append(i)
+        for j in partners:
+            c = a & work[j]
+            if c not in seen:
+                seen.add(c)
+                out.append(tuple(sorted(c)))
+                if len(out) > CLOSURE_CAP:
+                    raise ResourceLimitError("intersection closure over the size cap")
+                if len(c) > 1:
+                    work.append(c)
+    out.sort()
+    return SetSystem(n, tuple(out))
 
 
 def random_system(

@@ -191,6 +191,13 @@ class TestSystemAndApprox:
         assert code == 3 and out == ""
         assert err.count("\n") == 1 and err.startswith("resource limit: ")
 
+    def test_defined_cell_cap_exit_3(self, tmp_path, capsys):
+        # 2^23 rows by 23 columns: refused before the table is built
+        structure = {"n": 2, "functions": {"f": [1, 0]}, "predicates": {}}
+        code, out, err = self._defined(tmp_path, capsys, structure, "f(x1)=y1 & f(x1)=y22")
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and "cells" in err
+
     @pytest.mark.parametrize("text", ["A(x1) | g(x1)=y1", "!A(x1) & Q(y1)"])
     def test_defined_unknown_symbol_exit_2(self, tmp_path, capsys, text):
         structure = {"n": 3, "functions": {"f": [1, 2, 0]}, "predicates": {"A": [0, 1, 2]}}

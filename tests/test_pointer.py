@@ -1,14 +1,18 @@
+import hashlib
 from itertools import product
 
 import pytest
 
-from oracles import assemble, eval_brute, weakly_induced
+from oracles import assemble, closure_by_element, eval_brute, weakly_induced
+from sparsedisc import pointer
 from sparsedisc.discrepancy import beck_fiala, eval_discrepancy
 from sparsedisc.errors import ResourceLimitError
 from sparsedisc.formulas import And, Eq, Not, Or, Pred, QFFormula, Term, parse_formula
 from sparsedisc.graphs import Graph, generate_family, random_degenerate_graph
+from sparsedisc.orderings import degeneracy_order
 from sparsedisc.pointer import (
     PointerStructure,
+    definable_closure,
     defined_system,
     eval_formula,
     from_degenerate_graph,
@@ -151,6 +155,25 @@ class TestDefinedSystem:
         m = PointerStructure(3, {}, {})
         with pytest.raises(ResourceLimitError):
             defined_system(m, parse_formula("x10=y10"))
+
+    def test_cell_cap_before_the_table(self, monkeypatch):
+        # 2^23 rows pass a cap of 10^7 rows, but the table has 23 columns:
+        # its 1.9 * 10^8 cells are refused before any array is made
+        def no_table(n, k):
+            raise AssertionError("table allocated")
+
+        monkeypatch.setattr(pointer, "_table", no_table)
+        m = PointerStructure(2, {"f": (1, 0)}, {})
+        with pytest.raises(ResourceLimitError, match="cells"):
+            defined_system(m, parse_formula("f(x1)=y1 & f(x1)=y22"))
+
+    def test_cell_cap_counts_rows_times_variables(self, monkeypatch):
+        m = PointerStructure(5, {}, {})
+        monkeypatch.setattr(pointer, "DEFINED_CELL_CAP", 50)  # 25 rows by 2 variables
+        assert len(defined_system(m, parse_formula("x1=y1")).sets) == 5
+        monkeypatch.setattr(pointer, "DEFINED_CELL_CAP", 49)
+        with pytest.raises(ResourceLimitError):
+            defined_system(m, parse_formula("x1=y1"))
 
     @pytest.mark.parametrize("text", ["A(x1) | g(x1)=y1", "!A(x1) & Q(y1)"])
     def test_unknown_symbol_raises_whatever_the_data(self, text):
@@ -372,6 +395,25 @@ class TestAssemble:
                 assert assemble(m, dec, b) == direct
 
 
+# (n, degeneracy) of the seeded adjacency-formula inputs, the sizes of the
+# benchmark's qf workload
+QF_SHAPES = [(60, 2), (60, 3), (90, 2), (90, 3), (120, 2), (120, 3), (150, 2), (150, 3)]
+# sha256 of the signs, bound and achieved discrepancy of qf_color over
+# qf_corpus(), achieved evaluated on defined_system as `color qf` reports it
+QF_DIGEST = "21f22cfa7ce12b7ba7ab1d95cc80b0cf4f42fac4dda31bd4df605da336104dcd"
+
+
+def qf_corpus():
+    """(label, structure, adjacency formula) of seeded graphs with
+    degeneracy exactly p, two of each shape."""
+    rng = SplitMix64(21)
+    for n, p in QF_SHAPES * 2:
+        g = random_degenerate_graph(n, p, seed=rng.next_u64())
+        while degeneracy_order(g)[1] != p:
+            g = random_degenerate_graph(n, p, seed=rng.next_u64())
+        yield f"n={n} p={p}", *from_degenerate_graph(g)
+
+
 class TestQfColor:
     def test_singletons(self):
         m = PointerStructure(6, {}, {})
@@ -432,6 +474,27 @@ class TestQfColor:
             chi = beck_fiala(traced_closure)
             d, _ = eval_discrepancy(traced_base, chi)
             assert d <= bound
+
+    def test_closure_matches_the_element_oracle_on_the_qf_corpus(self, monkeypatch):
+        inputs = []
+
+        def recording(s):
+            inputs.append(s)
+            return intersection_closure(s)
+
+        monkeypatch.setattr(pointer, "intersection_closure", recording)
+        for _, m, eta in qf_corpus():
+            closure, _, _ = definable_closure(m, [eta])
+            assert set(closure.sets) == closure_by_element(inputs[-1])
+
+    def test_qf_color_frozen(self):
+        h = hashlib.sha256()
+        for label, m, eta in qf_corpus():
+            chi, bound = qf_color(m, [eta])
+            achieved, _ = eval_discrepancy(defined_system(m, eta), chi)
+            signs = "".join("+" if v == 1 else "-" for v in chi.values)
+            h.update(f"{label}|{signs}|{bound}|{achieved}\n".encode())
+        assert h.hexdigest() == QF_DIGEST
 
     def test_rejects_multi_x(self):
         m = PointerStructure(4, {"f": (0, 1, 2, 3)}, {})

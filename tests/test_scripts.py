@@ -23,7 +23,7 @@ ROOT = Path(__file__).resolve().parent.parent
         ),
         (
             ["constant_bound_scan.py", "--sizes", "10", "--seeds", "1"],
-            "n     seed  achieved  bound",
+            "n     seed  achieved  bound    closure  qf_color_s  defined_s",
         ),
         (
             ["reach_kernel_ratios.py", "--sizes", "63", "65", "--repeats", "1"],

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bipartite_double, closure_brute
+from oracles import bipartite_double, closure_brute, closure_by_element
 from sparsedisc import setsystems
 from sparsedisc.errors import ResourceLimitError
 from sparsedisc.graphs import generate_family, sylvester_graph
@@ -207,6 +207,28 @@ class TestIntersectionClosure:
             )
         for s in corpus:
             assert set(intersection_closure(s).sets) == closure_brute(s), s
+            assert closure_by_element(s) == closure_brute(s), s
+
+    def test_three_rounds_of_growth(self):
+        # the complements of the singletons of a 6-set: two of them meet in
+        # a 4-set, up to four in a 2-set, and only five in a singleton, so
+        # growing the family by pairwise intersections takes 3 rounds
+        s = system(6, [[v for v in range(6) if v != i] for i in range(6)])
+        family, rounds = set(map(frozenset, s.sets)), 0
+        while True:
+            grown = family | {a & b for a in family for b in family if a & b}
+            if grown == family:
+                break
+            family, rounds = grown, rounds + 1
+        assert rounds == 3
+        assert set(intersection_closure(s).sets) == closure_brute(s)
+
+    def test_matches_element_oracle_on_random_systems(self):
+        # ground up to 500 and up to 30 sets: past closure_brute's reach
+        rng = SplitMix64(21)
+        for _ in range(200):
+            s = random_system(rng)
+            assert set(intersection_closure(s).sets) == closure_by_element(s), s
 
     def test_idempotent(self):
         rng = SplitMix64(13)
@@ -227,6 +249,22 @@ class TestIntersectionClosure:
         monkeypatch.setattr(setsystems, "CLOSURE_CAP", 10)
         with pytest.raises(ResourceLimitError):
             intersection_closure(system(40, sets))
+
+    @pytest.mark.parametrize(
+        "s",
+        [
+            system(6, [[v for v in range(6) if v != i] for i in range(6)]),  # grows 3 rounds
+            system(3, [[0, 1], [1, 2], [0, 1, 2]]),  # the ground is a member
+            system(4, [[0], [1], [2]]),  # only the ground joins
+        ],
+    )
+    def test_cap_boundary(self, monkeypatch, s):
+        size = len(closure_brute(s))
+        monkeypatch.setattr(setsystems, "CLOSURE_CAP", size)
+        assert len(intersection_closure(s).sets) == size
+        monkeypatch.setattr(setsystems, "CLOSURE_CAP", size - 1)
+        with pytest.raises(ResourceLimitError):
+            intersection_closure(s)
 
 
 @given(st.integers(0, 2**31))
