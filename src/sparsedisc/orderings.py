@@ -35,13 +35,15 @@ WCOL_EXACT_MAX_N = 9
 
 @dataclass(frozen=True)
 class LinearOrder:
-    """position[v] is the rank of vertex v; smaller rank = earlier."""
+    """position[v] is the rank of vertex v; smaller rank = earlier.
+
+    The position is a permutation of 0..n-1, which the constructor does
+    not check: an order read from outside enters through the CLI's order
+    reader, which checks it, and `degeneracy_order` removes every vertex
+    exactly once (`tests/test_canonical.py` checks its output).
+    """
 
     position: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.position) != list(range(len(self.position))):
-            raise ValueError("position must be a permutation of 0..n-1")
 
     @classmethod
     def from_sequence(cls, seq: list[int]) -> "LinearOrder":

@@ -2,18 +2,18 @@
 systems, and the decomposition pipeline that colors them with a constant
 discrepancy bound.
 
-Every variable is a column of one row table, y1..y_k first, then x1,
-x2, ...: `_term` maps a term over the rows through numpy index arrays and
-`_truth` gives a boolean vector over them.  A definable system is one
-truth table over all (parameter, object) rows, and every definable set
+Every variable is one broadcast axis, y1..y_k first, then x1, x2, ...:
+variable i is `np.arange(n)` along axis i of k axes, length 1 on the
+others.  A term reads one variable, so `_term` costs n lookups, and the
+atoms of `_truth` broadcast to the n^k points.  A definable system is
+one truth over all (parameter, object) points, and every definable set
 and rho in this module goes through that one evaluator.
 
-Every system here is built in canonical form as it is made, not set by
-set through `SetSystem.from_sets`: `np.nonzero` reads the truth matrix
-row-major, so each parameter's members come out sorted, and a stable
-sort on the value tuple lists each psi fiber in ascending order.  The
-sorted, deduplicated tuples go to the `SetSystem` constructor, which
-still checks them.
+Every system here is built canonical as it is made: `np.nonzero` reads
+the truth matrix row-major, so each parameter's members come out sorted,
+and a stable sort on the value tuple lists each psi fiber in ascending
+order.  The tuples are deduplicated and sorted, then passed to the
+`SetSystem` constructor, which does not check them again.
 
 A quantifier-free partitioned formula is normalized to DNF; each conjunct
 splits into object-only literals (rho), parameter-only literals (the
@@ -51,10 +51,9 @@ from .graphs import Graph
 from .orderings import degeneracy_order, orient_along
 from .setsystems import SetSystem, intersection_closure
 
-# bounds the cells (rows times variables) of defined_system's one table
-# walk, and so every array of that walk: the table, a column, a term's
-# values, a truth vector; 2 * 10^7 lets every 2-variable table of at most
-# 10^7 rows run
+# bounds the cells (points times variables) of defined_system's n^(x+y)
+# points, and so its largest array, the truth over every point; 2 * 10^7
+# lets every 2-variable formula of at most 10^7 points run
 DEFINED_CELL_CAP = 2 * 10**7
 # the truth matrix is read this many cells at a time, which bounds the
 # index arrays and lists that the read makes next to the sets it keeps
@@ -117,7 +116,7 @@ class PointerStructure:
 
     @cached_property
     def function_arrays(self) -> dict[str, np.ndarray]:
-        dtype = np.min_scalar_type(max(self.domain_size - 1, 0))  # as in _table
+        dtype = np.min_scalar_type(max(self.domain_size - 1, 0))
         return {name: np.array(f, dtype=dtype) for name, f in self.functions.items()}
 
     @cached_property
@@ -151,50 +150,56 @@ def _check_signature(m: PointerStructure, root: Node) -> None:
         raise KeyError(f"unknown predicate {predicates[0]!r}")
 
 
-def _table(n: int, k: int) -> np.ndarray:
-    """All n^k k-tuples as the rows of an (n^k x k) array in lexicographic
-    order, so a row's index is its tuple read in base n; the smallest
-    unsigned dtype that holds n - 1 keeps the table small near the cap."""
-    cells = np.indices((n,) * k, dtype=np.min_scalar_type(max(n - 1, 0)))
-    return cells.reshape(k, n**k).T
+def _grid(values: list) -> list[np.ndarray]:
+    """values[i] along axis i of len(values) axes, length 1 on the others."""
+    k = len(values)
+    return [np.reshape(v, (1,) * i + (-1,) + (1,) * (k - 1 - i)) for i, v in enumerate(values)]
 
 
-def _term(m: PointerStructure, t: Term, table: np.ndarray, y_arity: int) -> np.ndarray:
-    """The value of t at every row of the table, whose first y_arity
-    columns are y1..y_k and whose other columns are x1, x2, ..."""
-    width = y_arity if t.side == "y" else table.shape[1] - y_arity
+def _term(m: PointerStructure, t: Term, grid: list[np.ndarray], y_arity: int) -> np.ndarray:
+    """The value of t along its variable's axis: the grid's first y_arity
+    axes are y1..y_k and its other axes are x1, x2, ..."""
+    width = y_arity if t.side == "y" else len(grid) - y_arity
     if t.index >= width:
         raise ValueError(f"{t.side}{t.index + 1} outside the supplied tuple")
-    value = table[:, t.index if t.side == "y" else y_arity + t.index]
+    value = grid[t.index if t.side == "y" else y_arity + t.index]
     for name in t.word:
         value = m.function_arrays[name][value]
     return value
 
 
-def _truth(m: PointerStructure, node: Node, table: np.ndarray, y_arity: int) -> np.ndarray:
-    """The truth of node at every row of the table, as a boolean vector."""
+def _truth(m: PointerStructure, node: Node, grid: list[np.ndarray], y_arity: int):
+    """The truth of node over the grid, as a boolean array that broadcasts
+    to it; an empty And or Or is a plain True or False."""
     if isinstance(node, Pred):
-        return m.predicate_masks[node.name][_term(m, node.term, table, y_arity)]
+        return m.predicate_masks[node.name][_term(m, node.term, grid, y_arity)]
     if isinstance(node, Eq):
-        return _term(m, node.left, table, y_arity) == _term(m, node.right, table, y_arity)
+        return _term(m, node.left, grid, y_arity) == _term(m, node.right, grid, y_arity)
     if isinstance(node, Not):
-        return np.logical_not(_truth(m, node.child, table, y_arity))
+        return np.logical_not(_truth(m, node.child, grid, y_arity))
     if isinstance(node, (And, Or)):
-        conj = isinstance(node, And)  # also the identity of the empty node
+        conj = isinstance(node, And)  # also the truth of the empty node
+        if not node.children:
+            return conj
         op = np.logical_and if conj else np.logical_or
-        children = (_truth(m, ch, table, y_arity) for ch in node.children)
-        return reduce(op, children, np.full(len(table), conj))
+        return reduce(op, (_truth(m, ch, grid, y_arity) for ch in node.children))
     raise TypeError(node)
+
+
+def _full_truth(m: PointerStructure, node: Node, n: int, k: int, y_arity: int) -> np.ndarray:
+    """The truth of node at all n^k points, of shape (n,) * k."""
+    truth = _truth(m, node, _grid([np.arange(n)] * k), y_arity)
+    return np.broadcast_to(truth, (n,) * k)
 
 
 def eval_formula(m: PointerStructure, phi: QFFormula, a: tuple, b: tuple) -> bool:
     if len(a) != phi.x_arity or len(b) != phi.y_arity:
         raise ValueError("tuple arities do not match the formula")
     _check_signature(m, phi.root)
-    row = (*b, *a)
-    if any(not 0 <= v < m.domain_size for v in row):
+    point = (*b, *a)
+    if any(not 0 <= v < m.domain_size for v in point):
         raise ValueError(f"tuple entry outside the domain 0..{m.domain_size - 1}")
-    return bool(_truth(m, phi.root, np.array([row], dtype=np.intp), phi.y_arity)[0])
+    return bool(_truth(m, phi.root, _grid([[v] for v in point]), phi.y_arity))
 
 
 def _cut(flat: list[int], ends: Iterable[int]) -> list[tuple[int, ...]]:
@@ -210,21 +215,19 @@ def _cut(flat: list[int], ends: Iterable[int]) -> list[tuple[int, ...]]:
 
 def defined_system(m: PointerStructure, phi: QFFormula) -> SetSystem:
     """One set per parameter tuple: {x-tuples satisfying phi}, with
-    x-tuples of arity > 1 flattened to lexicographic indices.  One walk of
-    the formula covers the capped table of all n^(y+x) rows; row b*n^x + a
-    holds (b; a), so the truth vector reshaped to (n^y, n^x) has one row
-    per parameter tuple, in lexicographic order.  np.nonzero reads that
+    x-tuples of arity > 1 flattened to lexicographic indices.  The truth
+    over the capped n^(y+x) points, reshaped to (n^y, n^x), has one row per
+    parameter tuple, in lexicographic order.  np.nonzero reads that
     matrix in row blocks, row-major, so each row's columns come out sorted
     and the row counts cut them into the sets."""
     _check_signature(m, phi.root)
     n, k = m.domain_size, phi.x_arity + phi.y_arity
     if n**k * k > DEFINED_CELL_CAP:
         raise ResourceLimitError(
-            f"truth table of n^(x+y) rows by x+y columns over {DEFINED_CELL_CAP} cells"
+            f"truth of n^(x+y) points by x+y variables over {DEFINED_CELL_CAP} cells"
         )
-    truth = _truth(m, phi.root, _table(n, k), phi.y_arity)
     width = n**phi.x_arity
-    matrix = truth.reshape(n**phi.y_arity, width)
+    matrix = _full_truth(m, phi.root, n, k, phi.y_arity).reshape(n**phi.y_arity, width)
     block = max(1, READ_BLOCK_CELLS // max(width, 1))
     sets = set()
     for start in range(0, len(matrix), block):
@@ -413,7 +416,7 @@ def psi_system_sets(
     """Nonempty sets of the psi-defined system, grouped by the value
     tuple; pairwise disjoint because the tuple is a function of the member.
     A stable sort on the value tuple lists each fiber in ascending order."""
-    xs = _table(m.domain_size, 1)
+    xs = _grid([np.arange(m.domain_size)])
     keys = np.array([_term(m, Term("x", 0, w), xs, 0) for w, _ in psi])
     order = np.lexsort(keys[::-1])
     keys = keys[:, order]
@@ -455,9 +458,8 @@ def definable_closure(
 
     t = len(rhos) + len(psis)
     n = m.domain_size
-    xs = _table(n, 1)
     base = {
-        tuple(np.flatnonzero(_truth(m, _conjunction(rho), xs, 0)).tolist())
+        tuple(np.flatnonzero(_full_truth(m, _conjunction(rho), n, 1, 0)).tolist())
         for rho in rhos.values()
     }
     base.discard(())

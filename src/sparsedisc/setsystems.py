@@ -11,7 +11,6 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from operator import lt
 from typing import Iterable
 
 from .errors import ParseError, ResourceLimitError, check_input_size
@@ -23,25 +22,18 @@ CLOSURE_CAP = 10**5
 
 @dataclass(frozen=True)
 class SetSystem:
+    """Canonical sets over 0..ground_size-1.  The constructor does not
+    check them: outside data enters through `from_sets` and `from_json`,
+    which reject elements outside the ground set, and the builders that
+    call it directly are canonical by construction (tests/test_canonical.py):
+    - weak-reach stars: sorted prefixes of BFS lists, distinct by root;
+    - `intersection_closure`: each new intersection sorted and added once;
+    - `neighborhood_system`, `trace`: sorted rows, an increasing re-indexing;
+    - `pointer`: row-major reads of a truth matrix, stable sorts of fibers.
+    """
+
     ground_size: int
     sets: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        # strictly increasing, inside each set and along the outer list,
-        # rules out duplicates in both
-        prev = None
-        for s in self.sets:
-            if not s:
-                raise ValueError("empty sets are dropped from the canonical form")
-            if not all(map(lt, s, s[1:])):
-                raise ValueError("sets must be sorted and duplicate-free")
-            if s[0] < 0 or s[-1] >= self.ground_size:
-                raise ValueError("set element out of ground range")
-            if prev is not None and not prev < s:
-                if prev == s:
-                    raise ValueError("duplicate set in canonical form")
-                raise ValueError("outer list must be sorted lexicographically")
-            prev = s
 
     @classmethod
     def from_sets(cls, ground_size: int, sets: Iterable[Iterable[int]]) -> "SetSystem":
@@ -49,6 +41,8 @@ class SetSystem:
         for s in sets:
             t = tuple(sorted(set(s)))
             if t:
+                if t[0] < 0 or t[-1] >= ground_size:
+                    raise ValueError("set element out of ground range")
                 canon.add(t)
         return cls(ground_size, tuple(sorted(canon)))
 
@@ -83,8 +77,9 @@ class SetSystem:
 
 
 def neighborhood_system(g: Graph) -> SetSystem:
-    """Open neighborhoods of the vertices, deduplicated."""
-    return SetSystem.from_sets(g.n, g.adjacency)
+    """Open neighborhoods of the vertices, deduplicated: each is already a
+    sorted row of the adjacency."""
+    return SetSystem(g.n, tuple(sorted(set(g.adjacency) - {()})))
 
 
 def edge_color_system(g: Graph, gamma: dict[tuple[int, int], int]) -> SetSystem:
@@ -116,10 +111,10 @@ def trace(s: SetSystem, subset: Iterable[int]) -> tuple[SetSystem, tuple[int, ..
     if sub and (sub[0] < 0 or sub[-1] >= s.ground_size):
         raise ValueError("subset element out of ground range")
     pos = {v: i for i, v in enumerate(sub)}
-    traced = SetSystem.from_sets(
-        len(sub), ([pos[v] for v in st if v in pos] for st in s.sets)
-    )
-    return traced, tuple(sub)
+    # the re-indexing is increasing, so every traced set stays sorted
+    traced = {tuple(pos[v] for v in st if v in pos) for st in s.sets}
+    traced.discard(())
+    return SetSystem(len(sub), tuple(sorted(traced))), tuple(sub)
 
 
 def degree(s: SetSystem) -> int:

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from sparsedisc import discrepancy, graphs
+from sparsedisc import discrepancy, graphs, pointer, setsystems
 from sparsedisc.discrepancy import Coloring
 from sparsedisc.graphs import Graph, generate_family, random_degenerate_graph
 from sparsedisc.orderings import LinearOrder
@@ -61,6 +61,20 @@ def route(request, monkeypatch) -> str:
     if request.param == "bfs":
         monkeypatch.setattr(graphs, "MASK_MAX_N", -1)
     return request.param
+
+
+@pytest.fixture()
+def closure_inputs(monkeypatch) -> list[SetSystem]:
+    """The base systems that `pointer.definable_closure` hands to the
+    intersection closure, recorded call by call."""
+    recorded = []
+
+    def recording(s):
+        recorded.append(s)
+        return setsystems.intersection_closure(s)
+
+    monkeypatch.setattr(pointer, "intersection_closure", recording)
+    return recorded
 
 
 @pytest.fixture(scope="session")

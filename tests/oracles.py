@@ -9,6 +9,9 @@ round, positive semidefiniteness by principal minors, formula
 truth one point at a time by recursion, and intersection closures by
 enumerating every subfamily, or every subfamily of the sets through each
 element.  They are the second route of every dual-route check.
+The canonical-form checks of set systems, graphs and orders are plain
+pairwise comparisons, since the package's constructors no longer check
+what its builders make.
 Small constructions that only the tests need live here too, not in the
 library: bipartiteness, subdivisions, the bipartite doubling of an
 edge-colored graph, weakly induced substructures, and the assembly of a
@@ -24,6 +27,47 @@ from sparsedisc.formulas import And, Eq, Node, Not, Or, Pred, Term
 from sparsedisc.graphs import Graph
 from sparsedisc.pointer import PointerStructure, PsiDecomposition
 from sparsedisc.setsystems import SetSystem
+
+
+def canonical_system(s: SetSystem) -> bool:
+    """Is s in canonical form: a tuple of nonempty tuples of ints, each
+    strictly increasing and inside 0..ground_size-1, the outer tuple
+    strictly increasing too (so no set repeats)?"""
+    if not isinstance(s.sets, tuple):
+        return False
+    for i, st in enumerate(s.sets):
+        if not isinstance(st, tuple) or not st or any(type(v) is not int for v in st):
+            return False
+        if any(st[j] >= st[j + 1] for j in range(len(st) - 1)):
+            return False
+        if st[0] < 0 or st[-1] >= s.ground_size:
+            return False
+        if i and not s.sets[i - 1] < st:
+            return False
+    return True
+
+
+def canonical_graph(g: Graph) -> bool:
+    """Is g a simple undirected graph as the package stores it: one tuple
+    of ints per vertex, strictly increasing, in range and loop-free, and
+    u in the row of v exactly when v is in the row of u?"""
+    if g.n < 0 or not isinstance(g.adjacency, tuple) or len(g.adjacency) != g.n:
+        return False
+    arcs = set()
+    for v, row in enumerate(g.adjacency):
+        if not isinstance(row, tuple) or any(type(u) is not int for u in row):
+            return False
+        if any(row[j] >= row[j + 1] for j in range(len(row) - 1)):
+            return False
+        if any(not 0 <= u < g.n or u == v for u in row):
+            return False
+        arcs.update((v, u) for u in row)
+    return all((u, v) in arcs for v, u in arcs)
+
+
+def is_permutation(position: tuple[int, ...]) -> bool:
+    """Does position hold each of 0..len(position)-1 exactly once?"""
+    return sorted(position) == list(range(len(position)))
 
 
 def disc_brute(s: SetSystem) -> int:

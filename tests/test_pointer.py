@@ -21,7 +21,7 @@ from sparsedisc.pointer import (
     qf_decompose,
 )
 from sparsedisc.rng import SplitMix64
-from sparsedisc.setsystems import SetSystem, intersection_closure, neighborhood_system, trace
+from sparsedisc.setsystems import SetSystem, neighborhood_system, trace
 
 WORKED = "A(x1) & (B(y1) & f(x1)=y1 | !B(y1) & f(x1)=f(y1))"
 
@@ -157,12 +157,13 @@ class TestDefinedSystem:
             defined_system(m, parse_formula("x10=y10"))
 
     def test_cell_cap_before_the_table(self, monkeypatch):
-        # 2^23 rows pass a cap of 10^7 rows, but the table has 23 columns:
-        # its 1.9 * 10^8 cells are refused before any array is made
-        def no_table(n, k):
-            raise AssertionError("table allocated")
+        # 2^23 points pass a cap of 10^7 points, but each has 23 variables:
+        # the 1.9 * 10^8 cells are refused before any array is made, the
+        # grid of the variables' axes included
+        def no_grid(values):
+            raise AssertionError("grid allocated")
 
-        monkeypatch.setattr(pointer, "_table", no_table)
+        monkeypatch.setattr(pointer, "_grid", no_grid)
         m = PointerStructure(2, {"f": (1, 0)}, {})
         with pytest.raises(ResourceLimitError, match="cells"):
             defined_system(m, parse_formula("f(x1)=y1 & f(x1)=y22"))
@@ -208,6 +209,65 @@ class TestDefinedSystem:
         m = PointerStructure(0, {"f": ()}, {"A": frozenset()})
         assert defined_system(m, parse_formula("A(f(x1))")) == SetSystem(0, ())
         assert defined_system(m, parse_formula("x1=y1")) == SetSystem(0, ())
+
+
+def brute_system(m: PointerStructure, phi: QFFormula) -> SetSystem:
+    """defined_system by eval_brute, one point at a time."""
+    xs = list(product(range(m.domain_size), repeat=phi.x_arity))
+    return SetSystem.from_sets(
+        len(xs),
+        (
+            [i for i, a in enumerate(xs) if eval_brute(m, phi.root, a, b)]
+            for b in product(range(m.domain_size), repeat=phi.y_arity)
+        ),
+    )
+
+
+class TestBroadcastEdgeCases:
+    """Truths that do not span every axis of the grid: the 0-d truths of
+    empty connectives, formulas over the parameters or the objects alone,
+    and variables declared but unused, on domains of size 0 to 3."""
+
+    F, X, Y = ("f",), "x", "y"
+    FORMULAS = [
+        QFFormula(1, 1, And(())),
+        QFFormula(1, 1, Or(())),
+        QFFormula(2, 2, And(())),
+        QFFormula(2, 0, Or(())),
+        QFFormula(0, 2, And(())),
+        QFFormula(1, 2, Not(Or(()))),
+        QFFormula(1, 1, Or((And(()), Pred("A", Term(X, 0))))),
+        # parameters only
+        QFFormula(2, 1, Pred("B", Term(Y, 0, F))),
+        QFFormula(1, 2, Or((Pred("B", Term(Y, 1)), Eq(Term(Y, 0), Term(Y, 1, F))))),
+        # objects only
+        QFFormula(1, 2, And((Pred("A", Term(X, 0)), Not(Eq(Term(X, 0, F), Term(X, 0)))))),
+        QFFormula(2, 1, Eq(Term(X, 1, F), Term(X, 0))),
+        # x2 and y1 declared but unused, then x1 and y2
+        QFFormula(2, 2, Eq(Term(X, 0, F), Term(Y, 1))),
+        QFFormula(2, 2, And((Eq(Term(X, 1), Term(Y, 0, F)), Pred("A", Term(Y, 0))))),
+    ]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_matches_brute(self, n):
+        f = tuple((v + 1) % n for v in range(n))
+        m = PointerStructure(
+            n, {"f": f}, {"A": frozenset(range(0, n, 2)), "B": frozenset(range(max(n - 1, 0), n))}
+        )
+        for phi in self.FORMULAS:
+            assert defined_system(m, phi) == brute_system(m, phi), phi
+            for a in product(range(n), repeat=phi.x_arity):
+                for b in product(range(n), repeat=phi.y_arity):
+                    assert eval_formula(m, phi, a, b) == eval_brute(m, phi.root, a, b), (phi, a, b)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_rho_of_an_empty_conjunction_is_the_ground(self, n, closure_inputs):
+        # f(x1)=y1 has one conjunct and no object-only literal: its rho is
+        # the empty conjunction, a 0-d truth that stands for every object
+        f = tuple(v // 2 for v in range(n))
+        definable_closure(PointerStructure(n, {"f": f}, {}), [parse_formula("f(x1)=y1")])
+        fibers = [[a for a in range(n) if f[a] == c] for c in range(n)]
+        assert closure_inputs == [SetSystem.from_sets(n, [range(n), *fibers])]
 
 
 def random_formula(rng: SplitMix64, funcs, preds) -> QFFormula:
@@ -475,17 +535,10 @@ class TestQfColor:
             d, _ = eval_discrepancy(traced_base, chi)
             assert d <= bound
 
-    def test_closure_matches_the_element_oracle_on_the_qf_corpus(self, monkeypatch):
-        inputs = []
-
-        def recording(s):
-            inputs.append(s)
-            return intersection_closure(s)
-
-        monkeypatch.setattr(pointer, "intersection_closure", recording)
+    def test_closure_matches_the_element_oracle_on_the_qf_corpus(self, closure_inputs):
         for _, m, eta in qf_corpus():
             closure, _, _ = definable_closure(m, [eta])
-            assert set(closure.sets) == closure_by_element(inputs[-1])
+            assert set(closure.sets) == closure_by_element(closure_inputs[-1])
 
     def test_qf_color_frozen(self):
         h = hashlib.sha256()

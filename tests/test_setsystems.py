@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bipartite_double, closure_brute, closure_by_element
+from oracles import bipartite_double, canonical_system, closure_brute, closure_by_element
 from sparsedisc import setsystems
 from sparsedisc.errors import ResourceLimitError
 from sparsedisc.graphs import generate_family, sylvester_graph
@@ -38,9 +38,19 @@ class TestCanonicalForm:
         assert SetSystem.from_json(s.to_json()) == s
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            system(2, [[0, 2]])
+        for sets in ([[0, 2]], [[-1, 0]], [[1], [1, 0, 5]]):
+            with pytest.raises(ValueError, match="out of ground range"):
+                system(2, sets)
 
+    @pytest.mark.parametrize("element", [3, -1])
+    def test_json_rejects_out_of_range(self, element):
+        text = '{"ground_size": 3, "sets": [[0], [%d, 1]]}' % element
+        with pytest.raises(ValueError, match="out of ground range"):
+            SetSystem.from_json(text)
+
+    # the constructor does not check the canonical form, which the
+    # package's builders make (tests/test_canonical.py); each defect is one
+    # the canonical-form oracle must reject
     @pytest.mark.parametrize(
         "sets, words",
         [
@@ -53,9 +63,8 @@ class TestCanonicalForm:
             (((0,), (1,), (0,)), "sorted lexicographically"),
         ],
     )
-    def test_constructor_rejects_non_canonical(self, sets, words):
-        with pytest.raises(ValueError, match=words):
-            SetSystem(3, sets)
+    def test_oracle_rejects_non_canonical(self, sets, words):
+        assert not canonical_system(SetSystem(3, sets)), words
 
 
 class TestNeighborhoodSystem:
