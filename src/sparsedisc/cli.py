@@ -154,16 +154,12 @@ def cmd_order(args: argparse.Namespace) -> int:
         raise ResourceLimitError(f"--d over the order report's cap {ORDER_MAX_D}")
     g = _read_graph(args.input)
     order, dgn = orderings.degeneracy_order(g)
-    # every radius from one pass; an empty graph has no weak-reach sets,
-    # so its wcol is 0 where the profile's M_i is 1
-    profile = orderings.reach_profile(orderings.weak_reach(g, order, args.d), args.d)
+    profile = orderings.wcol_profile(g, order, args.d)
     report = {
         "n": g.n,
         "degeneracy": dgn,
         "order": order.sequence(),
-        "wcol_from_order": {
-            str(d): profile[d] if g.n else 0 for d in range(1, args.d + 1)
-        },
+        "wcol_from_order": {str(d): profile[d] for d in range(1, args.d + 1)},
     }
     if args.exact_d is not None:
         report["wcol_exact"] = orderings.wcol_exact(

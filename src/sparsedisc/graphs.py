@@ -4,31 +4,30 @@ bipartite graphs that exhibit sqrt(n) neighborhood discrepancy).  Every
 vertex count read or generated, and every generated candidate edge count,
 is checked against INPUT_CAP before anything is built.
 
-Bounded reach has one BFS and one reader.  `bfs_levels` runs a BFS from
-one root through the vertices ranked after a given rank; weak reach
-(`orderings`), graph powers and the reader run it.  `reach_sums` sums
-signs over the sources that reach each vertex within d steps: with an
-order's positions it counts |WReach_d[v]|, and with a coloring it sums
-the closed d-balls.  Up to MASK_MAX_N vertices it reads `_reach_masks`
-instead, which moves every source at once: an n x ceil(n/64) uint64
-matrix, one row of source bits per vertex, in which a round gathers the
-neighbors' rows and ORs each vertex's run together with numpy, over the
+Bounded reach has one BFS, one mask kernel and one reader.  `bfs_levels`
+runs a BFS from one root through the vertices ranked after a given rank;
+weak reach (`orderings`), graph powers and the reader run it.
+`_reach_masks` moves every source at once, one round per yield, over the
 adjacency in compressed sparse rows (`Graph.neighbor_arrays`, built on
-first use).  The masks' memory grows like n^2 bits and their work like
-d * m * n / 64 word operations, hence the size rule.  BFS time / mask
-time of `reach_sums` on random_degenerate_graph(n, p, 0), with an
-order's positions (wcol) and with signs (balls), from
-scripts/reach_kernel_ratios.py (best of 3 calls; above 1 the masks win):
+first use); `orderings` resumes its rounds to read wcol at growing radii.
+`reach_sums` sums signs over the sources that reach each vertex within d
+steps: with an order's positions it counts |WReach_d[v]|, and with a
+coloring it sums the closed d-balls.  The masks' memory grows like n^2
+bits and their work like d * m * n / 64 word operations, hence the size
+rule `fits_masks`.  BFS time / mask time of `reach_sums` on
+random_degenerate_graph(n, p, 0), with an order's positions (wcol) and
+with signs (balls), from scripts/reach_kernel_ratios.py (best of 3 calls;
+above 1 the masks win):
 
     n     p  reader    r=1    r=2    r=3    r=4
-    1024  3  wcol     1.55   1.44   2.10   3.60
-    1024  3  balls    1.81   2.96   7.64  17.45
-    1024  6  wcol     1.58   3.02   8.21  18.24
-    1024  6  balls    1.84   6.33  29.39  73.94
-    2048  3  wcol     0.65   0.69   0.99   1.58
-    2048  3  balls    1.00   1.15   2.75   7.02
-    2048  6  wcol     0.78   1.09   2.67   7.09
-    2048  6  balls    0.79   2.16  10.32  26.18
+    1024  3  wcol     1.50   1.67   2.40   4.09
+    1024  3  balls    2.04   2.81   6.56  15.57
+    1024  6  wcol     1.53   3.30   9.04  21.31
+    1024  6  balls    2.11   6.88  30.32  82.73
+    2048  3  wcol     0.66   0.96   1.38   2.36
+    2048  3  balls    1.28   1.67   3.80   9.16
+    2048  6  wcol     1.15   2.02   5.67  14.53
+    2048  6  balls    1.42   4.44  19.67  67.47
 
 MASK_MAX_N is the largest size of the script's table (n = 512, 1024,
 2048, 4096) at which the masks win every cell.  At n = 4096 the BFS wins
@@ -39,8 +38,8 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
-from typing import IO, Iterable, Optional, Sequence
+from itertools import chain, combinations, islice
+from typing import IO, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -184,46 +183,57 @@ def bfs_levels(
 
 
 def _word_bits(src: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where each bit index b lives in a row of `_reach_masks`: its word
-    b // 64, and that word with only bit b % 64 set."""
+    """Where each bit index b lives in a column of `_reach_masks`: its
+    word (row) b // 64, and that word with only bit b % 64 set."""
     return src >> 6, np.left_shift(np.uint64(1), (src & 63).astype(np.uint64))
 
 
-def _reach_masks(g: Graph, d: int, pos: Optional[Sequence[int]] = None) -> np.ndarray:
-    """Bit-parallel bounded reach from every source at once.
+def fits_masks(g: Graph) -> bool:
+    """The size rule: bounded reach on g runs on the masks, not the BFS."""
+    return g.n <= MASK_MAX_N
 
-    Returns an n x ceil(n/64) uint64 matrix: row v holds the source bits
-    of v, bit b in word b // 64 at place b % 64.  Vertex v starts with one
-    bit: bit v, or bit pos[v] when the positions of an order are given.
-    Each of at most d rounds ORs into every row the rows of its neighbors,
-    all read from the previous round; with pos, row v keeps only the bits
-    of ranks below pos[v] (its prefix row).  So after i rounds row v holds
-    bit s exactly when the vertex starting with s reaches v by a walk of
-    length <= i, through vertices that all rank after that source when
-    pos is given.  The rounds stop early once one changes nothing, so the cost
-    does not grow with d past the point where the reach is complete.
+
+def _reach_masks(g: Graph, pos: Optional[Sequence[int]] = None) -> Iterator[tuple]:
+    """Bit-parallel bounded reach from every source at once, by rounds.
+
+    Yields (masks, sizes) after 0, 1, 2, ... rounds: column v of the
+    ceil(n/64) x n uint64 masks holds the source bits of v, bit b in row
+    b // 64 at place b % 64, and sizes[v] is its popcount.  Vertex v
+    starts with bit v, or bit pos[v] when an order's positions are given.
+    A round ORs into every column its neighbors' columns of the previous
+    round; with pos, column v keeps only the bits of ranks below pos[v]
+    (its prefix column).  So after i rounds column v holds bit s exactly
+    when the vertex starting with s reaches v by a walk of length <= i,
+    through vertices that all rank after that source when pos is given.
+    Columns only gain bits, so the first round that keeps the total
+    popcount changes nothing and ends the generator unyielded: the cost
+    stops growing once the reach is complete.  The masks change in place.
+    Word-major, the popcounts are sums down contiguous rows.
     """
     nbr, starts = g.neighbor_arrays
     n, words = g.n, -(-g.n // 64)
     word, bit = _word_bits(np.arange(n) if pos is None else np.asarray(pos, dtype=np.intp))
-    masks = np.zeros((n + 1, words), dtype=np.uint64)  # row n: isolated vertices' neighbor
-    masks[np.arange(n), word] = bit
-    rows = masks[:n]
+    buf = np.zeros((words, n + 1), dtype=np.uint64)  # column n: isolated vertices' neighbor
+    buf[word, np.arange(n)] = bit
+    masks = buf[:, :n]
     allowed = None
     if pos is not None:
-        # the prefix row of pos[v]: every word before v's own, and the
+        # the prefix column of pos[v]: every word before v's own, and the
         # bits below v's bit in it
-        allowed = np.take(np.tril(np.full((words, words), ~np.uint64(0)), -1), word, axis=0)
-        allowed[np.arange(n), word] |= bit - np.uint64(1)
-    for _ in range(d):
-        acc = np.bitwise_or.reduceat(np.take(masks, nbr, axis=0), starts, axis=0)
+        allowed = np.take(np.triu(np.full((words, words), ~np.uint64(0)), 1), word, axis=1)
+        allowed[word, np.arange(n)] |= bit - np.uint64(1)
+    sizes, total = np.ones(n, dtype=np.int64), n
+    while True:
+        yield masks, sizes
+        acc = np.bitwise_or.reduceat(np.take(buf, nbr, axis=1), starts, axis=1)
         if allowed is not None:
             acc &= allowed
-        acc |= rows
-        if np.array_equal(acc, rows):
-            break
-        rows[...] = acc
-    return rows
+        acc |= masks
+        sizes = np.bitwise_count(acc).sum(axis=0, dtype=np.int64)
+        grown = sizes.sum()
+        if grown == total:
+            return
+        masks[...], total = acc, grown
 
 
 def reach_sums(
@@ -234,22 +244,23 @@ def reach_sums(
     With the positions pos of an order, z reaches v only through vertices
     ranked after z, so without signs the sum is |WReach_d[v]|.
 
-    Up to MASK_MAX_N vertices the sums are row popcounts of `_reach_masks`
-    (2 * |row & plus| - |row| with signs, plus holding the bits of the
-    sources signed +1); above, each source's BFS adds its sign to every
-    vertex it reaches.
+    On the masks (`fits_masks`) the sums are read from the d-th yield of
+    `_reach_masks`, or its last: the popcounts, or with signs
+    2 * |column & plus| - |column|, plus holding the bits of the sources
+    signed +1; on the BFS each source's BFS adds its sign to every vertex
+    it reaches.
     """
-    if g.n <= MASK_MAX_N:
-        masks = _reach_masks(g, d, pos)
-        size = np.bitwise_count(masks).sum(axis=1, dtype=np.int64)
+    if fits_masks(g):
+        for masks, size in islice(_reach_masks(g, pos), d + 1):
+            pass
         if signs is None:
             return size
         src = np.flatnonzero(np.asarray(signs) > 0)
         if pos is not None:
             src = np.asarray(pos, dtype=np.intp)[src]
-        plus = np.zeros(masks.shape[1], dtype=np.uint64)
-        np.bitwise_or.at(plus, *_word_bits(src))
-        return 2 * np.bitwise_count(masks & plus).sum(axis=1, dtype=np.int64) - size
+        plus = np.zeros((masks.shape[0], 1), dtype=np.uint64)
+        np.bitwise_or.at(plus[:, 0], *_word_bits(src))
+        return 2 * np.bitwise_count(masks & plus).sum(axis=0, dtype=np.int64) - size
     n, adj = g.n, g.adjacency
     weights = [1] * n if signs is None else np.asarray(signs).tolist()
     rank = [0] * n if pos is None else pos

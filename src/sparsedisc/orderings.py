@@ -4,29 +4,30 @@ coloring numbers.
 
 Weak reachability is computed in one pass for all vertices and radii: a
 bounded BFS (`graphs.bfs_levels`) from each root z through the vertices
-ranked after z finds
-every v that weakly reaches z, with the least radius (the standard
-polynomial method; Nadara, Pilipczuk, Rabinovich, Reidl and Siebertz,
-*Empirical evaluation of approaches for computing weak coloring
+ranked after z finds every v that weakly reaches z, with the least radius
+(the standard polynomial method; Nadara, Pilipczuk, Rabinovich, Reidl and
+Siebertz, *Empirical evaluation of approaches for computing weak coloring
 numbers*).  The pass is root-major: levels[z][i] lists the vertices at
 BFS depth i from z, so every consumer (the reach profile, the weak-reach
-stars, wcol, and at radius 1 the in-neighborhoods of the orientation
-along the order) reads it without a transpose.  The exact weak coloring
-number runs the per-root BFS too, in a branch and bound over order
-prefixes, because a root's BFS depends only on which vertices are placed
-before it.
+stars, and at radius 1 the in-neighborhoods of the orientation along the
+order) reads it without a transpose.  The exact weak coloring number runs
+the per-root BFS too, in a branch and bound over order prefixes, because
+a root's BFS depends only on which vertices are placed before it.
 
-The weak coloring number of one order needs only the sizes |WReach_d[v]|,
-which `graphs.reach_sums` counts without listing the sets, by the route
-that the size rule in `graphs` picks.
+The weak coloring number of one order needs only the sizes |WReach_i[v]|.
+On the masks (`graphs.fits_masks`) M_i = max_v |WReach_i[v]| is the
+largest popcount after round i of `graphs._reach_masks`, and one slot
+keeps the last graph and order's pass suspended, so wcol at growing radii
+costs one pass; above, `graphs.reach_sums` counts each radius by the BFS.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import chain, zip_longest
+from itertools import chain, islice, zip_longest
 
+from . import graphs
 from .errors import ResourceLimitError
 from .graphs import Graph, bfs_levels, reach_sums
 
@@ -156,11 +157,43 @@ def reach_profile(levels: list[list[list[int]]], d: int) -> tuple[int, ...]:
     return tuple(profile + profile[-1:] * (d + 1 - len(profile)))
 
 
+# The mask route's one slot: a graph and an order, matched by identity (both
+# are frozen), their suspended `graphs._reach_masks` pass (two ceil(n/64) x n
+# matrices, the masks and the prefix masks: 256 KB at MASK_MAX_N), and the
+# largest popcount of each round drawn so far, M_0, M_1, ...
+_last: tuple = (None, None, iter(()), [])
+
+
+def _mask_maxima(g: Graph, order: LinearOrder, d: int) -> list[int]:
+    """M_0..M_d, or M_0..M_r when round r is the last that changes
+    anything (r < d): M past r equals M_r."""
+    global _last
+    if _last[0] is not g or _last[1] is not order:
+        _last = (g, order, graphs._reach_masks(g, order.position), [])
+    _, _, rounds, maxima = _last
+    for _, sizes in islice(rounds, max(0, d + 1 - len(maxima))):
+        maxima.append(int(sizes.max(initial=0)))
+    return maxima
+
+
 def wcol_from_order(g: Graph, order: LinearOrder, d: int) -> int:
     """max_v |WReach_d[v]|; an upper bound on the weak coloring number
     realized by this particular order."""
     _check_reach_args(g, order, d)
-    return int(reach_sums(g, d, order.position).max(initial=0))
+    if not graphs.fits_masks(g):
+        return int(reach_sums(g, d, order.position).max(initial=0))
+    return _mask_maxima(g, order, d)[: d + 1][-1]
+
+
+def wcol_profile(g: Graph, order: LinearOrder, d: int) -> tuple[int, ...]:
+    """wcol_from_order(g, order, i) for i = 0..d, from one reach pass: the
+    mask rounds, or above the size rule one `weak_reach` pass."""
+    _check_reach_args(g, order, d)
+    if not graphs.fits_masks(g):
+        # reach_profile's M_0 is 1, where an empty graph's wcol is 0
+        return reach_profile(weak_reach(g, order, d), d) if g.n else (0,) * (d + 1)
+    maxima = _mask_maxima(g, order, d)
+    return tuple(maxima[: d + 1] + maxima[-1:] * (d + 1 - len(maxima)))
 
 
 def wcol_exact(g: Graph, d: int, max_n: int = WCOL_EXACT_MAX_N) -> int:

@@ -64,6 +64,42 @@ def route(request, monkeypatch) -> str:
 
 
 @pytest.fixture()
+def mask_passes(monkeypatch) -> list[list]:
+    """The passes of graphs._reach_masks, one [positions given, yields
+    drawn] entry per pass, counted as the caller draws its rounds."""
+    passes = []
+    masks = graphs._reach_masks
+
+    def spy(g, pos=None):
+        drawn = [pos is not None, 0]
+        passes.append(drawn)
+
+        def rounds():
+            for item in masks(g, pos):
+                drawn[1] += 1
+                yield item
+
+        return rounds()
+
+    monkeypatch.setattr(graphs, "_reach_masks", spy)
+    return passes
+
+
+@pytest.fixture()
+def bfs_roots(monkeypatch) -> list[int]:
+    """The roots of every graphs.bfs_levels call, in call order."""
+    roots = []
+    bfs = graphs.bfs_levels
+
+    def spy(adj, pos, after, z, d, seen):
+        roots.append(z)
+        return bfs(adj, pos, after, z, d, seen)
+
+    monkeypatch.setattr(graphs, "bfs_levels", spy)
+    return roots
+
+
+@pytest.fixture()
 def closure_inputs(monkeypatch) -> list[SetSystem]:
     """The base systems that `pointer.definable_closure` hands to the
     intersection closure, recorded call by call."""

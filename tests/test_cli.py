@@ -558,7 +558,9 @@ class TestMalformedInputExit2:
             **wcol, **{str(d): wcol["1000"] for d in range(1001, 100001)}
         }
 
-    def test_order_makes_one_weak_reach_pass(self, p20, capsys, monkeypatch):
+    def test_order_makes_one_weak_reach_pass(self, p20, capsys, monkeypatch, mask_passes):
+        # one reach pass for every radius on each route: the mask rounds,
+        # drawn once each, and above the size rule one weak_reach call
         calls = []
 
         def counted(*args):
@@ -566,9 +568,15 @@ class TestMalformedInputExit2:
             return weak_reach(*args)
 
         monkeypatch.setattr(orderings, "weak_reach", counted)
+        wcol = {"1": 2, "2": 3, "3": 4, "4": 5}
         code, out, _ = run(capsys, "order", "-i", str(p20), "--d", "4")
-        assert code == 0 and len(calls) == 1
-        assert json.loads(out)["wcol_from_order"] == {"1": 2, "2": 3, "3": 4, "4": 5}
+        assert code == 0 and calls == [] and mask_passes == [[True, 5]]
+        assert json.loads(out)["wcol_from_order"] == wcol
+        mask_passes.clear()
+        monkeypatch.setattr(graphs, "MASK_MAX_N", -1)
+        code, out, _ = run(capsys, "order", "-i", str(p20), "--d", "4")
+        assert code == 0 and len(calls) == 1 and mask_passes == []
+        assert json.loads(out)["wcol_from_order"] == wcol
 
 
 class TestInputCaps:

@@ -14,6 +14,7 @@ from sparsedisc.orderings import (
     orient_along,
     wcol_exact,
     wcol_from_order,
+    wcol_profile,
     weak_reach,
 )
 from sparsedisc.power_coloring import in_neighborhood_system
@@ -242,14 +243,79 @@ class TestWcolRoutes:
     """The bit-mask route of wcol_from_order against the BFS route and
     against the path-enumeration oracle."""
 
-    def test_routes_agree(self, monkeypatch):
+    def test_routes_agree(self, monkeypatch, mask_passes, bfs_roots):
         corpus = _route_corpus()
         radii = (0, 1, 2, 3, 4, 60, 10**9)  # 60 is past every diameter here
         masks = [[wcol_from_order(g, order, d) for d in radii] for g, order in corpus]
+        assert bfs_roots == [] and len(mask_passes) == len(corpus)
         monkeypatch.setattr(graphs, "MASK_MAX_N", -1)
-        assert masks == [[wcol_from_order(g, order, d) for d in radii] for g, order in corpus]
+        mask_passes.clear()
+        for (g, order), expected in zip(corpus, masks):
+            for d, wcol in zip(radii, expected):
+                # every call runs the BFS from each root; none reads the
+                # mask profile kept for the last corpus entry
+                bfs_roots.clear()
+                assert wcol_from_order(g, order, d) == wcol
+                assert bfs_roots == list(range(g.n))
+        assert mask_passes == []
         assert masks[0] == [0] * len(radii)
         assert masks[1] == [1] * len(radii)
+
+    def test_profile_resumes_one_pass(self, route, mask_passes, bfs_roots):
+        # radii out of order, and interleaved with an equal but distinct
+        # order, another order of the same graph, and the same order on
+        # another graph: each answer is the oracle's, and the masks make
+        # one pass per change of (graph, order), matched by identity
+        g, h = random_degenerate_graph(13, 3, 21), random_degenerate_graph(13, 3, 22)
+        a = degeneracy_order(g)[0]
+        keys = [(g, a), (g, LinearOrder(a.position)), (g, shuffled_order(13, 21)), (h, a)]
+        radii = (4, 1, 0, 3, 10**9, 2)
+        calls = [(g, a, d) for d in radii]
+        calls += [(k, o, d) for d in radii for k, o in keys]
+        calls += [(k, o, d) for k, o in keys for d in radii]
+
+        def oracle(k, o, d):
+            # a simple path has fewer than n edges
+            return max(len(wreach_brute(k, o.position, min(d, k.n), v)) for v in range(k.n))
+
+        expected = {(id(k), id(o), d): oracle(k, o, d) for k, o in keys for d in radii}
+        assert [wcol_from_order(k, o, d) for k, o, d in calls] == [
+            expected[id(k), id(o), d] for k, o, d in calls
+        ]
+        # the keys differ in answers, so a memo matched on less would fail
+        answers = [[expected[id(k), id(o), d] for d in radii] for k, o in keys]
+        assert answers[0] != answers[2] and answers[0] != answers[3]
+        if route == "mask":
+            assert bfs_roots == []
+            changes = 1 + sum(
+                k is not k0 or o is not o0 for (k0, o0, _), (k, o, _) in zip(calls, calls[1:])
+            )
+            assert len(mask_passes) == changes
+        else:
+            assert mask_passes == [] and len(bfs_roots) == 13 * len(calls)
+
+    def test_profile_is_wcol_at_every_radius(self, route):
+        # a distinct equal order makes wcol_from_order run its own pass
+        for g, order in _route_corpus():
+            for d in (0, 2, 7):
+                twin = LinearOrder(order.position)
+                assert wcol_profile(g, order, d) == tuple(
+                    wcol_from_order(g, twin, i) for i in range(d + 1)
+                ), (g.n, d)
+
+    def test_size_rule_before_the_profile(self, monkeypatch, mask_passes, bfs_roots):
+        # a profile kept on the masks is not read once the size rule sends
+        # the graph to the BFS
+        g = random_degenerate_graph(30, 3, 23)
+        order = shuffled_order(g.n, 23)
+        masks = [wcol_from_order(g, order, d) for d in (4, 1, 2, 10**9)]
+        assert bfs_roots == [] and len(mask_passes) == 1
+        monkeypatch.setattr(graphs, "MASK_MAX_N", g.n - 1)
+        for d, wcol in zip((4, 1, 2, 10**9), masks):
+            bfs_roots.clear()
+            assert wcol_from_order(g, order, d) == wcol
+            assert bfs_roots == list(range(g.n))
+        assert len(mask_passes) == 1
 
     def test_matches_path_enumeration_oracle(self, route):
         for g, order in _route_corpus()[:6]:
@@ -283,24 +349,17 @@ class TestWcolRoutes:
         order = shuffled_order(20, 4)
         assert wcol_from_order(g, order, 10**9) == wcol_from_order(g, order, 19)
 
-    def test_size_rule(self, monkeypatch):
-        # n = MASK_MAX_N + 1 takes the BFS route; raising the constant by
-        # one sends it to the masks, with the same answer
+    def test_size_rule(self, monkeypatch, mask_passes):
+        # n = MASK_MAX_N + 1 takes the BFS route, and no mask round runs;
+        # raising the constant by one sends it to the masks, with the same
+        # answers, from one pass drawn to its second round
         g = random_degenerate_graph(graphs.MASK_MAX_N + 1, 3, 11)
         order = shuffled_order(g.n, 11)
-        mask_calls = []
-        masks = graphs._reach_masks
-
-        def spy(g, d, pos=None):
-            mask_calls.append((d, pos is not None))
-            return masks(g, d, pos)
-
-        monkeypatch.setattr(graphs, "_reach_masks", spy)
         bfs = [wcol_from_order(g, order, d) for d in (1, 2)]
-        assert mask_calls == []
+        assert mask_passes == []
         monkeypatch.setattr(graphs, "MASK_MAX_N", g.n)
         assert [wcol_from_order(g, order, d) for d in (1, 2)] == bfs
-        assert mask_calls == [(1, True), (2, True)]
+        assert mask_passes == [[True, 3]]
 
     def test_rejects_bad_arguments(self, route):
         g = generate_family("path", [3])

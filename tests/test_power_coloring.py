@@ -276,25 +276,18 @@ class TestCertificateOracle:
         assert masks == [power_coloring(g, d)[1] for g in corpus for d in radii]
 
 
-    def test_size_rule(self, monkeypatch):
+    def test_size_rule(self, monkeypatch, mask_passes):
         # n = MASK_MAX_N + 1 sums the BFS balls; raising the constant by
-        # one sends it to the masks, with the same sums
+        # one sends it to the masks, with the same sums: one pass per
+        # radius d, drawn to its d-th round
         g = random_degenerate_graph(graphs.MASK_MAX_N + 1, 3, 12)
         rng = SplitMix64(12)
         values = tuple(rng.randrange(2) * 2 - 1 for _ in range(g.n))
-        mask_calls = []
-        masks = graphs._reach_masks
-
-        def spy(g, d, pos=None):
-            mask_calls.append((d, pos is not None))
-            return masks(g, d, pos)
-
-        monkeypatch.setattr(graphs, "_reach_masks", spy)
         bfs = [power_module._max_ball_sum(g, d, values) for d in (1, 2, 3)]
-        assert mask_calls == []
+        assert mask_passes == []
         monkeypatch.setattr(graphs, "MASK_MAX_N", g.n)
         assert [power_module._max_ball_sum(g, d, values) for d in (1, 2, 3)] == bfs
-        assert mask_calls == [(1, False), (2, False), (3, False)]
+        assert mask_passes == [[False, 2], [False, 3], [False, 4]]
 
 class TestOrientationColoring:
     @pytest.mark.parametrize("seed", range(6))
