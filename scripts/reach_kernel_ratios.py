@@ -1,19 +1,21 @@
 #!/usr/bin/env python3
 """Where the bit-mask kernel of bounded reach stops beating the BFS.
 
-`graphs.reach_sums` has two routes, chosen by the size rule
-graphs.MASK_MAX_N: the bit masks of `graphs._reach_masks` up to that many
-vertices, a BFS above.  It is timed as each of its readers calls it: with
-the positions of the smallest-last order, for the weak coloring number
-("wcol"), and with a seeded random coloring as signs, for the power
-certificate's ball sums ("balls").  For each size n and parameter p this
-builds `random_degenerate_graph(n, p, seed)`, forces each route by setting
-the size rule, checks that the two routes agree, and prints BFS time /
-mask time at radii 1..4: above 1 the masks win.  Each time is the best of
+Bounded reach has two routes, chosen by the size rule graphs.MASK_MAX_N:
+the bit masks of `graphs._reach_masks` up to that many vertices, a BFS
+above.  They are timed through their two readers:
+`orderings.wcol_from_order` with the smallest-last order, for the weak
+coloring number ("wcol": on the BFS one `weak_reach` pass counted by
+`reach_profile`), and `graphs.ball_sums` with a seeded random coloring
+as signs, for the power certificate's ball sums ("balls").  For each
+size n and parameter p this builds
+`random_degenerate_graph(n, p, seed)`, forces each route by setting the
+size rule, checks that the two routes agree, and prints BFS time / mask
+time at radii 1..4: above 1 the masks win.  Each time is the best of
 --repeats calls, each on a fresh copy of the graph, so the masks pay for
 building their neighbor arrays every time.  The last line names the
-largest n at which the masks win every cell of the table, the value the
-size rule is set to.
+largest n at which the masks win every cell of the table, the bound the
+size rule is read from (the `graphs` docstring says where it stands).
 """
 import argparse
 import time
@@ -21,8 +23,8 @@ import time
 import numpy as np
 
 from sparsedisc import graphs
-from sparsedisc.graphs import Graph, random_degenerate_graph, reach_sums
-from sparsedisc.orderings import degeneracy_order
+from sparsedisc.graphs import Graph, ball_sums, random_degenerate_graph
+from sparsedisc.orderings import degeneracy_order, wcol_from_order
 from sparsedisc.rng import SplitMix64
 
 RADII = (1, 2, 3, 4)
@@ -58,8 +60,8 @@ def main() -> None:
             rng = SplitMix64(args.seed)
             signs = np.array([rng.randrange(2) * 2 - 1 for _ in range(g.n)], dtype=np.int64)
             readers = {
-                "wcol": lambda h, d: reach_sums(h, d, order.position),
-                "balls": lambda h, d: reach_sums(h, d, signs=signs),
+                "wcol": lambda h, d: wcol_from_order(h, order, d),
+                "balls": lambda h, d: ball_sums(h, d, signs),
             }
             for name, reader in readers.items():
                 ratios = []

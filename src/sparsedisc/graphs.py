@@ -4,34 +4,38 @@ bipartite graphs that exhibit sqrt(n) neighborhood discrepancy).  Every
 vertex count read or generated, and every generated candidate edge count,
 is checked against INPUT_CAP before anything is built.
 
-Bounded reach has one BFS, one mask kernel and one reader.  `bfs_levels`
-runs a BFS from one root through the vertices ranked after a given rank;
-weak reach (`orderings`), graph powers and the reader run it.
-`_reach_masks` moves every source at once, one round per yield, over the
-adjacency in compressed sparse rows (`Graph.neighbor_arrays`, built on
-first use); `orderings` resumes its rounds to read wcol at growing radii.
-`reach_sums` sums signs over the sources that reach each vertex within d
-steps: with an order's positions it counts |WReach_d[v]|, and with a
-coloring it sums the closed d-balls.  The masks' memory grows like n^2
-bits and their work like d * m * n / 64 word operations, hence the size
-rule `fits_masks`.  BFS time / mask time of `reach_sums` on
-random_degenerate_graph(n, p, 0), with an order's positions (wcol) and
-with signs (balls), from scripts/reach_kernel_ratios.py (best of 3 calls;
-above 1 the masks win):
+Bounded reach has one BFS and one mask kernel.  `bfs_levels` runs a BFS
+from one root through the vertices ranked after a given rank; weak reach
+(`orderings`), graph powers and the ball sums run it.  `_reach_masks`
+moves every source at once, one round per yield, over the adjacency in
+compressed sparse rows (`Graph.neighbor_arrays`, built on first use);
+with an order's positions its popcounts are the sizes |WReach_i[v]|,
+which `orderings` reads round by round for wcol at growing radii.
+`ball_sums` sums signs over the closed d-balls.  The masks' memory grows
+like n^2 bits and their work like d * m * n / 64 word operations, hence
+the size rule `fits_masks`, which both readers follow.  BFS time / mask
+time on random_degenerate_graph(n, p, 0) of `orderings.wcol_from_order`
+with the smallest-last order (wcol: on the BFS one `weak_reach` pass
+counted by `reach_profile`) and of `ball_sums` with random signs
+(balls), from scripts/reach_kernel_ratios.py (best of 3 calls; above 1
+the masks win):
 
     n     p  reader    r=1    r=2    r=3    r=4
-    1024  3  wcol     1.50   1.67   2.40   4.09
-    1024  3  balls    2.04   2.81   6.56  15.57
-    1024  6  wcol     1.53   3.30   9.04  21.31
-    1024  6  balls    2.11   6.88  30.32  82.73
-    2048  3  wcol     0.66   0.96   1.38   2.36
-    2048  3  balls    1.28   1.67   3.80   9.16
-    2048  6  wcol     1.15   2.02   5.67  14.53
-    2048  6  balls    1.42   4.44  19.67  67.47
+    1024  3  wcol     2.20   2.37   3.11   5.19
+    1024  3  balls    2.03   3.76   8.58  20.63
+    1024  6  wcol     2.10   4.50  11.44  26.16
+    1024  6  balls    2.16   7.70  31.48  92.37
+    2048  3  wcol     1.82   1.82   2.15   3.35
+    2048  3  balls    1.45   2.43   5.32  13.71
+    2048  6  wcol     1.60   3.07   7.90  19.36
+    2048  6  balls    1.56   4.80  20.79  69.27
 
-MASK_MAX_N is the largest size of the script's table (n = 512, 1024,
-2048, 4096) at which the masks win every cell.  At n = 4096 the BFS wins
-both readers at radius 1.
+The script's table (n = 512, 1024, 2048, 4096) has the masks win every
+cell up to n = 2048; at n = 4096 the BFS wins the ball sums at radius 1
+and some wcol cells at radii 1-2.  MASK_MAX_N is kept at 1024, below
+that line, because at n = 2048 the masks win radius 1 by under 2x, and
+the bound is to move together with a rule that reads the radius as well
+as n.
 """
 from __future__ import annotations
 
@@ -236,39 +240,24 @@ def _reach_masks(g: Graph, pos: Optional[Sequence[int]] = None) -> Iterator[tupl
         masks[...], total = acc, grown
 
 
-def reach_sums(
-    g: Graph, d: int, pos: Optional[Sequence[int]] = None, signs: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """For every vertex v, the sum of signs[z] (+-1, or 1 when signs is
-    None) over the sources z that reach v within d steps, v included.
-    With the positions pos of an order, z reaches v only through vertices
-    ranked after z, so without signs the sum is |WReach_d[v]|.
+def ball_sums(g: Graph, d: int, signs: np.ndarray) -> np.ndarray:
+    """For every vertex v, the sum of signs[z] (each +1 or -1) over the
+    closed d-ball of v: the z within d steps of v, v included.
 
     On the masks (`fits_masks`) the sums are read from the d-th yield of
-    `_reach_masks`, or its last: the popcounts, or with signs
-    2 * |column & plus| - |column|, plus holding the bits of the sources
-    signed +1; on the BFS each source's BFS adds its sign to every vertex
-    it reaches.
+    `_reach_masks`, or its last, as 2 * |column & plus| - |column|, plus
+    holding the bits of the vertices signed +1; on the BFS each vertex's
+    BFS adds its sign to every vertex it reaches.
     """
     if fits_masks(g):
-        for masks, size in islice(_reach_masks(g, pos), d + 1):
+        for masks, size in islice(_reach_masks(g), d + 1):
             pass
-        if signs is None:
-            return size
-        src = np.flatnonzero(np.asarray(signs) > 0)
-        if pos is not None:
-            src = np.asarray(pos, dtype=np.intp)[src]
         plus = np.zeros((masks.shape[0], 1), dtype=np.uint64)
-        np.bitwise_or.at(plus[:, 0], *_word_bits(src))
+        np.bitwise_or.at(plus[:, 0], *_word_bits(np.flatnonzero(np.asarray(signs) > 0)))
         return 2 * np.bitwise_count(masks & plus).sum(axis=0, dtype=np.int64) - size
-    n, adj = g.n, g.adjacency
-    weights = [1] * n if signs is None else np.asarray(signs).tolist()
-    rank = [0] * n if pos is None else pos
-    sums = [0] * n
-    seen = [-1] * n
-    for z in range(n):
-        s = weights[z]
-        for level in bfs_levels(adj, rank, -1 if pos is None else rank[z], z, d, seen):
+    adj, anywhere, sums, seen = g.adjacency, [0] * g.n, [0] * g.n, [-1] * g.n
+    for z, s in enumerate(np.asarray(signs).tolist()):
+        for level in bfs_levels(adj, anywhere, -1, z, d, seen):
             for v in level:
                 sums[v] += s
     return np.array(sums, dtype=np.int64)

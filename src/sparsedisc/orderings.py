@@ -18,7 +18,9 @@ The weak coloring number of one order needs only the sizes |WReach_i[v]|.
 On the masks (`graphs.fits_masks`) M_i = max_v |WReach_i[v]| is the
 largest popcount after round i of `graphs._reach_masks`, and one slot
 keeps the last graph and order's pass suspended, so wcol at growing radii
-costs one pass; above, `graphs.reach_sums` counts each radius by the BFS.
+costs one pass; above, `reach_profile` counts them from one `weak_reach`
+pass.  `wcol_profile` reads M_0..M_d by the route the size rule picks, and
+`wcol_from_order` reads its last entry.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from itertools import chain, islice, zip_longest
 
 from . import graphs
 from .errors import ResourceLimitError
-from .graphs import Graph, bfs_levels, reach_sums
+from .graphs import Graph, bfs_levels
 
 WCOL_EXACT_MAX_N = 9
 
@@ -178,11 +180,10 @@ def _mask_maxima(g: Graph, order: LinearOrder, d: int) -> list[int]:
 
 def wcol_from_order(g: Graph, order: LinearOrder, d: int) -> int:
     """max_v |WReach_d[v]|; an upper bound on the weak coloring number
-    realized by this particular order."""
-    _check_reach_args(g, order, d)
-    if not graphs.fits_masks(g):
-        return int(reach_sums(g, d, order.position).max(initial=0))
-    return _mask_maxima(g, order, d)[: d + 1][-1]
+    realized by this particular order: the last entry of `wcol_profile`
+    at radius min(d, n), since weak reach runs along simple paths, which
+    have fewer than n edges."""
+    return wcol_profile(g, order, min(d, g.n))[-1]
 
 
 def wcol_profile(g: Graph, order: LinearOrder, d: int) -> tuple[int, ...]:

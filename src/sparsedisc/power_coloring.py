@@ -10,7 +10,7 @@ One weak-reach pass (`orderings.weak_reach`, root-major BFS levels) feeds
 both the reach profile (`orderings.reach_profile`) and the star system;
 each root's stars are the sorted prefixes of its BFS list, one per level,
 so no star is built twice.  The achieved discrepancy is summed straight
-from the closed d-balls by `graphs.reach_sums`, without building G^d, by
+from the closed d-balls by `graphs.ball_sums`, without building G^d, by
 the route that the size rule in `graphs` picks.
 POWER_STAR_CAP bounds n*d before any pass (the reach profile has d + 1
 entries) and the incidences of the stars built so far, as they are built.
@@ -31,7 +31,7 @@ import numpy as np
 
 from .discrepancy import Coloring, beck_fiala
 from .errors import ResourceLimitError
-from .graphs import Graph, reach_sums
+from .graphs import Graph, ball_sums
 # by name: perfbench/tracing.py wraps reach_profile and weak_reach here
 from .orderings import LinearOrder, degeneracy_order, reach_profile, weak_reach
 from .setsystems import SetSystem
@@ -107,7 +107,7 @@ def _max_ball_sum(g: Graph, d: int, values: tuple[int, ...]) -> int:
     """max over v of |sum of values over the vertices at distance 1..d|."""
     x = np.array(values, dtype=np.int64)
     # each closed ball holds v itself, whose value is taken back out
-    return int(np.abs(reach_sums(g, d, signs=x) - x).max(initial=0))
+    return int(np.abs(ball_sums(g, d, x) - x).max(initial=0))
 
 
 def power_coloring(

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from sparsedisc import discrepancy, graphs, pointer, setsystems
+from sparsedisc import discrepancy, graphs, orderings, pointer, setsystems
 from sparsedisc.discrepancy import Coloring
 from sparsedisc.graphs import Graph, generate_family, random_degenerate_graph
 from sparsedisc.orderings import LinearOrder
@@ -87,7 +87,8 @@ def mask_passes(monkeypatch) -> list[list]:
 
 @pytest.fixture()
 def bfs_roots(monkeypatch) -> list[int]:
-    """The roots of every graphs.bfs_levels call, in call order."""
+    """The roots of every graphs.bfs_levels call, in call order, from
+    `graphs` itself and from `orderings`, which imports it by name."""
     roots = []
     bfs = graphs.bfs_levels
 
@@ -95,7 +96,8 @@ def bfs_roots(monkeypatch) -> list[int]:
         roots.append(z)
         return bfs(adj, pos, after, z, d, seen)
 
-    monkeypatch.setattr(graphs, "bfs_levels", spy)
+    for module in (graphs, orderings):
+        monkeypatch.setattr(module, "bfs_levels", spy)
     return roots
 
 

@@ -310,8 +310,9 @@ class TestOrder:
         assert report["wcol_from_order"]["1"] == 3
 
     def test_wcol_matches_the_library(self, route, tmp_path, capsys):
-        # the report reads wcol from the reach profile; the library reads
-        # it from reach_sums, on the route under test
+        # the report reads every radius from one wcol_profile call; the
+        # library reads each from its own wcol_from_order call, on the
+        # route under test
         corpus = [Graph(0, ()), Graph(4, ((),) * 4), generate_family("path", [3])]
         corpus += [generate_family("grid", [3, 4]), random_degenerate_graph(40, 3, 5)]
         corpus += [Graph.from_edges(9, [(0, 1), (1, 2), (2, 0), (4, 5), (5, 6), (6, 7)])]

@@ -6,23 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bfs_distances, canonical_graph, girth, is_bipartite, subdivide, wreach_brute
+from oracles import bfs_distances, canonical_graph, girth, is_bipartite, subdivide
 from sparsedisc import graphs
 from sparsedisc.errors import ParseError, ResourceLimitError
 from sparsedisc.graphs import (
     Graph,
+    ball_sums,
     generate_family,
     graph_power,
     hadamard,
     random_degenerate_graph,
-    reach_sums,
     read_edge_list,
     sylvester_graph,
     write_edge_list,
 )
 from sparsedisc.rng import SplitMix64
-
-from conftest import shuffled_order
 
 
 def parse(text: str) -> Graph:
@@ -159,29 +157,25 @@ def _signs(n: int, seed: int) -> np.ndarray:
     return np.array([rng.randrange(2) * 2 - 1 for _ in range(n)], dtype=np.int64)
 
 
-class TestReachSums:
-    """reach_sums on both routes against weak reach by path enumeration
-    (with an order's positions) and against BFS distances (without)."""
+class TestBallSums:
+    """ball_sums on both routes against BFS distances, with seeded signs
+    and with every sign +1 (the ball sizes)."""
 
     def test_matches_oracles(self, route):
         corpus = [Graph(0, ()), Graph(5, ((),) * 5), generate_family("path", [12])]
         corpus += [generate_family("grid", [4, 5])]
         corpus += [random_degenerate_graph(n, 3, n) for n in (30, 65)]
         for g in corpus:
-            pos = shuffled_order(g.n, g.n).position
-            signs = _signs(g.n, g.n)
+            ones, signs = np.ones(g.n, dtype=np.int64), _signs(g.n, g.n)
             for d in (0, 1, 2, 3):
-                wreach = [wreach_brute(g, pos, d, v) for v in range(g.n)]
                 balls = [[w for w, r in bfs_distances(g, v).items() if r <= d] for v in range(g.n)]
-                for order, sources in ((pos, wreach), (None, balls)):
-                    assert reach_sums(g, d, order).tolist() == [len(s) for s in sources]
-                    assert reach_sums(g, d, order, signs).tolist() == [
-                        sum(int(signs[z]) for z in s) for s in sources
-                    ], (g.n, d, order is None)
+                assert ball_sums(g, d, ones).tolist() == [len(b) for b in balls]
+                assert ball_sums(g, d, signs).tolist() == [
+                    sum(int(signs[z]) for z in b) for b in balls
+                ], (g.n, d)
             # the kernels stop once a round (a BFS level) adds nothing
-            for order in (pos, None):
-                far = reach_sums(g, 10**9, order, signs).tolist()
-                assert far == reach_sums(g, g.n, order, signs).tolist()
+            assert ball_sums(g, 10**9, signs).tolist() == ball_sums(g, g.n, signs).tolist()
+
 
 class TestSubdivide:
     def test_triangle_once_gives_six_cycle(self):
