@@ -13,9 +13,10 @@ size n and parameter p this builds
 size rule, checks that the two routes agree, and prints BFS time / mask
 time at radii 1..4: above 1 the masks win.  Each time is the best of
 --repeats calls, each on a fresh copy of the graph, so the masks pay for
-building their neighbor arrays every time.  The last line names the
-largest n at which the masks win every cell of the table, the bound the
-size rule is read from (the `graphs` docstring says where it stands).
+building their neighbor arrays every time.  The sizes run in ascending
+order, and the last line names the largest n up to which the masks win
+every cell of every size, the bound the size rule is read from (the
+`graphs` docstring says where it stands).
 """
 import argparse
 import time
@@ -42,6 +43,17 @@ def timed(reader, g: Graph, d: int, max_n: int, repeats: int):
     return best, value
 
 
+def mask_bound(won: list[tuple[int, bool]]) -> int | None:
+    """The largest n up to which every size won, from (n, won) pairs in
+    ascending n: the walk stops at the first size that loses."""
+    bound = None
+    for n, wins in won:
+        if not wins:
+            break
+        bound = n
+    return bound
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--sizes", type=int, nargs="+", default=[512, 1024, 2048, 4096])
@@ -51,8 +63,8 @@ def main() -> None:
     args = ap.parse_args()
 
     print("n     p  reader  " + "  ".join(f"{f'r={d}':>5}" for d in RADII))
-    winning = []
-    for n in args.sizes:
+    won = []
+    for n in sorted(args.sizes):
         wins = True
         for p in args.params:
             g = random_degenerate_graph(n, p, args.seed)
@@ -72,9 +84,9 @@ def main() -> None:
                     ratios.append(bfs / masks)
                 wins = wins and min(ratios) > 1
                 print(f"{n:<5} {p}  {name:<6}  " + "  ".join(f"{r:5.2f}" for r in ratios))
-        if wins:
-            winning.append(n)
-    print(f"masks win every cell up to n = {max(winning, default='none')}")
+        won.append((n, wins))
+    bound = mask_bound(won)
+    print(f"masks win every cell up to n = {'none' if bound is None else bound}")
 
 
 if __name__ == "__main__":

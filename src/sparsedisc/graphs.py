@@ -5,37 +5,41 @@ vertex count read or generated, and every generated candidate edge count,
 is checked against INPUT_CAP before anything is built.
 
 Bounded reach has one BFS and one mask kernel.  `bfs_levels` runs a BFS
-from one root through the vertices ranked after a given rank; weak reach
-(`orderings`), graph powers and the ball sums run it.  `_reach_masks`
-moves every source at once, one round per yield, over the adjacency in
-compressed sparse rows (`Graph.neighbor_arrays`, built on first use);
-with an order's positions its popcounts are the sizes |WReach_i[v]|,
-which `orderings` reads round by round for wcol at growing radii.
-`ball_sums` sums signs over the closed d-balls.  The masks' memory grows
-like n^2 bits and their work like d * m * n / 64 word operations, hence
-the size rule `fits_masks`, which both readers follow.  BFS time / mask
-time on random_degenerate_graph(n, p, 0) of `orderings.wcol_from_order`
-with the smallest-last order (wcol: on the BFS one `weak_reach` pass
-counted by `reach_profile`) and of `ball_sums` with random signs
-(balls), from scripts/reach_kernel_ratios.py (best of 3 calls; above 1
-the masks win):
+from one root with one rule: it enters only open vertices, those whose
+entry in a shared list is below its stamp, and stamps what it reaches.
+Graph powers and the ball sums stamp each root with its index, so every
+vertex is open to every root; weak reach (`orderings`) runs its roots in
+rank order and closes each finished one, so a root's BFS runs through
+the vertices ranked after it.  `_reach_masks` moves every source at
+once, one round per yield, over the adjacency in compressed sparse rows
+(`Graph.neighbor_arrays`, built on first use); with an order's positions
+its popcounts are the sizes |WReach_i[v]|, which `orderings` reads round
+by round for wcol at growing radii.  `ball_sums` sums signs over the
+closed d-balls.  The masks' memory grows like n^2 bits and their work
+like d * m * n / 64 word operations, hence the size rule `fits_masks`,
+which both readers follow.  BFS time / mask time on
+random_degenerate_graph(n, p, 0) of `orderings.wcol_from_order` with the
+smallest-last order (wcol: on the BFS one `weak_reach` pass counted by
+`reach_profile`) and of `ball_sums` with random signs (balls), from
+scripts/reach_kernel_ratios.py (best of 3 calls; above 1 the masks win):
 
     n     p  reader    r=1    r=2    r=3    r=4
-    1024  3  wcol     2.20   2.37   3.11   5.19
-    1024  3  balls    2.03   3.76   8.58  20.63
-    1024  6  wcol     2.10   4.50  11.44  26.16
-    1024  6  balls    2.16   7.70  31.48  92.37
-    2048  3  wcol     1.82   1.82   2.15   3.35
-    2048  3  balls    1.45   2.43   5.32  13.71
-    2048  6  wcol     1.60   3.07   7.90  19.36
-    2048  6  balls    1.56   4.80  20.79  69.27
+    1024  3  wcol     2.16   1.76   2.53   4.02
+    1024  3  balls    1.67   2.97   6.87  16.95
+    1024  6  wcol     1.73   3.47   8.78  18.70
+    1024  6  balls    1.86   5.90  24.40  69.24
+    2048  3  wcol     0.93   1.08   1.44   2.29
+    2048  3  balls    1.33   2.13   5.00  11.98
+    2048  6  wcol     1.34   2.16   5.21  14.08
+    2048  6  balls    1.20   3.47  15.49  55.58
 
-The script's table (n = 512, 1024, 2048, 4096) has the masks win every
-cell up to n = 2048; at n = 4096 the BFS wins the ball sums at radius 1
-and some wcol cells at radii 1-2.  MASK_MAX_N is kept at 1024, below
-that line, because at n = 2048 the masks win radius 1 by under 2x, and
-the bound is to move together with a rule that reads the radius as well
-as n.
+Three runs of the script's table (n = 512, 1024, 2048, 4096) each end
+"masks win every cell up to n = 1024", the value MASK_MAX_N holds: at
+n = 2048 the BFS won a wcol cell at radius 1 in two of them (0.79-0.93x),
+and at n = 4096 it wins the ball sums at radius 1 and wcol cells at radii
+1-3.  The rule stays on n alone: every benchmark workload has n <= 400,
+far below the line, so a rule that also reads the radius waits until a
+workload runs above it.
 """
 from __future__ import annotations
 
@@ -159,30 +163,29 @@ def write_edge_list(g: Graph, stream: IO[str]) -> None:
 
 
 def bfs_levels(
-    adj: Sequence[Sequence[int]], pos: Sequence[int], after: int, z: int, d: int, seen: list[int]
+    adj: Sequence[Sequence[int]], z: int, d: int, seen: list[int], stamp: int
 ) -> list[list[int]]:
-    """BFS levels 0..<=d of root z through the vertices w ranked after
-    `after` (pos[w] > after); level 0 is [z].
+    """BFS levels 0..<=d of root z through the open vertices, those w with
+    seen[w] < stamp; level 0 is [z].
 
-    seen[w] == z marks w as reached, z itself included, so roots share one
-    stamp list.  The BFS ends once its frontier is empty, so the cost does
-    not grow with d past the eccentricity.
+    Every vertex reached, z included, ends with seen[w] == stamp, so roots
+    run with rising stamps share one list, and a vertex whose entry is set
+    at or above every later stamp is closed to every later BFS.  The BFS
+    ends once its frontier is empty, so the cost does not grow with d past
+    the eccentricity.
     """
-    seen[z] = z
-    frontier = [z]
-    levels = [frontier]
+    seen[z] = stamp
+    levels = [[z]]
     for _ in range(d):
         nxt = []
-        for x in frontier:
+        for x in levels[-1]:
             for w in adj[x]:
-                # the stamp first: most edges lead back into the levels found
-                if seen[w] != z and pos[w] > after:
-                    seen[w] = z
+                if seen[w] < stamp:
+                    seen[w] = stamp
                     nxt.append(w)
         if not nxt:
             break
         levels.append(nxt)
-        frontier = nxt
     return levels
 
 
@@ -255,9 +258,9 @@ def ball_sums(g: Graph, d: int, signs: np.ndarray) -> np.ndarray:
         plus = np.zeros((masks.shape[0], 1), dtype=np.uint64)
         np.bitwise_or.at(plus[:, 0], *_word_bits(np.flatnonzero(np.asarray(signs) > 0)))
         return 2 * np.bitwise_count(masks & plus).sum(axis=0, dtype=np.int64) - size
-    adj, anywhere, sums, seen = g.adjacency, [0] * g.n, [0] * g.n, [-1] * g.n
+    adj, sums, seen = g.adjacency, [0] * g.n, [-1] * g.n
     for z, s in enumerate(np.asarray(signs).tolist()):
-        for level in bfs_levels(adj, anywhere, -1, z, d, seen):
+        for level in bfs_levels(adj, z, d, seen, z):
             for v in level:
                 sums[v] += s
     return np.array(sums, dtype=np.int64)
@@ -271,11 +274,11 @@ def graph_power(g: Graph, d: int) -> Graph:
         raise ValueError("graph power needs d >= 1")
     if d == 1:
         return g
-    adj, anywhere, seen = g.adjacency, [0] * g.n, [-1] * g.n
+    adj, seen = g.adjacency, [-1] * g.n
     rows, size = [], 0
     for z in range(g.n):
         ball: list[int] = []
-        for level in bfs_levels(adj, anywhere, -1, z, d, seen)[1:]:
+        for level in bfs_levels(adj, z, d, seen, z)[1:]:
             ball += level
         size += len(ball)
         if size > INPUT_CAP:

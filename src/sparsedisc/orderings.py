@@ -2,17 +2,20 @@
 of bounded out-degree, weak reachability, reach profiles and weak
 coloring numbers.
 
-Weak reachability is computed in one pass for all vertices and radii: a
-bounded BFS (`graphs.bfs_levels`) from each root z through the vertices
-ranked after z finds every v that weakly reaches z, with the least radius
+Weak reachability is computed in one pass for all vertices and radii by
+one rule, the closed vertex: the roots run in rank order, and each is
+closed once its bounded BFS (`graphs.bfs_levels`, which never enters a
+closed vertex) is done.  So root z's BFS runs through the vertices ranked
+after z and finds every v that weakly reaches z, with the least radius
 (the standard polynomial method; Nadara, Pilipczuk, Rabinovich, Reidl and
 Siebertz, *Empirical evaluation of approaches for computing weak coloring
 numbers*).  The pass is root-major: levels[z][i] lists the vertices at
 BFS depth i from z, so every consumer (the reach profile, the weak-reach
 stars, and at radius 1 the in-neighborhoods of the orientation along the
 order) reads it without a transpose.  The exact weak coloring number runs
-the per-root BFS too, in a branch and bound over order prefixes, because
-a root's BFS depends only on which vertices are placed before it.
+the per-root BFS too, in a branch and bound over order prefixes, with the
+placed vertices closed: a root's BFS depends only on which vertices are
+placed before it.
 
 The weak coloring number of one order needs only the sizes |WReach_i[v]|.
 On the masks (`graphs.fits_masks`) M_i = max_v |WReach_i[v]| is the
@@ -139,10 +142,11 @@ def weak_reach(g: Graph, order: LinearOrder, d: int) -> list[list[list[int]]]:
     not stored: len(levels[z]) - 1 is the depth of z's BFS.
     """
     _check_reach_args(g, order, d)
-    pos = order.position
-    adj = g.adjacency
-    seen = [-1] * g.n
-    return [bfs_levels(adj, pos, pos[z], z, d, seen) for z in range(g.n)]
+    seen, levels = [-1] * g.n, [[]] * g.n
+    for rank, z in enumerate(order.sequence()):
+        levels[z] = bfs_levels(g.adjacency, z, d, seen, rank)
+        seen[z] = g.n  # closed: above every later root's stamp
+    return levels
 
 
 def reach_profile(levels: list[list[list[int]]], d: int) -> tuple[int, ...]:
@@ -201,11 +205,11 @@ def wcol_exact(g: Graph, d: int, max_n: int = WCOL_EXACT_MAX_N) -> int:
     """Exact weak coloring number by branch and bound over order prefixes.
 
     Vertices are placed one at a time; the unplaced ones rank after every
-    placed one.  Root z's BFS runs through the vertices ranked after z, so
-    it depends only on which vertices were placed before z: placing z fixes
-    its contribution to |WReach_d[v]| for every v.  Counts only grow along
-    a branch, so a branch is cut once any count reaches the best value of a
-    complete order so far.
+    placed one, and a placed vertex is closed.  Root z's BFS runs through
+    the unplaced vertices, so it depends only on which vertices were placed
+    before z: placing z fixes its contribution to |WReach_d[v]| for every
+    v.  Counts only grow along a branch, so a branch is cut once any count
+    reaches the best value of a complete order so far.
     """
     if d < 0:
         raise ValueError("radius must be non-negative")
@@ -217,7 +221,7 @@ def wcol_exact(g: Graph, d: int, max_n: int = WCOL_EXACT_MAX_N) -> int:
     if n == 0:
         return 0
     adj = g.adjacency
-    rank = [n] * n  # n = unplaced, after every placed vertex
+    closed = [0] * n  # 1 once placed; each BFS runs on a copy with stamp 1
     counts = [0] * n
     best = n + 1
 
@@ -227,10 +231,10 @@ def wcol_exact(g: Graph, d: int, max_n: int = WCOL_EXACT_MAX_N) -> int:
             best = max(counts)
             return
         for z in range(n):
-            if rank[z] < n:
+            if closed[z]:
                 continue
-            rank[z] = k
-            reached = list(chain.from_iterable(bfs_levels(adj, rank, k, z, d, [-1] * n)))
+            reached = list(chain.from_iterable(bfs_levels(adj, z, d, closed[:], 1)))
+            closed[z] = 1
             for v in reached:
                 counts[v] += 1
             # z's count is final; every other reached vertex is unplaced
@@ -239,7 +243,7 @@ def wcol_exact(g: Graph, d: int, max_n: int = WCOL_EXACT_MAX_N) -> int:
                 place(k + 1)
             for v in reached:
                 counts[v] -= 1
-            rank[z] = n
+            closed[z] = 0
 
     place(0)
     return best

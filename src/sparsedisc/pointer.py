@@ -269,7 +269,6 @@ class ConjunctPlan:
 @dataclass(frozen=True)
 class PsiDecomposition:
     x_arity: int
-    y_arity: int
     rhos: tuple[tuple[Literal, ...], ...]
     psis: tuple[tuple[tuple[Word, int], ...], ...]
     assembly: tuple[ConjunctPlan, ...]
@@ -398,9 +397,7 @@ def qf_decompose(phi: QFFormula) -> PsiDecomposition:
                 negatives=negatives,
             )
         )
-    return PsiDecomposition(
-        phi.x_arity, phi.y_arity, tuple(rhos), tuple(psis), tuple(plans)
-    )
+    return PsiDecomposition(phi.x_arity, tuple(rhos), tuple(psis), tuple(plans))
 
 
 def _conjunction(literals: Iterable[Literal]) -> And:

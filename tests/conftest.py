@@ -92,9 +92,9 @@ def bfs_roots(monkeypatch) -> list[int]:
     roots = []
     bfs = graphs.bfs_levels
 
-    def spy(adj, pos, after, z, d, seen):
+    def spy(adj, z, d, seen, stamp):
         roots.append(z)
-        return bfs(adj, pos, after, z, d, seen)
+        return bfs(adj, z, d, seen, stamp)
 
     for module in (graphs, orderings):
         monkeypatch.setattr(module, "bfs_levels", spy)

@@ -99,14 +99,16 @@ def eval_disc_brute(s: SetSystem, values: tuple[int, ...]) -> int:
     return max((abs(sum(values[v] for v in st)) for st in s.sets), default=0)
 
 
-def bfs_distances(g: Graph, source: int) -> dict[int, int]:
+def bfs_distances(g: Graph, source: int, closed: frozenset[int] = frozenset()) -> dict[int, int]:
+    """Distances from source in the subgraph induced by source and the
+    vertices outside `closed`."""
     dist = {source: 0}
     frontier = [source]
     while frontier:
         nxt = []
         for u in frontier:
             for w in g.adjacency[u]:
-                if w not in dist:
+                if w not in dist and w not in closed:
                     dist[w] = dist[u] + 1
                     nxt.append(w)
         frontier = nxt

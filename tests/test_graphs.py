@@ -12,6 +12,7 @@ from sparsedisc.errors import ParseError, ResourceLimitError
 from sparsedisc.graphs import (
     Graph,
     ball_sums,
+    bfs_levels,
     generate_family,
     graph_power,
     hadamard,
@@ -150,6 +151,43 @@ class TestGraphPower:
         monkeypatch.setattr(graphs, "INPUT_CAP", 9)
         with pytest.raises(ResourceLimitError, match="needs at least 10"):
             graph_power(g, 2)
+
+
+class TestBfsLevels:
+    """The one rule of bfs_levels, against BFS distances in the subgraph
+    without the closed vertices: a vertex whose entry is at or above the
+    stamp is never entered, every vertex reached ends with the stamp, and
+    the levels are the distance classes up to d."""
+
+    def test_closed_vertices_against_oracle(self, small_corpus):
+        rng = SplitMix64(2525)
+        cases = 0
+        for _, g in small_corpus:
+            for _ in range(8):
+                stamp = rng.randrange(5)
+                # closed entries sit at or above the stamp, open ones below
+                seen = [stamp + rng.randrange(3) for _ in range(g.n)]
+                for v in range(g.n):
+                    if rng.bernoulli(2, 3):
+                        seen[v] = stamp - 1 - rng.randrange(3)
+                opened = [v for v in range(g.n) if seen[v] < stamp]
+                if not opened:
+                    continue
+                z = opened[rng.randrange(len(opened))]
+                closed = frozenset(v for v in range(g.n) if seen[v] >= stamp)
+                dist = bfs_distances(g, z, closed)
+                for d in (0, 1, 2, 3, g.n):
+                    after = list(seen)
+                    levels = bfs_levels(g.adjacency, z, d, after, stamp)
+                    depth = min(d, max(dist.values()))
+                    assert [sorted(level) for level in levels] == [
+                        sorted(v for v, r in dist.items() if r == i) for i in range(depth + 1)
+                    ], (g.n, z, d)
+                    reached = {v for level in levels for v in level}
+                    assert after == [stamp if v in reached else seen[v] for v in range(g.n)]
+                    assert not reached & closed
+                    cases += 1
+        assert cases > 200
 
 
 def _signs(n: int, seed: int) -> np.ndarray:

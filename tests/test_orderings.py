@@ -252,11 +252,11 @@ class TestWcolRoutes:
         mask_passes.clear()
         for (g, order), expected in zip(corpus, masks):
             for d, wcol in zip(radii, expected):
-                # every call runs the BFS from each root; none reads the
-                # mask profile kept for the last corpus entry
+                # every call runs the BFS from each root, in rank order;
+                # none reads the mask profile kept for the last corpus entry
                 bfs_roots.clear()
                 assert wcol_from_order(g, order, d) == wcol
-                assert bfs_roots == list(range(g.n))
+                assert bfs_roots == order.sequence()
         assert mask_passes == []
         assert masks[0] == [0] * len(radii)
         assert masks[1] == [1] * len(radii)
@@ -314,7 +314,7 @@ class TestWcolRoutes:
         for d, wcol in zip((4, 1, 2, 10**9), masks):
             bfs_roots.clear()
             assert wcol_from_order(g, order, d) == wcol
-            assert bfs_roots == list(range(g.n))
+            assert bfs_roots == order.sequence()
         assert len(mask_passes) == 1
 
     def test_matches_path_enumeration_oracle(self, route):
