@@ -16,11 +16,19 @@ words over the base function names.
 Parentheses and negations nest to depth at most NESTING_CAP, well inside
 the recursion limit of the parser and of every recursive pass over the
 formula tree.
+
+Every check is made in the parser, where text enters: the variable sides,
+the word cap and the nesting cap.  The nodes do not check themselves;
+the package builds other terms only from parsed words.  A formula's atoms
+are collected by one walk, `atoms`, and kept on the formula
+(`QFFormula.atoms`); `parse_formula` reads the arities from them, and
+every later reader of the atoms reads that one set.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Union
 
 from .errors import ParseError, ResourceLimitError
@@ -39,26 +47,15 @@ class Term:
     index: int  # 0-based
     word: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        if self.side not in SIDES:
-            raise ValueError(f"unknown variable side {self.side!r}")
-        if len(self.word) > WORD_CAP:
-            raise ValueError(f"function composition deeper than {WORD_CAP}")
-
-    def render(self) -> str:
-        out = f"{self.side}{self.index + 1}"
-        for name in self.word:
-            out = f"{name}({out})"
-        return out
-
 
 @dataclass(frozen=True)
 class Pred:
     name: str
     term: Term
 
-    def render(self) -> str:
-        return f"{self.name}({self.term.render()})"
+    @property
+    def terms(self) -> tuple[Term, ...]:
+        return (self.term,)
 
 
 @dataclass(frozen=True)
@@ -66,8 +63,9 @@ class Eq:
     left: Term
     right: Term
 
-    def render(self) -> str:
-        return f"{self.left.render()}={self.right.render()}"
+    @property
+    def terms(self) -> tuple[Term, ...]:
+        return (self.left, self.right)
 
 
 @dataclass(frozen=True)
@@ -94,34 +92,30 @@ class QFFormula:
     y_arity: int
     root: Node
 
+    @cached_property
+    def atoms(self) -> frozenset[Union[Pred, Eq]]:
+        return atoms(self.root)
 
-def _max_index(node: Node, side: str) -> int:
+
+def atoms(node: Node) -> frozenset[Union[Pred, Eq]]:
+    """The distinct atoms of node."""
     if isinstance(node, (Pred, Eq)):
-        terms = [node.term] if isinstance(node, Pred) else [node.left, node.right]
-        return max((t.index for t in terms if t.side == side), default=-1)
+        return frozenset((node,))
     if isinstance(node, Not):
-        return _max_index(node.child, side)
-    return max((_max_index(c, side) for c in node.children), default=-1)
+        return atoms(node.child)
+    return frozenset().union(*map(atoms, node.children))
 
 
 _TOKEN_RE = re.compile(r"\s*(?:([A-Za-z][A-Za-z0-9]*)|([()&|!=])|(\S))")
 
 
 def _tokenize(text: str) -> Iterator[tuple[str, str, int]]:
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            break
+    for m in _TOKEN_RE.finditer(text):
         name, punct, junk = m.groups()
-        start = m.start(1) if name else m.start(2) if punct else m.start(3)
+        pos = m.start(m.lastindex)
         if junk is not None:
-            raise ParseError(f"unexpected character {junk!r} at position {start}")
-        if name is not None:
-            yield ("name", name, start)
-        else:
-            yield (punct, punct, start)
-        pos = m.end()
+            raise ParseError(f"unexpected character {junk!r} at position {pos}")
+        yield ("name", name, pos) if name else (punct, punct, pos)
     yield ("end", "", len(text))
 
 
@@ -185,8 +179,6 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind != "name":
             raise ParseError(f"expected an atom at position {pos}")
-        if val in _QUANTIFIER_WORDS:
-            raise ParseError(f"quantifier {val!r} at position {pos}: formulas are quantifier-free")
         if val[0].isupper():
             self.take("name")
             self.take("(")
@@ -230,12 +222,26 @@ class _Parser:
 
 def parse_formula(text: str) -> QFFormula:
     root = _Parser(text).parse()
-    return QFFormula(_max_index(root, "x") + 1, _max_index(root, "y") + 1, root)
+    found = atoms(root)
+    x_arity, y_arity = (
+        1 + max((t.index for a in found for t in a.terms if t.side == side), default=-1)
+        for side in SIDES
+    )
+    phi = QFFormula(x_arity, y_arity, root)
+    phi.__dict__["atoms"] = found  # the cached_property's slot: walk the tree once
+    return phi
 
 
-def render(node: Node) -> str:
-    if isinstance(node, (Pred, Eq)):
-        return node.render()
+def render(node: Union[Term, Node]) -> str:
+    if isinstance(node, Term):
+        out = f"{node.side}{node.index + 1}"
+        for name in node.word:
+            out = f"{name}({out})"
+        return out
+    if isinstance(node, Pred):
+        return f"{node.name}({render(node.term)})"
+    if isinstance(node, Eq):
+        return f"{render(node.left)}={render(node.right)}"
     if isinstance(node, Not):
         return f"!({render(node.child)})"
     if isinstance(node, And):

@@ -43,7 +43,6 @@ workload runs above it.
 """
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, islice
@@ -403,22 +402,11 @@ def generate_family(name: str, params: list[int], seed: int = 0) -> Graph:
 
 def random_degenerate_graph(n: int, d: int, seed: int = 0) -> Graph:
     """Random d-degenerate graph: vertex v attaches to up to d earlier
-    vertices, drawn without replacement.  Each draw is an index into the
-    earlier vertices not picked yet, the draws `SplitMix64.sample` makes
-    over range(v); it is mapped to its vertex by stepping over the picked
-    ones, so vertex v costs O(k^2) for its k edges instead of O(v)."""
+    vertices, drawn without replacement by `SplitMix64.sample`, which
+    costs O(k^2) for k edges, not O(v)."""
     rng = SplitMix64(seed)
     edges = []
     for v in range(1, n):
         k = min(v, rng.randrange(d + 1))
-        picked: list[int] = []  # ascending
-        for left in range(v, v - k, -1):
-            u = rng.randrange(left)
-            for p in picked:
-                if p > u:
-                    break
-                u += 1
-            insort(picked, u)
-            edges.append((u, v))
+        edges += [(u, v) for u in rng.sample(range(v), k)]
     return Graph.from_edges(n, edges)
-

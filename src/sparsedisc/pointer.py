@@ -82,16 +82,6 @@ class PointerStructure:
             if any(not 0 <= v < n for v in p):
                 raise ValueError(f"predicate {name!r} leaves the domain")
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.domain_size,
-                "functions": {k: list(v) for k, v in sorted(self.functions.items())},
-                "predicates": {k: sorted(v) for k, v in sorted(self.predicates.items())},
-            },
-            separators=(",", ":"),
-        )
-
     @classmethod
     def from_json(cls, text: str) -> "PointerStructure":
         data = json.loads(text)
@@ -125,27 +115,15 @@ class PointerStructure:
         return {name: np.isin(ground, sorted(p)) for name, p in self.predicates.items()}
 
 
-def _count_atoms(node: Node, seen: set) -> None:
-    if isinstance(node, (Pred, Eq)):
-        seen.add(node)
-    elif isinstance(node, Not):
-        _count_atoms(node.child, seen)
-    else:
-        for ch in node.children:
-            _count_atoms(ch, seen)
-
-
-def _check_signature(m: PointerStructure, root: Node) -> None:
+def _check_signature(m: PointerStructure, phi: QFFormula) -> None:
     """Reject a formula that names a function or predicate the structure
     lacks, before anything is evaluated: there may be no row or parameter
     tuple to evaluate at."""
-    atoms: set = set()
-    _count_atoms(root, atoms)
-    terms = [t for a in atoms for t in ((a.term,) if isinstance(a, Pred) else (a.left, a.right))]
-    functions = sorted({name for t in terms for name in t.word} - m.functions.keys())
+    words = {name for a in phi.atoms for t in a.terms for name in t.word}
+    functions = sorted(words - m.functions.keys())
     if functions:
         raise KeyError(f"unknown function {functions[0]!r}")
-    predicates = sorted({a.name for a in atoms if isinstance(a, Pred)} - m.predicates.keys())
+    predicates = sorted({a.name for a in phi.atoms if isinstance(a, Pred)} - m.predicates.keys())
     if predicates:
         raise KeyError(f"unknown predicate {predicates[0]!r}")
 
@@ -195,7 +173,7 @@ def _full_truth(m: PointerStructure, node: Node, n: int, k: int, y_arity: int) -
 def eval_formula(m: PointerStructure, phi: QFFormula, a: tuple, b: tuple) -> bool:
     if len(a) != phi.x_arity or len(b) != phi.y_arity:
         raise ValueError("tuple arities do not match the formula")
-    _check_signature(m, phi.root)
+    _check_signature(m, phi)
     point = (*b, *a)
     if any(not 0 <= v < m.domain_size for v in point):
         raise ValueError(f"tuple entry outside the domain 0..{m.domain_size - 1}")
@@ -220,7 +198,7 @@ def defined_system(m: PointerStructure, phi: QFFormula) -> SetSystem:
     parameter tuple, in lexicographic order.  np.nonzero reads that
     matrix in row blocks, row-major, so each row's columns come out sorted
     and the row counts cut them into the sets."""
-    _check_signature(m, phi.root)
+    _check_signature(m, phi)
     n, k = m.domain_size, phi.x_arity + phi.y_arity
     if n**k * k > DEFINED_CELL_CAP:
         raise ResourceLimitError(
@@ -315,19 +293,11 @@ def _literal_key(lit: Literal) -> tuple:
     return (1, "", k[0], k[1], pos)
 
 
-def _atom_sides(atom: Union[Pred, Eq]) -> set[str]:
-    if isinstance(atom, Pred):
-        return {atom.term.side}
-    return {atom.left.side, atom.right.side}
-
-
 def qf_decompose(phi: QFFormula) -> PsiDecomposition:
     """Split a partitioned formula into parameter-free rhos and canonical
     psis so that every definable set assembles from guarded intersections
     minus single-slot psi sets."""
-    atoms: set = set()
-    _count_atoms(phi.root, atoms)
-    if len(atoms) > DNF_ATOM_CAP:
+    if len(phi.atoms) > DNF_ATOM_CAP:
         raise ResourceLimitError(f"formula has more than {DNF_ATOM_CAP} atoms")
 
     rho_pool: dict[tuple, int] = {}
@@ -343,11 +313,11 @@ def qf_decompose(phi: QFFormula) -> PsiDecomposition:
             rhos.append(canon)
         return rho_pool[key]
 
-    def psi_id(atoms_: tuple[tuple[Word, int], ...]) -> int:
-        if atoms_ not in psi_pool:
-            psi_pool[atoms_] = len(psis)
-            psis.append(atoms_)
-        return psi_pool[atoms_]
+    def psi_id(atoms: tuple[tuple[Word, int], ...]) -> int:
+        if atoms not in psi_pool:
+            psi_pool[atoms] = len(psis)
+            psis.append(atoms)
+        return psi_pool[atoms]
 
     plans = []
     for conjunct in _dnf(phi.root, False):
@@ -356,7 +326,7 @@ def qf_decompose(phi: QFFormula) -> PsiDecomposition:
         pos_cross: list[tuple[tuple[Word, int], tuple[Word, int]]] = []
         neg_cross: list[tuple[tuple[Word, int], tuple[Word, int]]] = []
         for pos, atom in conjunct:
-            sides = _atom_sides(atom)
+            sides = {t.side for t in atom.terms}
             if sides <= {"x"}:
                 rho_lits.append((pos, atom))
             elif sides <= {"y"}:
@@ -430,7 +400,7 @@ def definable_closure(
     this closure (or of any of its traces) stay within 2^(2k+t+1) on every
     system the formulas define."""
     for phi in phis:
-        _check_signature(m, phi.root)
+        _check_signature(m, phi)
     decs = [qf_decompose(phi) for phi in phis]
     if any(dec.x_arity != 1 for dec in decs):
         raise ValueError("constant-bound coloring supports x-arity 1 only")

@@ -5,6 +5,9 @@ generated fixtures and acceptance runs bit-reproducible.
 """
 from __future__ import annotations
 
+from bisect import insort
+from collections.abc import Sequence
+
 _MASK = (1 << 64) - 1
 
 
@@ -35,15 +38,23 @@ class SplitMix64:
             raise ValueError(f"probability {num}/{den} is not in [0, 1]")
         return self.next_u64() * den < num * (1 << 64)
 
-    def sample(self, population: list, k: int) -> list:
-        """k distinct elements, order of first appearance preserved."""
+    def sample(self, population: Sequence, k: int) -> list:
+        """k distinct elements of the population, in draw order.
+        Each draw is an index into the places not drawn yet; it is mapped
+        to its place by stepping past the drawn ones, kept sorted, so the
+        population is never copied and k draws cost O(k^2)."""
         if k > len(population):
             raise ValueError("sample larger than population")
-        pool = list(population)
+        drawn: list[int] = []  # ascending
         out = []
-        for _ in range(k):
-            i = self.randrange(len(pool))
-            out.append(pool.pop(i))
+        for left in range(len(population), len(population) - k, -1):
+            i = self.randrange(left)
+            for d in drawn:
+                if d > i:
+                    break
+                i += 1
+            insort(drawn, i)
+            out.append(population[i])
         return out
 
     def shuffle(self, items: list) -> None:

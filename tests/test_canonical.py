@@ -18,7 +18,7 @@ from sparsedisc.graphs import (
     random_degenerate_graph,
     sylvester_graph,
 )
-from sparsedisc.orderings import degeneracy_order, weak_reach
+from sparsedisc.orderings import LinearOrder, degeneracy_order, weak_reach
 from sparsedisc.pointer import definable_closure, defined_system
 from sparsedisc.power_coloring import in_neighborhood_system, wreach_star_system
 from sparsedisc.rng import SplitMix64
@@ -78,9 +78,24 @@ class TestGraphBuilders:
             for d in (1, 2, 3, 5):
                 assert canonical_graph(graph_power(g, d)), (g.n, d)
 
-    def test_degeneracy_order_is_a_permutation(self):
-        for g in graph_corpus():
+    def test_degeneracy_order_is_a_permutation(self, monkeypatch):
+        # the sequence handed to from_sequence must itself be a permutation:
+        # one that repeats a vertex can still give a permutation position
+        sequences = []
+        build = LinearOrder.from_sequence.__func__
+
+        def recording(cls, seq):
+            sequences.append(list(seq))
+            return build(cls, seq)
+
+        corpus = graph_corpus()
+        monkeypatch.setattr(LinearOrder, "from_sequence", classmethod(recording))
+        for g in corpus:
+            sequences.clear()
             order, _ = degeneracy_order(g)
+            [seq] = sequences
+            assert sorted(seq) == list(range(g.n)), g.n
+            assert order.sequence() == seq, g.n
             assert is_permutation(order.position), g.n
 
 

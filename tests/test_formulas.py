@@ -12,6 +12,7 @@ from sparsedisc.formulas import (
     parse_formula,
     render,
 )
+from test_pointer import random_formula_corpus
 
 
 class TestParser:
@@ -103,3 +104,5 @@ class TestParser:
             phi = parse_formula(text)
             again = parse_formula(render(phi.root))
             assert again.root == phi.root
+        for phi in random_formula_corpus():
+            assert parse_formula(render(phi.root)).root == phi.root

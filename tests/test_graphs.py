@@ -333,7 +333,7 @@ class TestGenerateFamily:
 
 
 # sha256 of the edge lists of random_degenerate_graph(n, d, seed), each
-# vertex's edges drawn as SplitMix64.sample over range(v) draws them: every
+# vertex's edges drawn by SplitMix64.sample over range(v): every
 # seeded fixture and benchmark input is built from these edges
 DEGENERATE_DIGEST = "06857cdad58065246629f556b80f9268b1472b78013ad05066d1b262edbe82af"
 

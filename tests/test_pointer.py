@@ -1,13 +1,26 @@
 import hashlib
+import json
 from itertools import product
 
 import pytest
 
 from oracles import assemble, closure_by_element, eval_brute, weakly_induced
-from sparsedisc import pointer
+from sparsedisc import formulas, pointer
 from sparsedisc.discrepancy import beck_fiala, eval_discrepancy
 from sparsedisc.errors import ResourceLimitError
-from sparsedisc.formulas import And, Eq, Not, Or, Pred, QFFormula, Term, parse_formula
+from sparsedisc.formulas import (
+    SIDES,
+    WORD_CAP,
+    And,
+    Eq,
+    Not,
+    Or,
+    Pred,
+    QFFormula,
+    Term,
+    parse_formula,
+    render,
+)
 from sparsedisc.graphs import Graph, generate_family, random_degenerate_graph
 from sparsedisc.orderings import degeneracy_order
 from sparsedisc.pointer import (
@@ -39,8 +52,10 @@ def random_structure(rng: SplitMix64, n: int, preds=("A", "B"), funcs=("f", "g")
 
 class TestPointerStructure:
     def test_json_round_trip(self):
+        # the pointer structure JSON of the README
+        text = json.dumps({"n": 3, "functions": {"f": [1, 2, 0]}, "predicates": {"A": [0, 2]}})
         m = PointerStructure(3, {"f": (1, 2, 0)}, {"A": frozenset({0, 2})})
-        assert PointerStructure.from_json(m.to_json()) == m
+        assert PointerStructure.from_json(text) == m
 
     def test_rejects_partial_function(self):
         with pytest.raises(ValueError):
@@ -294,6 +309,51 @@ def random_formula(rng: SplitMix64, funcs, preds) -> QFFormula:
     return QFFormula(x_arity, y_arity, node(3))
 
 
+def random_formula_corpus(count: int = 300) -> list[QFFormula]:
+    """Seeded random formulas over the functions f, g and predicates A, B."""
+    rng = SplitMix64(57)
+    return [random_formula(rng, ("f", "g"), ("A", "B")) for _ in range(count)]
+
+
+class TestParsedTerms:
+    def test_every_parsed_term_is_in_bounds(self, monkeypatch):
+        # the parser is the only check on a term's side and word
+        built = []
+
+        def recording(*args):
+            built.append(Term(*args))
+            return built[-1]
+
+        deepest = "x1"
+        for name in "fg" * (WORD_CAP // 2):
+            deepest = f"{name}({deepest})"
+        texts = [render(phi.root) for phi in random_formula_corpus()] + [f"{deepest}=y1"]
+        monkeypatch.setattr(formulas, "Term", recording)
+        for text in texts:
+            parse_formula(text)
+        assert built and max(len(t.word) for t in built) == WORD_CAP
+        assert all(t.side in SIDES and len(t.word) <= WORD_CAP for t in built)
+
+    def test_atoms_are_walked_at_parse_time_only(self, monkeypatch):
+        walked = []
+        walk = formulas.atoms
+
+        def counting(node):
+            walked.append(node)
+            return walk(node)
+
+        monkeypatch.setattr(formulas, "atoms", counting)
+        rng = SplitMix64(58)
+        for text in (WORKED, "!(x1=y1) & (f(x1)=y1 | f(y1)=x1)", "A(x1) & !(g(x1)=f(y1)) | B(x1)"):
+            phi = parse_formula(text)
+            assert walked
+            walked.clear()
+            m = random_structure(rng, 8)
+            qf_color(m, [phi])
+            defined_system(m, phi)
+            assert walked == []
+
+
 class TestEvaluatorMatchesBrute:
     """The set-at-a-time evaluator against the pointwise oracle."""
 
@@ -355,7 +415,7 @@ class TestDecompose:
         dec = qf_decompose(parse_formula(WORKED))
         assert len(dec.rhos) == 1
         [(pos, atom)] = dec.rhos[0]
-        assert pos and atom.render() == "A(x1)"
+        assert pos and render(atom) == "A(x1)"
         assert dec.psis == (((("f",), 0),),)
         assert len(dec.assembly) == 2
 
@@ -363,7 +423,7 @@ class TestDecompose:
         dec = qf_decompose(parse_formula("R(x3) & B(y1) & h(x1)=f(y2) & h(x2)=g(y2)"))
         assert len(dec.rhos) == 1
         [(pos, atom)] = dec.rhos[0]
-        assert pos and atom.render() == "R(x3)"
+        assert pos and render(atom) == "R(x3)"
         assert dec.psis == (((("h",), 0), (("h",), 1)),)
         [plan] = dec.assembly
         assert plan.psi_params == ((("f",), 1), (("g",), 1))
@@ -377,7 +437,7 @@ class TestDecompose:
         rho = dec.rhos[plan.rho_index]
         assert len(rho) == 1
         [(pos, atom)] = rho
-        assert pos and atom.render() == "f(x1)=h(x2)"
+        assert pos and render(atom) == "f(x1)=h(x2)"
 
     def test_no_parameters_trivial_assembly(self):
         dec = qf_decompose(parse_formula("A(x1) & !B(x1) | x1=f(x1)"))
