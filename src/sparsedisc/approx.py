@@ -142,21 +142,25 @@ def verify_approximation(
         raise ValueError("sample vertex outside the ground set")
     inside = set(sam)
     eps = _checked_eps(eps)
-    worst: Fraction = Fraction(0)
-    worst_set: Optional[int] = None
+    # the error of a set is |hit*n - |A|*k| / (k*n) with k = |S|: compared
+    # as integers over the common denominator
+    k, n = len(sam), s.ground_size
+    worst, worst_set = 0, None
     for i, st in enumerate(s.sets):
         hit = sum(1 for v in st if v in inside)
-        err = abs(Fraction(hit, len(sam)) - Fraction(len(st), s.ground_size))
+        err = abs(hit * n - len(st) * k)
         if err > worst:
             worst, worst_set = err, i
-    return worst <= eps, worst_set, worst
+    measured = Fraction(worst, k * n)
+    return measured <= eps, worst_set, measured
 
 
 def verify_net(s: SetSystem, sample: Iterable[int], eps: Fraction) -> bool:
     """True iff the sample meets every set of size at least eps * |U|."""
     inside = set(sample)
     eps = _checked_eps(eps)
+    bar = eps.numerator * s.ground_size  # |A| >= eps*|U|, times eps's denominator
     for st in s.sets:
-        if Fraction(len(st)) >= eps * s.ground_size and not inside.intersection(st):
+        if len(st) * eps.denominator >= bar and not inside.intersection(st):
             return False
     return True

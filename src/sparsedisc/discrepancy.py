@@ -28,23 +28,32 @@ at most t ones), so a row update is a few whole-integer operations.
 
 The elimination is carried from round to round.  A fresh one (Bareiss)
 runs over the window and a buffer of the next r unfrozen covered
-elements, r being the number of active sets.  While no set deactivates,
-the rows stay the same, and a round only loses the columns that the last
-step froze, all in the last vector's support.  So the next round deletes
-them, releases the pivot rows of the basic ones, and resumes the greedy
-left-to-right scan at the old free column, with one exchange pivot per
-column that has become independent (`_Tableau.carry`): about
-(frozen basic columns) * r row updates instead of about f * r, f being
-the free column's index.  Each pivot is an exact Bareiss step, the basic
-columns stay the greedy independent prefix of the window, and the first
-dependent column is the new free column, so the vector is a positive
-multiple of the canonical one and the colorings and round counts are
-those of a fresh elimination.  A round eliminates afresh when a set
-deactivates (a row leaves; strays freeze only then) or when fewer than
-r + 1 tableau columns are unfrozen.
+elements, r being the number of active sets.  The next round deletes the
+columns that the last step froze, all in the last vector's support, and
+those of the strays that its deactivations froze, releases the pivot
+rows of the deleted basic columns, deletes the rows of the sets that
+deactivated, and resumes the greedy left-to-right scan at the old free
+column, with one exchange pivot per column that has become independent
+(`_Tableau.carry`): about (frozen basic columns) * r row updates instead
+of about f * r, f being the free column's index.  A row leaves as a
+slack column: deleting row rho is adding the unit column e_rho left of
+every column, and one Bareiss step on its entries makes it basic
+(`_Tableau.drop`).  Those entries are D times column rho of the row
+transform, which the rows do not hold, so a fresh elimination packs a
+slack column for each row whose set can deactivate before the next fresh
+one, in a field past the window, and the row updates keep it: a set
+whose unfrozen elements outside the window number more than t stays
+active, for only window elements freeze in between.  Each pivot is an
+exact Bareiss step, the basic columns stay the greedy independent prefix
+of what remains, and the first dependent column is the new free column,
+so the vector is a positive multiple of the canonical one and the
+colorings and round counts are those of a fresh elimination.  A round
+eliminates afresh only when fewer than r + 1 tableau columns are
+unfrozen.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -92,8 +101,8 @@ def _field_width(k: int, t: int) -> int:
 class _Tableau:
     """Fraction-free Gauss-Jordan tableau of a wide 0/1 matrix given as
     packed rows, scanned left to right for the canonical null vector, and
-    kept so that the next solver round can resume the scan.  The rows are
-    consumed.
+    kept so that later solver rounds can resume the scan after columns and
+    rows are deleted.  The rows are consumed.
 
     The canonical null vector: columns left to right, each one that is
     independent of the columns before it becomes basic, up to the first
@@ -110,15 +119,17 @@ class _Tableau:
     pivot row's own entry in its basic column is D; it is stored as 0.
 
     Packing: each work row is one integer, entry c in a w-bit field
-    starting at bit w*(ncols-1-c) + 1, column 0 in the top field, and a
-    row update is a few whole-integer operations.  For a matrix with k
-    rows whose columns have at most t ones each (a column is one element,
-    and its ones are the active sets through it), w = _field_width(k, t)
-    suffices.  Every entry is a minor of order i <= k of the 0/1 input.  By
-    Hadamard's bound taken over columns, each column of a minor has
-    Euclidean norm at most sqrt(min(i, t)), so
-    |entry| <= min(k, t)^(k/2) < 2^(k*b/2) <= 2^(w-3/2) with
-    b = min(k, t).bit_length() and w = k*b//2 + 2.  Fields before a
+    starting at bit w*(n-1-c) + 1, n being the number of fields, column 0
+    in the top field, and a row update is a few whole-integer operations.
+    The ncols columns of the matrix come first, and the slack columns
+    (below) after them.  For
+    a matrix with k rows whose columns have at most t ones each (a column
+    is one element, and its ones are the active sets through it; a slack
+    column has one), w = _field_width(k, t) suffices.  Every entry is a
+    minor of order i <= k of the 0/1 input.  By Hadamard's bound taken
+    over columns, each column of a minor has Euclidean norm at most
+    sqrt(min(i, t)), so |entry| <= min(k, t)^(k/2) < 2^(k*b/2) <= 2^(w-3/2)
+    with b = min(k, t).bit_length() and w = k*b//2 + 2.  Fields before a
     division may overflow into their neighbours, but the packed integer is
     exact, and each field is a multiple of D, so dividing the whole row by
     it is exact.  The scan keeps every field left of its current column j
@@ -139,27 +150,48 @@ class _Tableau:
     invariant.  If the pivot row is outside R, the basis grows by
     (row, j), and p = |det A[R + row, B + j]| (a Schur complement).  If it
     is the pivot row of a deleted column b, j takes b's place (an exchange
-    pivot), and p = |det A[R, B - b + j]| by Cramer's rule.
+    pivot), and p = |det A[R, B - b + j]| by Cramer's rule.  A deleted
+    column that the scan reaches is skipped: its field is subtracted from
+    every row, so that the fields left of the scan stay 0.
+
+    Slack columns.  `slack` maps some rows rho to the first bit of the
+    field of their slack column: the unit column e_rho, packed as a 1 in
+    row rho and carried through every step like any column, so that the
+    field holds D * M e_rho, M being the row transform.  The scan never
+    reaches it.  `drop` reads it to delete row rho; only rows with a slack
+    column can be deleted.
     """
 
-    __slots__ = ("work", "w", "top", "ncols", "spare", "pivots", "prev", "free", "heads")
+    __slots__ = ("work", "w", "top", "ncols", "spare", "pivots", "prev", "free", "heads", "gone", "slack")
 
-    def __init__(self, work: list[int], ncols: int, w: int):
-        self.work, self.w, self.ncols = work, w, ncols
-        self.top = w * (ncols - 1) + 1  # the lowest bit of column 0's field
+    def __init__(self, work: list[int], ncols: int, w: int, slack: dict[int, int]):
+        self.work, self.w, self.ncols, self.slack = work, w, ncols, slack
+        self.top = w * (ncols + len(slack) - 1) + 1  # the lowest bit of column 0's field
         self.spare = list(range(len(work)))  # rows without a live basic column
         self.pivots: dict[int, int] = {}  # live basic column -> its pivot row
         self.prev = 1  # D
+        self.gone = [False] * ncols  # the deleted columns
         self._scan(0)
 
     def _scan(self, j: int) -> None:
         """Pivot on each column from j on that is independent of the live
-        basic columns, and stop at the first one that is not: the free
-        column."""
-        work, w, spare, pivots, prev = self.work, self.w, self.spare, self.pivots, self.prev
+        basic columns, skip the deleted ones, and stop at the first column
+        that is neither: the free column."""
+        work, w, spare, pivots, prev, gone = (
+            self.work, self.w, self.spare, self.pivots, self.prev, self.gone)
         pos, last = self.top - w * j, self.ncols - 1
         heads = [(row >> pos - 1) + 1 >> 1 for row in work]  # entries in column j
         while True:
+            if gone[j]:
+                if j == last:
+                    raise AssertionError("wide matrix must have a free column")
+                for i, h in enumerate(heads):
+                    if h:
+                        work[i] -= h << pos
+                j += 1
+                pos -= w
+                heads = [(row >> pos - 1) + 1 >> 1 for row in work]
+                continue
             for sel in spare:
                 if heads[sel]:
                     break
@@ -202,38 +234,96 @@ class _Tableau:
             support.append((c, -heads[i]))
         return support
 
-    def carry(self, deleted: list[int]) -> None:
-        """Delete the columns of the last vector's support that its step
-        froze (the rows stay the same) and move the scan on to the
-        canonical null vector of the remaining columns.
+    def carry(self, cols: list[int], rows: list[int]) -> None:
+        """Delete the given columns and rows and move the scan on to the
+        canonical null vector of what remains.
 
         A deleted basic column's pivot row is released to the spare rows:
         the basis keeps the column, so the invariant still holds, but the
         column no longer counts for independence.  A column is in the span
         of the live basic columns iff its entries on the spare rows are all
-        0.  So the greedy scan of the remaining columns keeps the live
-        basic columns (a subset of an independent prefix is independent,
-        and every column left of the free column f is basic or deleted)
-        and resumes at f, or after it if f is deleted, in which case f's
-        field is first subtracted from every row, so that the fields left
-        of the scan stay 0.  Each column that is now independent costs one
-        exchange or growing pivot, and the first dependent column is the
-        new free column: the vector is again a positive multiple of the
-        canonical one.  Entries stay minors of the input with the deleted
-        columns kept in it, so the field width still bounds them.
+        0.  Any other deleted column is the free column or lies right of
+        it, and the scan skips it when it gets there.  The rows go next
+        (`drop`).  Then the greedy scan of the remaining columns keeps the
+        live basic columns (a subset of an independent prefix is
+        independent, and every column left of the free column f is basic or
+        deleted) and resumes at f.  Each column that is now independent
+        costs one exchange or growing pivot, and the first dependent column
+        is the new free column: the vector is again a positive multiple of
+        the canonical one.  Entries stay minors of the input with the
+        deleted columns and the slack columns (one 1 each) kept in it, so
+        the field width still bounds them.
         """
-        work, pivots, f = self.work, self.pivots, self.free
-        j = f
-        for c in deleted:
-            if c == f:
-                pos = self.top - self.w * f
-                for i, h in enumerate(self.heads):
-                    if h:
-                        work[i] -= h << pos
-                j = f + 1
-            else:
+        pivots, gone = self.pivots, self.gone
+        for c in cols:
+            gone[c] = True
+            if c in pivots:
                 self.spare.append(pivots.pop(c))
-        self._scan(j)
+        for rho in rows:
+            self.drop(rho)
+        self._scan(self.free)
+
+    def drop(self, rho: int) -> None:
+        """Delete row rho.  Deleting a row is adding its unit column e_rho
+        left of every column: the greedy scan of the columns after it is
+        the scan of the matrix without row rho.  That column, the slack,
+        has the entries u = D * M e_rho of rho's slack column, and it
+        becomes basic by one Bareiss step on u.  Its pivot row then leaves
+        the work rows, since no later step reads it.
+
+        If u is nonzero on a spare row, the slack takes that row: e_rho is
+        outside the span of the live basic columns, so they stay the greedy
+        prefix, and the free column stays free.  When that row is rho and
+        u = D e_rho (rho was never a pivot row), the step changes nothing.
+
+        Otherwise e_rho is a combination of the live basic columns, and the
+        rightmost one with a nonzero coefficient, b*, is the first column
+        that the slack makes dependent: the slack takes b*'s pivot row, and
+        b* is the new free column.  The stored 0 of b*'s own entry is
+        written back as D first, so that the step leaves b*'s entries.  The
+        basic columns right of b* are in the greedy basis, but right of the
+        free column the scan tests each column itself, so they leave the
+        basis with their entries written back likewise, and their pivot
+        rows become spare rows.  (Any basic column with a nonzero
+        coefficient would give the same vector, since the scan resumes at
+        the free column and re-tests what lies right of it; b* leaves the
+        fewest columns to re-test.)
+        """
+        work, spare, pivots, prev, w = self.work, self.spare, self.pivots, self.prev, self.w
+        pos = self.slack.pop(rho) - 1
+        # the slack field of each row, rounded as the scan rounds, and read
+        # as a signed w-bit residue, for the fields before it are not 0
+        low, half, mask = (1 << pos + w + 1) - 1, 1 << w - 1, (1 << w) - 1
+        u = [((((row & low) >> pos) + 1 >> 1) + half & mask) - half for row in work]
+        for q in spare:
+            if u[q]:
+                break
+        else:
+            b = max(c for c, i in pivots.items() if u[i])
+            q = pivots[b]
+            for c in [c for c in pivots if c >= b]:
+                i = pivots.pop(c)
+                work[i] += prev << self.top - w * c
+                spare.append(i)
+            self.free = b
+        spare.remove(q)
+        h = u[q]
+        p = h if h > 0 else -h
+        if p != prev or u.count(0) < len(u) - 1:
+            srow = work[q] if h > 0 else -work[q]
+            for i, row in enumerate(work):
+                f = u[i]
+                if f:
+                    work[i] = (p * row - f * srow) // prev
+                elif p != prev:
+                    work[i] = p * row // prev
+            self.prev = p
+        # row q is the slack's pivot row: the rows after it move up
+        del work[q]
+        for c, i in pivots.items():
+            if i > q:
+                pivots[c] = i - 1
+        spare[:] = [i - 1 if i > q else i for i in spare]
 
 
 def _rounds(s: SetSystem) -> Iterator[tuple[list[int], list[int], list[int]]]:
@@ -275,12 +365,15 @@ def _rounds(s: SetSystem) -> Iterator[tuple[list[int], list[int], list[int]]]:
             unfrozen_in[i] -= 1
 
     tab = None  # the elimination, carried from round to round
+    # its columns, those deleted since its last scan, and the number unfrozen
+    cols, gone, alive = [], [], 0
     while n_unfrozen:
-        still = []
+        still, left = [], []  # left: the rows of the sets that deactivate
         for i in active:
             if unfrozen_in[i] > t:
                 still.append(i)
                 continue
+            left.append(slot[i])
             for v in s.sets[i]:
                 if not frozen[v]:
                     member[v].remove(i)
@@ -289,13 +382,16 @@ def _rounds(s: SetSystem) -> Iterator[tuple[list[int], list[int], list[int]]]:
                         # vector is a null vector, and the positive max
                         # step lands on the nearest endpoint
                         freeze(v, 1 if num[v] >= 0 else -1)
-        deactivated = len(still) < len(active)
+                        j = bisect_left(cols, v)  # a window column goes too
+                        if j < len(cols) and cols[j] == v:
+                            gone.append(j)
+                            alive -= 1
         active = still
         yield active, num, den
         if not n_unfrozen:
             break
         r = len(active)
-        if tab is None or deactivated or alive <= r:
+        if tab is None or alive <= r:
             # a fresh elimination over the window and a buffer of the next
             # r unfrozen covered elements: the first 2r + 1 of them
             cols = []
@@ -314,10 +410,27 @@ def _rounds(s: SetSystem) -> Iterator[tuple[list[int], list[int], list[int]]]:
                 bit = 1 << top - w * j
                 for i in member[v]:
                     rows[slot[i]] |= bit
-            tab = _Tableau(rows, len(cols), w)
+            # a row whose set can deactivate while this tableau lives gets
+            # a slack column, in a field past the window (_Tableau.drop):
+            # until the next fresh elimination only window elements
+            # freeze, so a set with more than t unfrozen elements outside
+            # the window stays active
+            slack = {}
+            for k, i in enumerate(active):
+                if unfrozen_in[i] - rows[k].bit_count() <= t:
+                    slack[k] = 0
+            if slack:
+                low = w * len(slack)
+                for k, row in enumerate(rows):
+                    rows[k] = row << low
+                for k in slack:
+                    low -= w
+                    slack[k] = low + 1
+                    rows[k] |= 1 << low + 1
+            tab = _Tableau(rows, len(cols), w, slack)
             alive = len(cols)
         else:
-            tab.carry(gone)
+            tab.carry(gone, left)
         support = tab.vector()
         # the step lam_p / lam_q (lam_q > 0): the largest that keeps every
         # coordinate in [-1, 1], compared by cross-multiplying

@@ -177,3 +177,48 @@ class TestVerifyNet:
             eps = Fraction(1, 2 + rng.randrange(4))
             report = epsilon_approximation(s, eps)
             assert verify_net(s, report.sample, eps)
+
+
+def _degree4_blocks(n: int, rng: SplitMix64) -> SetSystem:
+    """Four shuffled partitions of the ground into blocks of 20, as in the
+    approx benchmark's large family."""
+    sets = []
+    for _ in range(4):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        sets.extend(perm[i:i + 20] for i in range(0, n, 20))
+    return SetSystem.from_sets(n, sets)
+
+
+class TestIntegerErrors:
+    """verify_approximation and verify_net compare integers; on systems
+    like the approx benchmark's they must agree with the Fraction formulas
+    and with the brute oracle, ties and the first worst set included."""
+
+    def test_agrees_with_fractions_and_oracle(self):
+        rng = SplitMix64(56)
+        systems = [random_system(rng, max_ground=500) for _ in range(8)]
+        systems += [_degree4_blocks(n, rng) for n in (100, 200, 300)]
+        checked = 0
+        for s in systems:
+            n, first = s.ground_size, s.sets[0]
+            samples = [epsilon_approximation(s, Fraction(1, 4)).sample]
+            samples += [[v for v in range(n) if rng.bernoulli(1, 3)] or [0] for _ in range(2)]
+            samples.append([v for v in range(n) if v not in first] or [0])
+            # the last eps puts the first set, which the last sample
+            # misses, exactly on the net threshold
+            for eps in (Fraction(1, 4), Fraction(1, 8), Fraction(1), Fraction(max(len(first), 1), n)):
+                for sample in samples:
+                    inside = set(sample)
+                    errors = [
+                        abs(Fraction(sum(v in inside for v in st), len(inside)) - Fraction(len(st), n))
+                        for st in s.sets
+                    ]
+                    worst = max(errors, default=Fraction(0))
+                    first = errors.index(worst) if worst else None
+                    assert verify_approximation(s, sample, eps) == (worst <= eps, first, worst)
+                    assert worst == approx_error_brute(s, inside)
+                    net = all(Fraction(len(st)) < eps * n or inside & set(st) for st in s.sets)
+                    assert verify_net(s, sample, eps) == net
+                    checked += 1
+        assert checked == 4 * 4 * len(systems)

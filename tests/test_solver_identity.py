@@ -34,7 +34,7 @@ def _packed_null_vector(rows: list[list[int]], ncols: int) -> list[int]:
     top = w * (ncols - 1) + 1
     packed = [sum(1 << top - w * c for c, e in enumerate(row) if e) for row in rows]
     nu = [0] * ncols
-    for c, e in _Tableau(packed, ncols, w).vector():
+    for c, e in _Tableau(packed, ncols, w, {}).vector():
         nu[c] = e
     return nu
 
@@ -155,6 +155,95 @@ class TestNullVector:
             _packed_null_vector([[1, 0], [0, 1]], 2)
 
 
+def _tableau_with_slacks(rows: list[list[int]], ncols: int) -> _Tableau:
+    """A fresh _Tableau of a 0/1 matrix given as lists, packed as the
+    solver packs it, with a slack column for every row after the columns."""
+    k = len(rows)
+    w = _field_width(k, max(_col_weight(rows), 1))
+    top = w * (ncols + k - 1) + 1
+    packed = [
+        sum(1 << top - w * c for c, e in enumerate(row) if e) + (1 << top - w * (ncols + i))
+        for i, row in enumerate(rows)
+    ]
+    return _Tableau(packed, ncols, w, {i: top - w * (ncols + i) for i in range(k)})
+
+
+def _check_tableau(tab: _Tableau, rows: list[list[int]], ncols: int,
+                   cols: set[int], dropped: set[int]) -> None:
+    """The tableau's vector must be a positive multiple of the reference
+    null vector of the matrix without the deleted columns and rows, and 0
+    on the deleted columns."""
+    keep = [c for c in range(ncols) if c not in cols]
+    sub = [[row[c] for c in keep] for i, row in enumerate(rows) if i not in dropped]
+    ref = [Fraction(0)] * ncols
+    for c, e in zip(keep, null_vector_reference(sub, len(keep))):
+        ref[c] = e
+    got = [0] * ncols
+    for c, e in tab.vector():
+        got[c] = e
+    assert all(type(e) is int for e in got)
+    j = next(c for c, e in enumerate(ref) if e)
+    scale = Fraction(got[j]) / ref[j]
+    assert scale > 0
+    assert [Fraction(e) for e in got] == [scale * e for e in ref]
+
+
+class TestRowDeletion:
+    """Deleting rows from a live tableau through their slack columns gives
+    the canonical null vector of the remaining matrix, checked against the
+    rational reference."""
+
+    def test_each_row_after_the_first_scan(self):
+        rng = SplitMix64(3030)
+        for _ in range(150):
+            rows, ncols = _wide_matrix(rng)
+            for rho in range(len(rows)):
+                tab = _tableau_with_slacks(rows, ncols)
+                tab.carry([], [rho])
+                _check_tableau(tab, rows, ncols, set(), {rho})
+
+    def test_each_row_after_a_carry(self):
+        # one column of the first vector's support is deleted, alone in a
+        # carry when the matrix is wide enough to keep a free column, and
+        # with the row otherwise
+        rng = SplitMix64(3131)
+        for _ in range(150):
+            rows, ncols = _wide_matrix(rng)
+            support = [c for c, _ in _tableau_with_slacks(rows, ncols).vector()]
+            for rho in range(len(rows)):
+                c = support[rho % len(support)]
+                tab = _tableau_with_slacks(rows, ncols)
+                if ncols > len(rows) + 1:
+                    tab.carry([c], [])
+                    _check_tableau(tab, rows, ncols, {c}, set())
+                    tab.carry([], [rho])
+                else:
+                    tab.carry([c], [rho])
+                _check_tableau(tab, rows, ncols, {c}, {rho})
+
+    def test_rows_one_after_another(self):
+        # every row goes, in a random order, some with the free column, as
+        # a step freezes it, or with a column right of it, as a stray
+        # freezes, or both, so that the scan passes deleted columns
+        rng = SplitMix64(3232)
+        for _ in range(150):
+            rows, ncols = _wide_matrix(rng)
+            order = list(range(len(rows)))
+            rng.shuffle(order)
+            tab = _tableau_with_slacks(rows, ncols)
+            cols: set[int] = set()
+            for n_dropped, rho in enumerate(order, 1):
+                right = [c for c in range(tab.free + 1, ncols) if c not in cols]
+                candidates = [tab.free] + ([right[rng.randrange(len(right))]] if right else [])
+                deleted = []
+                for c in candidates:
+                    if rng.bernoulli(1, 2) and ncols - len(cols) - len(deleted) - 1 > len(rows) - n_dropped:
+                        deleted.append(c)
+                tab.carry(deleted, [rho])
+                cols.update(deleted)
+                _check_tableau(tab, rows, ncols, cols, set(order[:n_dropped]))
+
+
 def _large_degree4(n: int, rng: SplitMix64) -> SetSystem:
     """Sets of size 20, four disjoint covers of the ground: degree 4, m = n/5."""
     sets = []
@@ -224,23 +313,42 @@ def test_scaling_script_smallest_rungs():
 @pytest.fixture()
 def tableau_log(monkeypatch):
     """The solver's tableaux, logged: ("fresh", rows, columns) for each
-    fresh elimination, and ("carry", old free column, deleted columns,
-    whether the old free column became basic, released rows still spare
-    after the scan) for each carried round."""
+    fresh elimination; ("carry", old free column, deleted columns, whether
+    the old free column became basic, released rows still spare after the
+    scan) for each carried round; and after it ("drop", row, the row its
+    slack column takes, the free column after the drop) for each row that
+    the round deletes.  Rows are numbered as in the fresh elimination."""
     log = []
 
     class Recording(_Tableau):
-        __slots__ = ()
+        __slots__ = ("rows",)
 
-        def __init__(self, work, ncols, w):
-            super().__init__(work, ncols, w)
+        def __init__(self, work, ncols, w, slack):
+            super().__init__(work, ncols, w, slack)
             log.append(("fresh", len(work), ncols))
+            self.rows = list(range(len(work)))  # fresh numbering of the work rows
 
-        def carry(self, deleted):
-            free, basic = self.free, dict(self.pivots)
-            super().carry(deleted)
-            idle = [basic[c] for c in deleted if c != free and basic[c] in self.spare]
-            log.append(("carry", free, tuple(deleted), free in self.pivots, idle))
+        def carry(self, cols, rows):
+            free, basic = self.free, {c: self.rows[i] for c, i in self.pivots.items()}
+            at = len(log)
+            super().carry(cols, rows)
+            spare = {self.rows[i] for i in self.spare}
+            idle = [basic[c] for c in cols if c in basic and basic[c] in spare]
+            log.insert(at, ("carry", free, tuple(cols), free in self.pivots, idle))
+
+        def drop(self, rho):
+            # the row the slack takes, by the rule of _Tableau.drop: its
+            # entries are read from rho's slack field as the packing lays
+            # it out, as signed w-bit residues
+            w, start = self.w, self.slack[rho]
+            u = [(((row % (1 << start + w)) >> start - 1) + 1 >> 1) + (1 << w - 1) for row in self.work]
+            u = [e % (1 << w) - (1 << w - 1) for e in u]
+            q = next((i for i in self.spare if u[i]), None)
+            if q is None:
+                q = self.pivots[max(c for c, i in self.pivots.items() if u[i])]
+            taken = self.rows.pop(q)
+            super().drop(rho)
+            log.append(("drop", rho, taken, self.free))
 
     monkeypatch.setattr(discrepancy, "_Tableau", Recording)
     return log
@@ -264,12 +372,19 @@ class TestCarriedTableau:
         assert tableau_log == [("fresh", 3, 6), ("carry", 3, (1,), True, [])]
 
     def test_two_basic_columns_freeze(self, tableau_log):
-        # round 2 drops a set and eliminates afresh; its step freezes basic
-        # columns 0 and 1 together.  Round 3 carries: the old free column
-        # 2 takes released row 0, and no column takes row 1
+        # round 2 deletes the free column 3 and the row 0 of {0, 1, 3, 4},
+        # the pivot row of column 0.  e_0 is a combination of the basic
+        # columns 0, 1 and 2, so its slack takes the pivot row 2 of column
+        # 2, the rightmost one in it, and column 2 is the new free column.
+        # That step freezes basic columns 0 and 1 together.  Round 3
+        # carries: the free column 2 takes released row 0, and no column
+        # takes row 1
         self._check(7, [[0, 2, 3, 4, 5, 6], [0, 1, 3, 4], [1, 2, 3, 4, 5, 6]])
         assert tableau_log == [
-            ("fresh", 3, 7), ("fresh", 2, 5), ("carry", 2, (0, 1), True, [1])
+            ("fresh", 3, 7),
+            ("carry", 3, (3,), False, []),
+            ("drop", 0, 2, 2),
+            ("carry", 2, (0, 1), True, [1]),
         ]
 
     def test_free_column_freezes(self, tableau_log):
@@ -291,30 +406,85 @@ class TestCarriedTableau:
         # rounds 1 and 2 each freeze two of the five tableau columns; in
         # round 3 no set deactivates, but one column is left, fewer than
         # r + 1 = 3, so the elimination starts afresh on elements 1, 5, 6
-        # and 7, three of them past the old tableau
+        # and 7, three of them past the old tableau.  In round 4 {1, 5}
+        # deactivates: its row 1 was column 0's pivot row, released by the
+        # step, so its slack takes that spare row and the tableau carries
         self._check(8, [[0, 2, 3, 4, 6, 7], [1, 5]])
         assert tableau_log == [
-            ("fresh", 2, 5), ("carry", 2, (2, 0), False, []), ("fresh", 2, 4), ("fresh", 1, 2)
+            ("fresh", 2, 5),
+            ("carry", 2, (2, 0), False, []),
+            ("fresh", 2, 4),
+            ("carry", 1, (1, 0), False, []),
+            ("drop", 1, 1, 1),
         ]
 
-    def test_deactivation_forces_fresh_elimination(self, tableau_log):
+    def test_refill_in_a_deactivation_round(self, tableau_log):
         # round 2 carries (column 2 takes the free row 1, column 3 the
-        # released row 0) and its step freezes the last of {0, 1, 3, 4};
-        # round 3 deactivates that set, so the tableau is rebuilt, one row
-        # smaller
+        # released row 0) and its step freezes the last two tableau
+        # columns of {0, 1, 3, 4}.  Round 3 deactivates that set, but one
+        # tableau column is left, fewer than r + 1 = 2, so the window is
+        # refilled: a fresh elimination, one row smaller
         self._check(6, [[0, 1, 3, 4], [2, 5]])
         assert tableau_log == [
             ("fresh", 2, 5), ("carry", 1, (1, 0), False, []), ("fresh", 1, 2)
         ]
 
+    def test_spare_row_dropped(self, tableau_log):
+        # column 1 equals column 0, so row 1 is never a pivot row.  When
+        # {0, 1, 3} deactivates in round 2, its slack is D e_1 and takes
+        # row 1 itself, and the step changes nothing; the scan resumes past
+        # the deleted free column 1, and column 2 takes the released row 0
+        self._check(5, [[0, 1, 2, 3, 4], [0, 1, 3]])
+        assert tableau_log == [
+            ("fresh", 2, 5), ("carry", 1, (1, 0), False, []), ("drop", 1, 1, 1)
+        ]
+
+    def test_pivot_row_dropped_slack_takes_spare_row(self, tableau_log):
+        # {0, 1, 2} deactivates in round 2; its row 0 is the pivot row of
+        # the live basic column 0, and the step released row 1 of column 1.
+        # The slack is nonzero there and takes it, so column 0 stays basic
+        # and the scan resumes past the deleted free column 2
+        self._check(5, [[0, 1, 2], [0, 3, 4]])
+        assert tableau_log == [
+            ("fresh", 2, 5), ("carry", 2, (2, 1), False, []), ("drop", 0, 1, 2)
+        ]
+
+    def test_two_sets_leave_one_exchange(self, tableau_log):
+        # {0, 2, 3} and {2, 3, 4} deactivate together in round 2.  Row 1
+        # is the pivot row of column 1, and e_1 = column 0 - column 1 on
+        # the rows, 0 on the spare row 2 released by column 2: its slack
+        # takes column 1's row, and the free column moves left from 3 to
+        # 1.  Row 2 is then spare, and its slack takes it
+        self._check(5, [[0, 1, 4], [0, 2, 3], [2, 3, 4]])
+        assert tableau_log == [
+            ("fresh", 3, 5),
+            ("carry", 3, (3, 2), False, []),
+            ("drop", 1, 1, 1),
+            ("drop", 2, 2, 1),
+        ]
+
+    def test_stray_right_of_the_front(self, tableau_log):
+        # in round 2 {1, 2, 3} deactivates, and element 3, in no other set,
+        # freezes as a stray: tableau column 3, right of the free column 2.
+        # The scan clears the deleted columns 2 and 3 and stops at column
+        # 4, equal to column 0 on the remaining row
+        self._check(5, [[0, 4], [1, 2, 3]])
+        assert tableau_log == [
+            ("fresh", 2, 5), ("carry", 2, (2, 1, 3), False, []), ("drop", 1, 1, 2)
+        ]
+
     def test_most_rounds_carried(self, tableau_log):
-        # the n = 300 system of FROZEN_DIGEST_N300: of its 236 rounds, 45
-        # eliminate afresh, 190 carry the tableau, and the last one only
-        # freezes strays
+        # the n = 300 system of FROZEN_DIGEST_N300: of its 236 rounds, 4
+        # eliminate afresh (the first and three window refills), 231 carry
+        # the tableau, 41 of them deleting the rows of 59 sets, and the
+        # last one only freezes strays
         chi, rounds = beck_fiala_with_stats(_large_degree4(300, SplitMix64(1)))
         assert rounds == 236
-        assert sum(e[0] == "fresh" for e in tableau_log) == 45
-        assert sum(e[0] == "carry" for e in tableau_log) == 190
+        assert sum(e[0] == "fresh" for e in tableau_log) == 4
+        assert sum(e[0] == "carry" for e in tableau_log) == 231
+        assert sum(e[0] == "drop" for e in tableau_log) == 59
+        pairs = zip(tableau_log, tableau_log[1:])
+        assert sum(e[0] == "carry" and nxt[0] == "drop" for e, nxt in pairs) == 41
 
 
 class TestMatchesReference:
