@@ -10,6 +10,7 @@ measured error; halving stops before the claim would exceed the target.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -100,7 +101,11 @@ def halve(s: SetSystem, current: Iterable[int]) -> tuple[tuple[int, ...], int]:
 def epsilon_approximation(s: SetSystem, eps: Fraction) -> ApproximationReport:
     """Largest halving chain whose claimed error stays within eps.
 
-    The ground set is adjoined as a member when absent (and reported).
+    The ground set is adjoined as a member when absent (and reported):
+    the carrier is then the input plus the ground tuple, inserted at its
+    sorted place, and otherwise the input itself.  Level 0 halves the
+    whole ground, whose trace is the carrier itself, so the solver's
+    first input is the carrier object.
     The report carries the exact claimed and measured errors; the final
     attempted level that would have broken the budget is recorded too.
     """
@@ -109,10 +114,11 @@ def epsilon_approximation(s: SetSystem, eps: Fraction) -> ApproximationReport:
     if n == 0:
         raise ValueError("cannot approximate an empty ground set")
     ground = tuple(range(n))
-    adjoined = ground not in s.sets
-    carrier = (
-        SetSystem.from_sets(n, list(s.sets) + [ground]) if adjoined else s
-    )
+    # s.sets is sorted, so the ground tuple's place is found by bisection
+    # and the carrier is s with that one tuple inserted
+    at = bisect_left(s.sets, ground)
+    adjoined = s.sets[at:at + 1] != (ground,)
+    carrier = SetSystem(n, s.sets[:at] + (ground,) + s.sets[at:]) if adjoined else s
     current = ground
     levels: list[LevelRecord] = []
     weighted_sum = 0  # sum of 2^i * disc_used_i over applied levels

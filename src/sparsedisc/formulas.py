@@ -233,6 +233,14 @@ def parse_formula(text: str) -> QFFormula:
 
 
 def render(node: Union[Term, Node]) -> str:
+    """The text of a term or formula, in the grammar `parse_formula` reads.
+
+    Every child of a connective renders in parentheses, so a parsed tree
+    renders back to text that parses to the same tree.  A one-child
+    connective renders as its child in parentheses and parses back to
+    that child.  A connective with no children raises ValueError: the
+    grammar has no constant the parser could read back.
+    """
     if isinstance(node, Term):
         out = f"{node.side}{node.index + 1}"
         for name in node.word:
@@ -244,8 +252,9 @@ def render(node: Union[Term, Node]) -> str:
         return f"{render(node.left)}={render(node.right)}"
     if isinstance(node, Not):
         return f"!({render(node.child)})"
-    if isinstance(node, And):
-        return " & ".join(f"({render(c)})" for c in node.children)
-    if isinstance(node, Or):
-        return " | ".join(f"({render(c)})" for c in node.children)
+    if isinstance(node, (And, Or)):
+        if not node.children:
+            raise ValueError(f"{type(node).__name__}(()) has no text: the grammar has no constants")
+        joiner = " & " if isinstance(node, And) else " | "
+        return joiner.join(f"({render(c)})" for c in node.children)
     raise TypeError(node)

@@ -24,12 +24,15 @@ CLOSURE_CAP = 10**5
 class SetSystem:
     """Canonical sets over 0..ground_size-1.  The constructor does not
     check them: outside data enters through `from_sets` and `from_json`,
-    which reject elements outside the ground set, and the builders that
+    which reject a negative ground size and elements outside the ground
+    set, and the builders that
     call it directly are canonical by construction (tests/test_canonical.py):
     - weak-reach stars: sorted prefixes of BFS lists, distinct by root;
     - `intersection_closure`: each new intersection sorted and added once;
     - `neighborhood_system`, `trace`: sorted rows, an increasing re-indexing;
-    - `pointer`: row-major reads of a truth matrix, stable sorts of fibers.
+    - `pointer`: row-major reads of a truth matrix, stable sorts of fibers;
+    - the `approx` carrier: a canonical system with the ground tuple
+      inserted at its sorted place.
     """
 
     ground_size: int
@@ -37,6 +40,8 @@ class SetSystem:
 
     @classmethod
     def from_sets(cls, ground_size: int, sets: Iterable[Iterable[int]]) -> "SetSystem":
+        if ground_size < 0:
+            raise ValueError(f"negative ground size {ground_size}")
         canon = set()
         for s in sets:
             t = tuple(sorted(set(s)))
@@ -105,14 +110,18 @@ def trace(s: SetSystem, subset: Iterable[int]) -> tuple[SetSystem, tuple[int, ..
     """Intersections with subset, ground re-indexed densely.
 
     Returns (traced system, mapping) where mapping[i] is the original
-    index of the new ground element i.
+    index of the new ground element i.  The trace on the whole ground is
+    s itself: a SetSystem is canonical, so re-indexing by the identity
+    would rebuild the same sets.
     """
     sub = sorted(set(subset))
     if sub and (sub[0] < 0 or sub[-1] >= s.ground_size):
         raise ValueError("subset element out of ground range")
+    if len(sub) == s.ground_size:
+        return s, tuple(sub)
     pos = {v: i for i, v in enumerate(sub)}
     # the re-indexing is increasing, so every traced set stays sorted
-    traced = {tuple(pos[v] for v in st if v in pos) for st in s.sets}
+    traced = {tuple(map(pos.__getitem__, filter(pos.__contains__, st))) for st in s.sets}
     traced.discard(())
     return SetSystem(len(sub), tuple(sorted(traced))), tuple(sub)
 

@@ -8,7 +8,7 @@ positive scale, the rounding solver as a rational loop rebuilt every
 round, positive semidefiniteness by principal minors, formula
 truth one point at a time by recursion, and intersection closures by
 enumerating every subfamily, or every subfamily of the sets through each
-element.  They are the second route of every dual-route check.
+element, and traces by frozenset intersections.  They are the second route of every dual-route check.
 The canonical-form checks of set systems, graphs and orders are plain
 pairwise comparisons, since the package's constructors no longer check
 what its builders make.
@@ -341,6 +341,21 @@ def closure_by_element(s: SetSystem) -> set[tuple[int, ...]]:
             meets |= {c & mask for c in meets}
         closed |= meets
     return {tuple(v for v in range(n) if c >> v & 1) for c in closed}
+
+
+def trace_brute(
+    sets: Iterable[Iterable[int]], subset: Iterable[int]
+) -> tuple[int, tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The trace on subset as plain data: (ground size, sets, mapping).
+    Each set is cut by a frozenset intersection, the subset's elements
+    are renumbered 0.. in increasing order, and the nonempty cuts are
+    deduplicated and sorted."""
+    inside = frozenset(subset)
+    mapping = tuple(sorted(inside))
+    new = {v: i for i, v in enumerate(mapping)}
+    cuts = {frozenset(st) & inside for st in sets}
+    traced = {tuple(sorted(new[v] for v in cut)) for cut in cuts if cut}
+    return len(mapping), tuple(sorted(traced)), mapping
 
 
 def approx_error_brute(s: SetSystem, sample: set[int]) -> Fraction:

@@ -1,11 +1,14 @@
+import hashlib
 from fractions import Fraction
 from math import ceil
 
 import pytest
 
-from oracles import approx_error_brute
+from oracles import approx_error_brute, canonical_system
+from sparsedisc import approx
 from sparsedisc.approx import (
     epsilon_approximation,
+    frac_str,
     halve,
     verify_approximation,
     verify_net,
@@ -122,6 +125,47 @@ class TestEpsilonApproximation:
                 epsilon_approximation(s, eps)
 
 
+class TestCarrier:
+    """epsilon_approximation holds the carrier it builds from the input:
+    no from_sets canonicalization, and level 0 hands the solver the
+    carrier object, since the whole-ground trace is the system itself."""
+
+    @pytest.mark.parametrize("has_ground", [False, True])
+    def test_no_rebuild(self, monkeypatch, has_ground):
+        s = neighborhood_system(generate_family("grid", [8, 8]))
+        if has_ground:
+            s = with_ground(s)
+        halved, solved, rebuilt = [], [], []
+        real_halve, real_bf, real_from_sets = approx.halve, approx.beck_fiala, SetSystem.from_sets
+        monkeypatch.setattr(approx, "halve", lambda c, cur: halved.append(c) or real_halve(c, cur))
+        monkeypatch.setattr(approx, "beck_fiala", lambda t: solved.append(t) or real_bf(t))
+        monkeypatch.setattr(
+            SetSystem, "from_sets", classmethod(lambda cls, *a: rebuilt.append(a) or real_from_sets(*a))
+        )
+        report = epsilon_approximation(s, Fraction(1))
+        assert report.ground_adjoined is not has_ground
+        assert not rebuilt
+        carrier = halved[0]
+        assert all(c is carrier for c in halved) and len(halved) == len(report.levels) >= 2
+        assert solved[0] is carrier
+        if has_ground:
+            assert carrier is s
+        else:
+            assert carrier.sets == with_ground(s).sets and canonical_system(carrier)
+
+    def test_carrier_sets(self, monkeypatch):
+        # the ground tuple lands at its sorted place: middle, already
+        # there, first and last
+        solved = []
+        real_bf = approx.beck_fiala
+        monkeypatch.setattr(approx, "beck_fiala", lambda t: solved.append(t) or real_bf(t))
+        for sets in ([[0, 1], [2]], [[0, 1, 2, 3, 4]], [[1], [3, 4]], [[0], [0, 1, 2, 3]]):
+            s = SetSystem.from_sets(5, sets)
+            solved.clear()
+            epsilon_approximation(s, Fraction(1))
+            assert solved[0].sets == with_ground(s).sets
+
+
 class TestVerifyApproximation:
     def test_full_sample_zero_error(self):
         s = SetSystem.from_sets(4, [[0, 1], [2]])
@@ -222,3 +266,34 @@ class TestIntegerErrors:
                     assert verify_net(s, sample, eps) == net
                     checked += 1
         assert checked == 4 * 4 * len(systems)
+
+
+# sha256 over the reports and verdicts of the corpus below, pinned on the
+# code before the carrier and the whole-ground trace stopped being rebuilt
+APPROX_DIGEST = "fc40d4db74e68259c9d85e810e12261b8d48ea4fab1b0c6dcfaa4cf9097297e2"
+
+
+def _digest_corpus() -> list[SetSystem]:
+    """Blocks of 20 (n = 20 has the ground as a member), random systems up
+    to ground 500, grid and cycle neighborhoods, each also with the
+    ground adjoined."""
+    rng = SplitMix64(57)
+    systems = [_degree4_blocks(n, rng) for n in (20, 60, 100, 200)]
+    systems += [random_system(rng, max_ground=500) for _ in range(6)]
+    systems += [
+        neighborhood_system(generate_family(family, params))
+        for family, params in (("grid", [6, 6]), ("grid", [8, 8]), ("cycle", [9]), ("cycle", [40]))
+    ]
+    return systems + [with_ground(s) for s in systems]
+
+
+def test_approx_digest():
+    h = hashlib.sha256()
+    for s in _digest_corpus():
+        for eps in (Fraction(1), Fraction(1, 4), Fraction(1, 8)):
+            report = epsilon_approximation(s, eps)
+            ok, worst_set, worst = verify_approximation(s, report.sample, eps)
+            net = verify_net(s, report.sample, eps)
+            h.update(report.to_json().encode())
+            h.update(f"|{ok},{worst_set},{frac_str(worst)},{net}\n".encode())
+    assert h.hexdigest() == APPROX_DIGEST

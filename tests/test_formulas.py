@@ -12,6 +12,7 @@ from sparsedisc.formulas import (
     parse_formula,
     render,
 )
+from sparsedisc.pointer import _conjunction
 from test_pointer import random_formula_corpus
 
 
@@ -106,3 +107,28 @@ class TestParser:
             assert again.root == phi.root
         for phi in random_formula_corpus():
             assert parse_formula(render(phi.root)).root == phi.root
+
+    def test_render_text(self):
+        # every child of a connective in parentheses, as pinned before
+        # empty connectives were rejected
+        texts = {
+            "A(x1) & (B(y1) & f(x1)=y1 | !B(y1) & f(x1)=f(y1))":
+                "(A(x1)) & (((B(y1)) & (f(x1)=y1)) | ((!(B(y1))) & (f(x1)=f(y1))))",
+            "!(x1=y1) & (f1(x1)=y1 | f1(y1)=x1)": "(!(x1=y1)) & ((f1(x1)=y1) | (f1(y1)=x1))",
+            "P(f(g(x1))) | x2=h(y1)": "(P(f(g(x1)))) | (x2=h(y1))",
+        }
+        for text, rendered in texts.items():
+            assert render(parse_formula(text).root) == rendered
+
+    def test_one_child_connective_parses_to_its_child(self):
+        a = Pred("A", Term("x", 0))
+        cases = [(And((a,)), "(A(x1))"), (Or((a,)), "(A(x1))"), (And((Or((a,)),)), "((A(x1)))")]
+        for node, text in cases:
+            assert render(node) == text
+            assert parse_formula(text).root == a
+
+    def test_empty_connective_rejected(self):
+        a = Pred("A", Term("x", 0))
+        for node in (And(()), Or(()), Not(And(())), And((a, Or(()))), _conjunction([])):
+            with pytest.raises(ValueError):
+                render(node)

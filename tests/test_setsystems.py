@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bipartite_double, canonical_system, closure_brute, closure_by_element
+from oracles import bipartite_double, canonical_system, closure_brute, closure_by_element, trace_brute
 from sparsedisc import setsystems
 from sparsedisc.errors import ResourceLimitError
 from sparsedisc.graphs import generate_family, sylvester_graph
@@ -36,6 +36,12 @@ class TestCanonicalForm:
     def test_json_round_trip(self):
         s = system(6, [[0, 5], [1, 2, 3]])
         assert SetSystem.from_json(s.to_json()) == s
+
+    def test_rejects_negative_ground_size(self):
+        for n in (-1, -5):
+            for sets in ([], [[0]]):
+                with pytest.raises(ValueError, match="negative ground size"):
+                    system(n, sets)
 
     def test_rejects_out_of_range(self):
         for sets in ([[0, 2]], [[-1, 0]], [[1], [1, 0, 5]]):
@@ -170,6 +176,38 @@ class TestTrace:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             trace(system(3, [[0]]), {5})
+        with pytest.raises(ValueError):
+            trace(system(3, [[0]]), [0, -1])
+
+    def test_matches_brute(self):
+        # empty, singletons, the whole ground in several spellings and
+        # proper subsets, each against the frozenset oracle
+        rng = SplitMix64(58)
+        checked = 0
+        for _ in range(40):
+            s = random_system(rng, max_ground=60, max_degree=4, max_sets=12)
+            n = s.ground_size
+            shuffled = list(range(n))
+            rng.shuffle(shuffled)
+            subsets = [[], [0], [n - 1], [rng.randrange(n)], shuffled, shuffled + shuffled[: n // 2], range(n)]
+            for _ in range(4):
+                mask = [v for v in range(n) if rng.bernoulli(1, 2)]
+                subsets += [mask, mask[::-1] + mask[:3]]
+            for sub in subsets:
+                traced, mapping = trace(s, sub)
+                assert (traced.ground_size, traced.sets, mapping) == trace_brute(s.sets, sub)
+                assert canonical_system(traced)
+                checked += 1
+        assert checked == 40 * 15
+
+    def test_whole_ground_is_the_system_itself(self):
+        rng = SplitMix64(59)
+        for _ in range(10):
+            s = random_system(rng, max_ground=40, max_degree=3, max_sets=8)
+            whole = list(range(s.ground_size))[::-1] * 2
+            for sub in (range(s.ground_size), whole):
+                traced, mapping = trace(s, sub)
+                assert traced is s and mapping == tuple(range(s.ground_size))
 
     def test_never_increases_degree(self):
         rng = SplitMix64(9)
