@@ -17,15 +17,36 @@ building their neighbor arrays every time.  The sizes run in ascending
 order, and the last line names the largest n up to which the masks win
 every cell of every size, the bound the size rule is read from (the
 `graphs` docstring says where it stands).
+
+The stars reader times `power_coloring`'s profile and star system on the
+graphs of each size up to MASK_MAX_N: the degenerate graphs above, and
+in the p column P for the path on n vertices, G for the grid with
+isqrt(n) rows and n // isqrt(n) columns, and S for the Sylvester graph
+when n is a power of two.  Its "stars" row is BFS time (one `weak_reach`
+pass read by `reach_profile` and `wreach_star_system`) / mask time (the
+dense read of one `_reach_masks` pass, forced by setting
+DENSE_PAIRS_PER_WORD to 0), and its "pairs" row the density that rule
+reads: (root, vertex) pairs per mask word per round.  These rows do not
+enter the last line (the `power_coloring` docstring says where the rule
+stands).
 """
 import argparse
+import math
 import time
+from itertools import islice
 
 import numpy as np
 
 from sparsedisc import graphs
-from sparsedisc.graphs import Graph, ball_sums, random_degenerate_graph
-from sparsedisc.orderings import degeneracy_order, wcol_from_order
+from sparsedisc import power_coloring as power
+from sparsedisc.graphs import (
+    Graph,
+    ball_sums,
+    generate_family,
+    random_degenerate_graph,
+    sylvester_graph,
+)
+from sparsedisc.orderings import degeneracy_order, reach_profile, wcol_from_order, weak_reach
 from sparsedisc.rng import SplitMix64
 
 RADII = (1, 2, 3, 4)
@@ -54,6 +75,32 @@ def mask_bound(won: list[tuple[int, bool]]) -> int | None:
     return bound
 
 
+def bfs_stars(g: Graph, order, d: int):
+    levels = weak_reach(g, order, d)
+    return reach_profile(levels, d), power.wreach_star_system(levels, d)
+
+
+def pairs_per_word(g: Graph, order, d: int) -> float:
+    """The density the star rule reads: the popcount totals of rounds
+    1..d of the mask pass (round 0 alone when the pass ends there) per
+    mask word per round."""
+    rounds = islice(graphs._reach_masks(g, order.position), d + 1)
+    totals = [int(sizes.sum()) for _, sizes in rounds]
+    totals = totals[1:] or totals
+    return sum(totals) / (len(totals) * -(-g.n // 64) * g.n)
+
+
+def star_graphs(n: int, params: list[int], seed: int) -> list[tuple[str, Graph]]:
+    """The stars reader's graphs of size n, each with its entry in the p
+    column: the degenerate graphs under their parameter, then P, G and S."""
+    rows = math.isqrt(n)
+    out = [(str(p), random_degenerate_graph(n, p, seed)) for p in params]
+    out += [("P", generate_family("path", [n])), ("G", generate_family("grid", [rows, n // rows]))]
+    if n >= 2 and n & (n - 1) == 0:
+        out.append(("S", sylvester_graph(n.bit_length() - 2)))
+    return out
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--sizes", type=int, nargs="+", default=[512, 1024, 2048, 4096])
@@ -63,6 +110,8 @@ def main() -> None:
     args = ap.parse_args()
 
     print("n     p  reader  " + "  ".join(f"{f'r={d}':>5}" for d in RADII))
+    max_n = graphs.MASK_MAX_N
+    power.DENSE_PAIRS_PER_WORD = 0  # the stars reader times the dense read
     won = []
     for n in sorted(args.sizes):
         wins = True
@@ -85,6 +134,19 @@ def main() -> None:
                 wins = wins and min(ratios) > 1
                 print(f"{n:<5} {p}  {name:<6}  " + "  ".join(f"{r:5.2f}" for r in ratios))
         won.append((n, wins))
+        if n > max_n:
+            continue
+        for label, g in star_graphs(n, args.params, args.seed):
+            order = degeneracy_order(g)[0]
+            ratios, densities = [], []
+            for d in RADII:
+                bfs, expected = timed(lambda h, d: bfs_stars(h, order, d), g, d, -1, args.repeats)
+                masks, got = timed(lambda h, d: power._mask_reach(h, order, d), g, d, n, args.repeats)
+                assert got == expected, (n, label, d)
+                ratios.append(bfs / masks)
+                densities.append(pairs_per_word(g, order, d))
+            for name, row in (("stars", ratios), ("pairs", densities)):
+                print(f"{n:<5} {label}  {name:<6}  " + "  ".join(f"{r:5.2f}" for r in row))
     bound = mask_bound(won)
     print(f"masks win every cell up to n = {'none' if bound is None else bound}")
 

@@ -14,10 +14,12 @@ the vertices ranked after it.  `_reach_masks` moves every source at
 once, one round per yield, over the adjacency in compressed sparse rows
 (`Graph.neighbor_arrays`, built on first use); with an order's positions
 its popcounts are the sizes |WReach_i[v]|, which `orderings` reads round
-by round for wcol at growing radii.  `ball_sums` sums signs over the
-closed d-balls.  The masks' memory grows like n^2 bits and their work
-like d * m * n / 64 word operations, hence the size rule `fits_masks`,
-which both readers follow.  BFS time / mask time on
+by round for wcol at growing radii and `power_coloring` for its reach
+profile, and when the rounds are dense, their unpacked rows are the
+weak-reach stars.  `ball_sums` sums signs over the closed d-balls.  The
+masks' memory grows like n^2 bits and their work like d * m * n / 64
+word operations, hence the size rule `fits_masks`, which every reader
+follows.  BFS time / mask time on
 random_degenerate_graph(n, p, 0) of `orderings.wcol_from_order` with the
 smallest-last order (wcol: on the BFS one `weak_reach` pass counted by
 `reach_profile`) and of `ball_sums` with random signs (balls), from

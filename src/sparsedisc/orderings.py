@@ -10,12 +10,11 @@ after z and finds every v that weakly reaches z, with the least radius
 (the standard polynomial method; Nadara, Pilipczuk, Rabinovich, Reidl and
 Siebertz, *Empirical evaluation of approaches for computing weak coloring
 numbers*).  The pass is root-major: levels[z][i] lists the vertices at
-BFS depth i from z, so every consumer (the reach profile, the weak-reach
-stars, and at radius 1 the in-neighborhoods of the orientation along the
-order) reads it without a transpose.  The exact weak coloring number runs
-the per-root BFS too, in a branch and bound over order prefixes, with the
-placed vertices closed: a root's BFS depends only on which vertices are
-placed before it.
+BFS depth i from z, so both consumers (the reach profile and the
+weak-reach stars) read it without a transpose.  The exact weak coloring
+number runs the per-root BFS too, in a branch and bound over order
+prefixes, with the placed vertices closed: a root's BFS depends only on
+which vertices are placed before it.
 
 The weak coloring number of one order needs only the sizes |WReach_i[v]|.
 On the masks (`graphs.fits_masks`) M_i = max_v |WReach_i[v]| is the

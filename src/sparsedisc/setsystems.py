@@ -27,9 +27,11 @@ class SetSystem:
     which reject a negative ground size and elements outside the ground
     set, and the builders that
     call it directly are canonical by construction (tests/test_canonical.py):
-    - weak-reach stars: sorted prefixes of BFS lists, distinct by root;
+    - weak-reach stars: sorted prefixes of BFS lists, or the nonzero
+      columns of unpacked mask rows, distinct by root, sorted once;
     - `intersection_closure`: each new intersection sorted and added once;
     - `neighborhood_system`, `trace`: sorted rows, an increasing re-indexing;
+    - in-neighborhoods: sorted rows filtered by rank, deduplicated;
     - `pointer`: row-major reads of a truth matrix, stable sorts of fibers;
     - the `approx` carrier: a canonical system with the ground tuple
       inserted at its sorted place.

@@ -7,7 +7,13 @@ from sparsedisc import graphs
 from sparsedisc import power_coloring as power_module
 from sparsedisc.discrepancy import beck_fiala, eval_discrepancy
 from sparsedisc.errors import ResourceLimitError
-from sparsedisc.graphs import Graph, generate_family, graph_power, random_degenerate_graph
+from sparsedisc.graphs import (
+    Graph,
+    generate_family,
+    graph_power,
+    random_degenerate_graph,
+    sylvester_graph,
+)
 from sparsedisc.orderings import (
     LinearOrder,
     degeneracy_order,
@@ -16,6 +22,7 @@ from sparsedisc.orderings import (
     weak_reach,
 )
 from sparsedisc.power_coloring import (
+    PowerColoringCertificate,
     in_neighborhood_system,
     orientation_coloring,
     power_coloring,
@@ -113,6 +120,84 @@ class TestWreachStarSystem:
             wreach_star_system(weak_reach(g, natural(4), 3), 3)
 
 
+@pytest.fixture(params=["dense", "sparse", "bfs"])
+def star_route(request, monkeypatch) -> str:
+    """Run a test once per route of power_coloring's stars: read off the
+    mask rounds at any density (DENSE_PAIRS_PER_WORD = 0), built from one
+    weak_reach pass after the mask profile (65: a mask word holds at most
+    64 pairs), and the BFS for profile and stars (MASK_MAX_N = -1).  A graph
+    with no vertices has no mask words, so it reads dense at any threshold."""
+    if request.param == "bfs":
+        monkeypatch.setattr(graphs, "MASK_MAX_N", -1)
+    else:
+        threshold = 0 if request.param == "dense" else 65
+        monkeypatch.setattr(power_module, "DENSE_PAIRS_PER_WORD", threshold)
+    return request.param
+
+
+def _route_corpus() -> list[tuple[Graph, LinearOrder]]:
+    rng = SplitMix64(2929)
+    graphs_ = [random_degenerate_graph(30, 3, rng.randrange(2**32)) for _ in range(4)]
+    graphs_ += [generate_family("gnp", [25, 1, 4], seed=rng.randrange(2**32)) for _ in range(3)]
+    graphs_ += [generate_family("grid", [5, 6]), sylvester_graph(3)]
+    graphs_ += [Graph(0, ()), Graph(1, ((),)), Graph(6, ((),) * 6)]  # the last one edgeless
+    # word boundaries of the unpacking: rank 63 ends the first word
+    graphs_ += [random_degenerate_graph(n, 3, n) for n in (63, 64, 65, 128)]
+    out = []
+    for g in graphs_:
+        out += [(g, degeneracy_order(g)[0]), (g, shuffled_order(g.n, g.n + len(out)))]
+    return out
+
+
+class TestStarRoutes:
+    """power_coloring's stars, profile and coloring on each route against
+    the BFS stars of `wreach_star_system(weak_reach(...))`."""
+
+    def test_routes_match_bfs_stars(self, star_route, monkeypatch):
+        solved = []
+
+        def recording(s):
+            solved.append(s)
+            return beck_fiala(s)
+
+        monkeypatch.setattr(power_module, "beck_fiala", recording)
+        for g, order in _route_corpus():
+            for d in (1, 2, 3, 40):  # 40 is past every diameter here
+                solved.clear()
+                chi, cert = power_coloring(g, d, order)
+                levels = weak_reach(g, order, d)
+                stars = wreach_star_system(levels, d)
+                assert solved == [stars], (g.n, d)
+                assert all(type(v) is int for star in solved[0].sets for v in star)
+                assert chi == beck_fiala(stars)
+                profile = reach_profile(levels, d)
+                bound = (2 * d * profile[d - 1] + 1) * profile[d]
+                achieved = power_module._max_ball_sum(g, d, chi.values)
+                assert cert == PowerColoringCertificate(d, order, profile, bound, achieved)
+
+    @pytest.mark.parametrize("cap, fits", [(17, True), (16, False)])
+    def test_incidence_cap(self, star_route, monkeypatch, cap, fits):
+        # the path of 4 in natural order has 17 star incidences at d = 3
+        # (TestWreachStarSystem.test_incidence_cap), on every route
+        g = generate_family("path", [4])
+        monkeypatch.setattr(power_module, "POWER_STAR_CAP", cap)
+        if fits:
+            power_coloring(g, 3, natural(4))
+        else:
+            with pytest.raises(ResourceLimitError, match="needs at least 17"):
+                power_coloring(g, 3, natural(4))
+
+    def test_density_rule(self, monkeypatch):
+        # the rule reads the popcount totals of rounds 1..k against
+        # DENSE_PAIRS_PER_WORD pairs per mask word per round: the path of 4
+        # in natural order has totals 7, 9, 10 in its one word per column
+        g = generate_family("path", [4])
+        for threshold, dense in [(2, True), (2.17, False)]:
+            monkeypatch.setattr(power_module, "DENSE_PAIRS_PER_WORD", threshold)
+            _, stars = power_module._mask_reach(g, natural(4), 3)
+            assert (stars is not None) == dense
+
+
 class TestPowerColoring:
     def test_depth_one_bound_is_three_deg_plus_three(self):
         for name, params in [("grid", [4, 4]), ("cycle", [7]), ("complete", [5])]:
@@ -182,7 +267,9 @@ class TestPowerColoring:
         _, cert = power_coloring(g, 2, order)
         assert cert.ordering == order
 
-    def test_one_weak_reach_pass(self, monkeypatch):
+    def test_one_reach_pass_per_route(self, star_route, monkeypatch, mask_passes):
+        # the masks with positions give the profile on both mask routes and
+        # the stars on the dense one; the BFS stars take one weak_reach pass
         calls = []
 
         def counted(*args):
@@ -193,8 +280,11 @@ class TestPowerColoring:
         g = random_degenerate_graph(40, 3, seed=2)
         for d in (1, 2, 3):
             calls.clear()
+            mask_passes.clear()
             power_coloring(g, d)
-            assert len(calls) == 1
+            reach_passes = [drawn for positions, drawn in mask_passes if positions]
+            assert len(reach_passes) == (star_route != "bfs")
+            assert len(calls) == (star_route != "dense")
 
     def test_rejects_zero_depth(self):
         with pytest.raises(ValueError):

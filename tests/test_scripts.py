@@ -61,7 +61,9 @@ class TestReachKernelBound:
     def test_last_line(self):
         lines = run_script(["reach_kernel_ratios.py", "--sizes", "65", "63", "--repeats", "1"])
         lines = lines.splitlines()
-        assert [int(line.split()[0]) for line in lines[1:-1]] == [63] * 4 + [65] * 4
+        # per size: wcol and balls for p = 3 and 6, then the stars reader's
+        # stars and pairs rows for p = 3, 6, the path and the grid
+        assert [int(line.split()[0]) for line in lines[1:-1]] == [63] * 12 + [65] * 12
         assert re.fullmatch(r"masks win every cell up to n = (none|63|65)", lines[-1])
 
     def test_walk_stops_at_the_first_loss(self):
