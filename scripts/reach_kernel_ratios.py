@@ -24,16 +24,14 @@ in the p column P for the path on n vertices, G for the grid with
 isqrt(n) rows and n // isqrt(n) columns, and S for the Sylvester graph
 when n is a power of two.  Its "stars" row is BFS time (one `weak_reach`
 pass read by `reach_profile` and `wreach_star_system`) / mask time (the
-dense read of one `_reach_masks` pass, forced by setting
-DENSE_PAIRS_PER_WORD to 0), and its "pairs" row the density that rule
-reads: (root, vertex) pairs per mask word per round.  These rows do not
-enter the last line (the `power_coloring` docstring says where the rule
-stands).
+read of one `_reach_masks` pass by `power_coloring._mask_reach`).  These
+rows do not enter the last line: inside the size rule `power_coloring`
+always reads the masks, and the rows below 1 are the cost it accepts
+(the `power_coloring` docstring lists them).
 """
 import argparse
 import math
 import time
-from itertools import islice
 
 import numpy as np
 
@@ -80,16 +78,6 @@ def bfs_stars(g: Graph, order, d: int):
     return reach_profile(levels, d), power.wreach_star_system(levels, d)
 
 
-def pairs_per_word(g: Graph, order, d: int) -> float:
-    """The density the star rule reads: the popcount totals of rounds
-    1..d of the mask pass (round 0 alone when the pass ends there) per
-    mask word per round."""
-    rounds = islice(graphs._reach_masks(g, order.position), d + 1)
-    totals = [int(sizes.sum()) for _, sizes in rounds]
-    totals = totals[1:] or totals
-    return sum(totals) / (len(totals) * -(-g.n // 64) * g.n)
-
-
 def star_graphs(n: int, params: list[int], seed: int) -> list[tuple[str, Graph]]:
     """The stars reader's graphs of size n, each with its entry in the p
     column: the degenerate graphs under their parameter, then P, G and S."""
@@ -111,7 +99,6 @@ def main() -> None:
 
     print("n     p  reader  " + "  ".join(f"{f'r={d}':>5}" for d in RADII))
     max_n = graphs.MASK_MAX_N
-    power.DENSE_PAIRS_PER_WORD = 0  # the stars reader times the dense read
     won = []
     for n in sorted(args.sizes):
         wins = True
@@ -138,15 +125,13 @@ def main() -> None:
             continue
         for label, g in star_graphs(n, args.params, args.seed):
             order = degeneracy_order(g)[0]
-            ratios, densities = [], []
+            ratios = []
             for d in RADII:
                 bfs, expected = timed(lambda h, d: bfs_stars(h, order, d), g, d, -1, args.repeats)
                 masks, got = timed(lambda h, d: power._mask_reach(h, order, d), g, d, n, args.repeats)
                 assert got == expected, (n, label, d)
                 ratios.append(bfs / masks)
-                densities.append(pairs_per_word(g, order, d))
-            for name, row in (("stars", ratios), ("pairs", densities)):
-                print(f"{n:<5} {label}  {name:<6}  " + "  ".join(f"{r:5.2f}" for r in row))
+            print(f"{n:<5} {label}  stars   " + "  ".join(f"{r:5.2f}" for r in ratios))
     bound = mask_bound(won)
     print(f"masks win every cell up to n = {'none' if bound is None else bound}")
 

@@ -120,26 +120,13 @@ class TestWreachStarSystem:
             wreach_star_system(weak_reach(g, natural(4), 3), 3)
 
 
-@pytest.fixture(params=["dense", "sparse", "bfs"])
-def star_route(request, monkeypatch) -> str:
-    """Run a test once per route of power_coloring's stars: read off the
-    mask rounds at any density (DENSE_PAIRS_PER_WORD = 0), built from one
-    weak_reach pass after the mask profile (65: a mask word holds at most
-    64 pairs), and the BFS for profile and stars (MASK_MAX_N = -1).  A graph
-    with no vertices has no mask words, so it reads dense at any threshold."""
-    if request.param == "bfs":
-        monkeypatch.setattr(graphs, "MASK_MAX_N", -1)
-    else:
-        threshold = 0 if request.param == "dense" else 65
-        monkeypatch.setattr(power_module, "DENSE_PAIRS_PER_WORD", threshold)
-    return request.param
-
-
 def _route_corpus() -> list[tuple[Graph, LinearOrder]]:
     rng = SplitMix64(2929)
     graphs_ = [random_degenerate_graph(30, 3, rng.randrange(2**32)) for _ in range(4)]
     graphs_ += [generate_family("gnp", [25, 1, 4], seed=rng.randrange(2**32)) for _ in range(3)]
     graphs_ += [generate_family("grid", [5, 6]), sylvester_graph(3)]
+    # at d = 40 a long pass of three-word columns, few words changing per round
+    graphs_ += [generate_family("path", [130])]
     graphs_ += [Graph(0, ()), Graph(1, ((),)), Graph(6, ((),) * 6)]  # the last one edgeless
     # word boundaries of the unpacking: rank 63 ends the first word
     graphs_ += [random_degenerate_graph(n, 3, n) for n in (63, 64, 65, 128)]
@@ -153,7 +140,7 @@ class TestStarRoutes:
     """power_coloring's stars, profile and coloring on each route against
     the BFS stars of `wreach_star_system(weak_reach(...))`."""
 
-    def test_routes_match_bfs_stars(self, star_route, monkeypatch):
+    def test_routes_match_bfs_stars(self, route, monkeypatch):
         solved = []
 
         def recording(s):
@@ -176,7 +163,7 @@ class TestStarRoutes:
                 assert cert == PowerColoringCertificate(d, order, profile, bound, achieved)
 
     @pytest.mark.parametrize("cap, fits", [(17, True), (16, False)])
-    def test_incidence_cap(self, star_route, monkeypatch, cap, fits):
+    def test_incidence_cap(self, route, monkeypatch, cap, fits):
         # the path of 4 in natural order has 17 star incidences at d = 3
         # (TestWreachStarSystem.test_incidence_cap), on every route
         g = generate_family("path", [4])
@@ -186,16 +173,6 @@ class TestStarRoutes:
         else:
             with pytest.raises(ResourceLimitError, match="needs at least 17"):
                 power_coloring(g, 3, natural(4))
-
-    def test_density_rule(self, monkeypatch):
-        # the rule reads the popcount totals of rounds 1..k against
-        # DENSE_PAIRS_PER_WORD pairs per mask word per round: the path of 4
-        # in natural order has totals 7, 9, 10 in its one word per column
-        g = generate_family("path", [4])
-        for threshold, dense in [(2, True), (2.17, False)]:
-            monkeypatch.setattr(power_module, "DENSE_PAIRS_PER_WORD", threshold)
-            _, stars = power_module._mask_reach(g, natural(4), 3)
-            assert (stars is not None) == dense
 
 
 class TestPowerColoring:
@@ -267,9 +244,11 @@ class TestPowerColoring:
         _, cert = power_coloring(g, 2, order)
         assert cert.ordering == order
 
-    def test_one_reach_pass_per_route(self, star_route, monkeypatch, mask_passes):
-        # the masks with positions give the profile on both mask routes and
-        # the stars on the dense one; the BFS stars take one weak_reach pass
+    def test_one_reach_pass_per_route(self, route, monkeypatch, mask_passes):
+        # inside the size rule the masks with positions give the profile and
+        # the stars at any density (the 15 x 15 grid holds 0.7-1.7 (root,
+        # vertex) pairs per mask word per round); the BFS takes one
+        # weak_reach pass for both
         calls = []
 
         def counted(*args):
@@ -277,14 +256,14 @@ class TestPowerColoring:
             return weak_reach(*args)
 
         monkeypatch.setattr(power_module, "weak_reach", counted)
-        g = random_degenerate_graph(40, 3, seed=2)
-        for d in (1, 2, 3):
-            calls.clear()
-            mask_passes.clear()
-            power_coloring(g, d)
-            reach_passes = [drawn for positions, drawn in mask_passes if positions]
-            assert len(reach_passes) == (star_route != "bfs")
-            assert len(calls) == (star_route != "dense")
+        for g in (random_degenerate_graph(40, 3, seed=2), generate_family("grid", [15, 15])):
+            for d in (1, 2, 3):
+                calls.clear()
+                mask_passes.clear()
+                power_coloring(g, d)
+                reach_passes = [drawn for positions, drawn in mask_passes if positions]
+                assert len(reach_passes) == (route == "mask"), (g.n, d)
+                assert len(calls) == (route == "bfs"), (g.n, d)
 
     def test_rejects_zero_depth(self):
         with pytest.raises(ValueError):
@@ -365,7 +344,6 @@ class TestCertificateOracle:
         monkeypatch.setattr(graphs, "MASK_MAX_N", -1)
         assert masks == [power_coloring(g, d)[1] for g in corpus for d in radii]
 
-
     def test_size_rule(self, monkeypatch, mask_passes):
         # n = MASK_MAX_N + 1 sums the BFS balls; raising the constant by
         # one sends it to the masks, with the same sums: one pass per
@@ -378,6 +356,7 @@ class TestCertificateOracle:
         monkeypatch.setattr(graphs, "MASK_MAX_N", g.n)
         assert [power_module._max_ball_sum(g, d, values) for d in (1, 2, 3)] == bfs
         assert mask_passes == [[False, 2], [False, 3], [False, 4]]
+
 
 class TestOrientationColoring:
     @pytest.mark.parametrize("seed", range(6))

@@ -62,8 +62,8 @@ class TestReachKernelBound:
         lines = run_script(["reach_kernel_ratios.py", "--sizes", "65", "63", "--repeats", "1"])
         lines = lines.splitlines()
         # per size: wcol and balls for p = 3 and 6, then the stars reader's
-        # stars and pairs rows for p = 3, 6, the path and the grid
-        assert [int(line.split()[0]) for line in lines[1:-1]] == [63] * 12 + [65] * 12
+        # stars rows for p = 3, 6, the path and the grid
+        assert [int(line.split()[0]) for line in lines[1:-1]] == [63] * 8 + [65] * 8
         assert re.fullmatch(r"masks win every cell up to n = (none|63|65)", lines[-1])
 
     def test_walk_stops_at_the_first_loss(self):
