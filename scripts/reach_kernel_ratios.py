@@ -13,10 +13,12 @@ size n and parameter p this builds
 size rule, checks that the two routes agree, and prints BFS time / mask
 time at radii 1..4: above 1 the masks win.  Each time is the best of
 --repeats calls, each on a fresh copy of the graph, so the masks pay for
-building their neighbor arrays every time.  The sizes run in ascending
-order, and the last line names the largest n up to which the masks win
-every cell of every size, the bound the size rule is read from (the
-`graphs` docstring says where it stands).
+building their neighbor arrays every time.  The BFS and mask calls of a
+cell alternate, call by call, so a slowdown of the host hits both sides
+of the ratio instead of one.  The sizes run in ascending order, and the
+last line names the largest n up to which the masks win every cell of
+every size, the bound the size rule is read from (the `graphs` docstring
+says where it stands).
 
 The stars reader times `power_coloring`'s profile and star system on the
 graphs of each size up to MASK_MAX_N: the degenerate graphs above, and
@@ -50,16 +52,21 @@ from sparsedisc.rng import SplitMix64
 RADII = (1, 2, 3, 4)
 
 
-def timed(reader, g: Graph, d: int, max_n: int, repeats: int):
-    """(best seconds, value) of reader(copy of g, d) with MASK_MAX_N = max_n."""
-    graphs.MASK_MAX_N = max_n
-    copies = [Graph(g.n, g.adjacency) for _ in range(repeats)]
-    best, value = float("inf"), None
-    for h in copies:
-        start = time.perf_counter()
-        value = reader(h, d)
-        best = min(best, time.perf_counter() - start)
-    return best, value
+def timed(bfs_reader, mask_reader, g: Graph, d: int, repeats: int):
+    """(BFS / mask best-time ratio, BFS value, mask value) of
+    bfs_reader(copy of g, d) with MASK_MAX_N = -1 and mask_reader(copy of
+    g, d) with MASK_MAX_N = g.n.  The two routes are called alternately,
+    each on its own fresh copy, so a slowdown of the host hits both."""
+    best = [float("inf"), float("inf")]
+    values = [None, None]
+    for _ in range(repeats):
+        for side, (reader, max_n) in enumerate(((bfs_reader, -1), (mask_reader, g.n))):
+            graphs.MASK_MAX_N = max_n
+            h = Graph(g.n, g.adjacency)
+            start = time.perf_counter()
+            values[side] = reader(h, d)
+            best[side] = min(best[side], time.perf_counter() - start)
+    return best[0] / best[1], *values
 
 
 def mask_bound(won: list[tuple[int, bool]]) -> int | None:
@@ -114,10 +121,9 @@ def main() -> None:
             for name, reader in readers.items():
                 ratios = []
                 for d in RADII:
-                    bfs, expected = timed(reader, g, d, -1, args.repeats)
-                    masks, got = timed(reader, g, d, n, args.repeats)
+                    ratio, expected, got = timed(reader, reader, g, d, args.repeats)
                     assert np.array_equal(got, expected), (n, p, name, d)
-                    ratios.append(bfs / masks)
+                    ratios.append(ratio)
                 wins = wins and min(ratios) > 1
                 print(f"{n:<5} {p}  {name:<6}  " + "  ".join(f"{r:5.2f}" for r in ratios))
         won.append((n, wins))
@@ -127,10 +133,13 @@ def main() -> None:
             order = degeneracy_order(g)[0]
             ratios = []
             for d in RADII:
-                bfs, expected = timed(lambda h, d: bfs_stars(h, order, d), g, d, -1, args.repeats)
-                masks, got = timed(lambda h, d: power._mask_reach(h, order, d), g, d, n, args.repeats)
+                ratio, expected, got = timed(
+                    lambda h, d: bfs_stars(h, order, d),
+                    lambda h, d: power._mask_reach(h, order, d),
+                    g, d, args.repeats,
+                )
                 assert got == expected, (n, label, d)
-                ratios.append(bfs / masks)
+                ratios.append(ratio)
             print(f"{n:<5} {label}  stars   " + "  ".join(f"{r:5.2f}" for r in ratios))
     bound = mask_bound(won)
     print(f"masks win every cell up to n = {'none' if bound is None else bound}")

@@ -80,10 +80,10 @@ def halve(s: SetSystem, current: Iterable[int]) -> tuple[tuple[int, ...], int]:
     is exactly ceil(|current|/2).  disc_used charges those moves on top of
     the achieved discrepancy.
     """
-    cur = sorted(set(current))
-    if not cur:
+    # mapping is current sorted, deduplicated and checked against the ground
+    traced, mapping = trace(s, current)
+    if not mapping:
         raise ValueError("cannot halve an empty subset")
-    traced, mapping = trace(s, cur)
     chi = beck_fiala(traced)
     achieved, _ = eval_discrepancy(traced, chi)
     pos = [mapping[i] for i, v in enumerate(chi.values) if v == 1]
@@ -92,7 +92,7 @@ def halve(s: SetSystem, current: Iterable[int]) -> tuple[tuple[int, ...], int]:
         kept = pos if len(pos) > len(neg) else neg
     else:
         kept = pos if chi.values[0] == 1 else neg
-    target = (len(cur) + 1) // 2
+    target = (len(mapping) + 1) // 2
     moves = len(kept) - target
     assert moves >= 0
     return tuple(kept[moves:]), achieved + moves

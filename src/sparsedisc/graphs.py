@@ -23,25 +23,29 @@ follows.  BFS time / mask time on
 random_degenerate_graph(n, p, 0) of `orderings.wcol_from_order` with the
 smallest-last order (wcol: on the BFS one `weak_reach` pass counted by
 `reach_profile`) and of `ball_sums` with random signs (balls), from
-scripts/reach_kernel_ratios.py (best of 3 calls; above 1 the masks win):
+scripts/reach_kernel_ratios.py (best of 3 calls, the BFS and mask calls
+alternated; above 1 the masks win):
 
     n     p  reader    r=1    r=2    r=3    r=4
-    1024  3  wcol     2.16   1.76   2.53   4.02
-    1024  3  balls    1.67   2.97   6.87  16.95
-    1024  6  wcol     1.73   3.47   8.78  18.70
-    1024  6  balls    1.86   5.90  24.40  69.24
-    2048  3  wcol     0.93   1.08   1.44   2.29
-    2048  3  balls    1.33   2.13   5.00  11.98
-    2048  6  wcol     1.34   2.16   5.21  14.08
-    2048  6  balls    1.20   3.47  15.49  55.58
+    1024  3  wcol     1.89   2.30   2.84   4.26
+    1024  3  balls    1.88   2.94   5.81  13.33
+    1024  6  wcol     1.79   3.32   7.11  15.59
+    1024  6  balls    1.66   4.96  21.13  62.22
+    2048  3  wcol     1.46   1.46   1.91   2.89
+    2048  3  balls    1.21   1.72   3.66   8.97
+    2048  6  wcol     1.30   1.97   4.74  12.32
+    2048  6  balls    1.22   3.11  13.76  49.45
 
 Three runs of the script's table (n = 512, 1024, 2048, 4096) each end
-"masks win every cell up to n = 1024", the value MASK_MAX_N holds: at
-n = 2048 the BFS won a wcol cell at radius 1 in two of them (0.79-0.93x),
-and at n = 4096 it wins the ball sums at radius 1 and wcol cells at radii
-1-3.  The rule stays on n alone: every benchmark workload has n <= 400,
-far below the line, so a rule that also reads the radius waits until a
-workload runs above it.
+"masks win every cell up to n = 2048": no n = 2048 cell read below 1.13,
+and at n = 4096 the BFS won every radius-1 cell and some radius-2 and
+radius-3 cells (0.47-0.92x).  MASK_MAX_N holds 1024 all the same, for
+`power_coloring`, whose star read (the script's "stars" rows) already
+loses to the BFS at n = 1024 on paths, grids and sparse degenerate
+graphs; the wcol and ball-sum readers alone would take 2048.  The rule
+stays on n alone: every benchmark workload has n <= 400, far below the
+line, so a rule that also reads the radius waits until a workload runs
+above it.
 """
 from __future__ import annotations
 

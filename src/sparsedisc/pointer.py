@@ -15,10 +15,17 @@ and a stable sort on the value tuple lists each psi fiber in ascending
 order.  The tuples are deduplicated and sorted, then passed to the
 `SetSystem` constructor, which does not check them again.
 
-A quantifier-free partitioned formula is normalized to DNF; each conjunct
-splits into object-only literals (rho), parameter-only literals (the
-guard), and cross equalities word(x_i) = word(y_j).  Naming the parameter
-side of each positive cross z_r yields a psi of the canonical form
+A quantifier-free partitioned formula is normalized to DNF, each
+conjunct once: a duplicate conjunct adds no slot, rho or psi.  The DNF
+is what can blow up, as a conjunction of disjunctions multiplies out, so
+the cap is on what `_dnf` builds, not on the formula's atoms: each
+product is counted before it is built and refused above DNF_PRODUCT_CAP,
+so an over-cap formula fails before it allocates the product.
+
+Each conjunct splits into object-only literals (rho), parameter-only
+literals (the guard), and cross equalities word(x_i) = word(y_j).
+Naming the parameter side of each positive cross z_r yields a psi of
+the canonical form
 AND_r (word_r(x_{i_r}) = z_r); negated crosses each become a single-slot
 psi subtracted in the assembly.  z_r is only notation: the assembly reads
 it as its parameter term (`tests/oracles.assemble` rebuilds each defined
@@ -40,6 +47,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import chain
 from typing import Iterable, Optional, Union
 
 import numpy as np
@@ -58,7 +66,11 @@ DEFINED_CELL_CAP = 2 * 10**7
 # the truth matrix is read this many cells at a time, which bounds the
 # index arrays and lists that the read makes next to the sets it keeps
 READ_BLOCK_CELLS = 2**16
-DNF_ATOM_CAP = 12
+# bounds each product _dnf multiplies out, conjuncts so far times the next
+# child's conjuncts; the largest over the test corpus is 42, and over
+# from_degenerate_graph's formulas 2 * degeneracy (60 at degeneracy 30),
+# so 2^12 leaves a margin of 68 times the larger
+DNF_PRODUCT_CAP = 2**12
 
 Word = tuple[str, ...]
 Literal = tuple[bool, Union[Pred, Eq]]
@@ -253,27 +265,26 @@ class PsiDecomposition:
 
 
 def _dnf(node: Node, negated: bool) -> list[frozenset[Literal]]:
-    """Disjunctive normal form as a list of literal sets."""
+    """Disjunctive normal form as a list of literal sets, each conjunct
+    once, in first-seen order.  Each child's form is built once.  A
+    conjunction multiplies out its children's forms one at a time.  The
+    size of each product, conjuncts so far times the child's conjuncts, is
+    checked against DNF_PRODUCT_CAP before it is built, so an over-cap
+    formula costs no more than the products under the cap; checked after,
+    it would first build a product of any size."""
     if isinstance(node, (Pred, Eq)):
         return [frozenset([(not negated, node)])]
     if isinstance(node, Not):
         return _dnf(node.child, not negated)
-    branches = node.children
-    disjunctive = isinstance(node, Or) != negated
-    if disjunctive:
-        out = []
-        for ch in branches:
-            out.extend(_dnf(ch, negated))
-        return out
+    forms = [_dnf(ch, negated) for ch in node.children]
+    if isinstance(node, Or) != negated:
+        return list(dict.fromkeys(chain.from_iterable(forms)))
     conjuncts: list[frozenset[Literal]] = [frozenset()]
-    for ch in branches:
-        nxt = []
-        for left in conjuncts:
-            for right in _dnf(ch, negated):
-                merged = left | right
-                if not _contradictory(merged):
-                    nxt.append(merged)
-        conjuncts = nxt
+    for form in forms:
+        if len(conjuncts) * len(form) > DNF_PRODUCT_CAP:
+            raise ResourceLimitError(f"normal form product over {DNF_PRODUCT_CAP} conjuncts")
+        merged = (left | right for left in conjuncts for right in form)
+        conjuncts = list(dict.fromkeys(c for c in merged if not _contradictory(c)))
     return conjuncts
 
 
@@ -297,9 +308,6 @@ def qf_decompose(phi: QFFormula) -> PsiDecomposition:
     """Split a partitioned formula into parameter-free rhos and canonical
     psis so that every definable set assembles from guarded intersections
     minus single-slot psi sets."""
-    if len(phi.atoms) > DNF_ATOM_CAP:
-        raise ResourceLimitError(f"formula has more than {DNF_ATOM_CAP} atoms")
-
     rho_pool: dict[tuple, int] = {}
     rhos: list[tuple[Literal, ...]] = []
     psi_pool: dict[tuple, int] = {}

@@ -1,10 +1,12 @@
 import io
 import json
+import time
 
 import pytest
 
-from sparsedisc import cli, graphs, orderings
+from sparsedisc import cli, graphs, orderings, pointer
 from sparsedisc.cli import main
+from sparsedisc.formulas import render
 from sparsedisc.graphs import Graph, generate_family, random_degenerate_graph, read_edge_list
 from sparsedisc.orderings import LinearOrder, wcol_from_order, weak_reach
 
@@ -147,6 +149,43 @@ class TestColor:
         )
         assert code == 3 and out == ""
         assert err.count("\n") == 1 and err.startswith("resource limit: ")
+
+    def _qf(self, tmp_path, capsys, structure, text):
+        struct = tmp_path / "m.json"
+        struct.write_text(json.dumps(structure))
+        formula = tmp_path / "phi.txt"
+        formula.write_text(text)
+        return run(capsys, "color", "qf", "-i", str(struct), "--formula", str(formula))
+
+    def test_qf_repeated_clauses_run(self, tmp_path, capsys):
+        # 2^26 conjuncts multiplied out, 3 kept once each
+        structure = {"n": 4, "functions": {"f": [1, 2, 3, 0]}, "predicates": {}}
+        text = " & ".join(["(x1=y1 | f(x1)=y1)"] * 26)
+        start = time.perf_counter()
+        code, out, _ = self._qf(tmp_path, capsys, structure, text)
+        assert time.perf_counter() - start < 5
+        assert code == 0
+        report = json.loads(out)
+        assert report["achieved"][0] <= report["bound"]
+
+    def test_qf_over_the_product_cap_exit_3(self, tmp_path, capsys):
+        # 13 distinct pairs multiply out to 2^13 conjuncts, over the 2^12 cap
+        names = [f"{c}{i}" for i in range(13) for c in "AB"]
+        structure = {"n": 3, "functions": {}, "predicates": {name: [0] for name in names}}
+        text = " & ".join(f"(A{i}(x1) | B{i}(x1))" for i in range(13))
+        code, out, err = self._qf(tmp_path, capsys, structure, text)
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and err.startswith("resource limit: normal form")
+
+    @pytest.mark.parametrize("n, p", [(300, 8), (200, 20)])
+    def test_qf_high_degeneracy_encodings(self, tmp_path, capsys, n, p):
+        # degeneracy 6 and 13: 13 and 27 atoms
+        m, eta = pointer.from_degenerate_graph(random_degenerate_graph(n, p, 1))
+        structure = {"n": m.domain_size, "functions": m.functions, "predicates": {}}
+        code, out, _ = self._qf(tmp_path, capsys, structure, render(eta.root))
+        assert code == 0
+        report = json.loads(out)
+        assert report["achieved"][0] <= report["bound"]
 
 
 class TestSystemAndApprox:

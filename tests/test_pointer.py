@@ -359,7 +359,6 @@ class TestEvaluatorMatchesBrute:
 
     def test_random_structures_and_formulas(self):
         rng = SplitMix64(55)
-        assembled = 0
         for _ in range(300):
             n = rng.randrange(6)
             funcs = ("f", "g")[: 1 + rng.randrange(2)]
@@ -367,21 +366,15 @@ class TestEvaluatorMatchesBrute:
             m = random_structure(rng, n, preds=preds, funcs=funcs)
             phi = random_formula(rng, funcs, preds)
             xs = list(product(range(n), repeat=phi.x_arity))
-            try:
-                dec = qf_decompose(phi)
-            except ResourceLimitError:  # more than DNF_ATOM_CAP atoms
-                dec = None
+            dec = qf_decompose(phi)
             sets = []
             for b in product(range(n), repeat=phi.y_arity):
                 truth = [eval_brute(m, phi.root, a, b) for a in xs]
                 assert [eval_formula(m, phi, a, b) for a in xs] == truth
                 members = {i for i, hit in enumerate(truth) if hit}
                 sets.append(members)
-                if dec is not None:
-                    assert assemble(m, dec, b) == members
+                assert assemble(m, dec, b) == members
             assert defined_system(m, phi) == SetSystem.from_sets(n**phi.x_arity, sets)
-            assembled += dec is not None
-        assert assembled >= 150
 
 
 class TestFromDegenerateGraph:
@@ -445,10 +438,35 @@ class TestDecompose:
         assert all(plan.psi_index is None for plan in dec.assembly)
         assert all(not plan.guard for plan in dec.assembly)
 
-    def test_atom_cap(self):
-        clauses = " | ".join(f"A{i}(x1)" for i in range(13))
-        with pytest.raises(ResourceLimitError):
-            qf_decompose(parse_formula(clauses))
+    def test_thirteen_atom_disjunction_decomposes(self):
+        dec = qf_decompose(parse_formula(" | ".join(f"A{i}(x1)" for i in range(13))))
+        assert len(dec.rhos) == len(dec.assembly) == 13
+
+    def test_repeated_clauses_keep_each_conjunct_once(self):
+        # 2^200 conjuncts multiplied out; {x1=y1}, {f(x1)=y1} and both
+        dec = qf_decompose(parse_formula(" & ".join(["(x1=y1 | f(x1)=y1)"] * 200)))
+        assert len(dec.assembly) == 3
+
+    def test_product_cap_before_the_product(self, monkeypatch):
+        # a conjunction of k distinct pairs multiplies out 2, 4, ..., 2^k
+        # conjuncts, so the cap is reached at `full` pairs and passed at one more
+        full = pointer.DNF_PRODUCT_CAP.bit_length() - 1
+        assert pointer.DNF_PRODUCT_CAP == 2**full
+
+        def pairs(k):
+            return parse_formula(" & ".join(f"(A{i}(x1) | B{i}(x1))" for i in range(k)))
+
+        assert len(qf_decompose(pairs(full)).assembly) == pointer.DNF_PRODUCT_CAP
+        built = []
+        contradictory = pointer._contradictory
+        monkeypatch.setattr(
+            pointer, "_contradictory", lambda c: built.append(c) or contradictory(c)
+        )
+        with pytest.raises(ResourceLimitError, match=str(pointer.DNF_PRODUCT_CAP)):
+            qf_decompose(pairs(full + 1))
+        # every merged conjunct is checked once: only the products up to
+        # the cap were built
+        assert len(built) == 2 ** (full + 1) - 2
 
     def test_psi_systems_have_degree_one(self):
         rng = SplitMix64(19)
@@ -608,6 +626,17 @@ class TestQfColor:
             signs = "".join("+" if v == 1 else "-" for v in chi.values)
             h.update(f"{label}|{signs}|{bound}|{achieved}\n".encode())
         assert h.hexdigest() == QF_DIGEST
+
+    @pytest.mark.parametrize("n, p, degeneracy", [(300, 8, 6), (200, 20, 13)])
+    def test_high_degeneracy_encodings(self, n, p, degeneracy):
+        # 2 * degeneracy + 1 atoms: 13 and 27
+        g = random_degenerate_graph(n, p, 1)
+        assert degeneracy_order(g)[1] == degeneracy
+        m, eta = from_degenerate_graph(g)
+        chi, bound = qf_color(m, [eta])
+        achieved, _ = eval_discrepancy(defined_system(m, eta), chi)
+        assert achieved <= bound
+        assert achieved == eval_discrepancy(neighborhood_system(g), chi)[0]
 
     def test_rejects_multi_x(self):
         m = PointerStructure(4, {"f": (0, 1, 2, 3)}, {})
